@@ -697,6 +697,17 @@ def run(path: str, flags) -> int:
     return verdict_code
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for counts and bounds: a base-10 integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="paramjet", description="exact engine for parameterized linear differential systems"
@@ -705,9 +716,9 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute a session file")
     runp.add_argument("file")
     runp.add_argument("--out", default=None, help="write certificates to this path")
-    runp.add_argument("--degree-bound", type=int, default=0, dest="degree_bound")
-    runp.add_argument("--depth", type=int, default=1)
-    runp.add_argument("--rank-cap", type=int, default=8, dest="rank_cap")
+    runp.add_argument("--degree-bound", type=_nonnegative_int, default=0, dest="degree_bound")
+    runp.add_argument("--depth", type=_nonnegative_int, default=1)
+    runp.add_argument("--rank-cap", type=_nonnegative_int, default=8, dest="rank_cap")
     runp.add_argument("--quiet", action="store_true")
     ns = parser.parse_args(argv)
     if ns.verb == "run":

@@ -439,8 +439,12 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                 r = len(rows)
                 row_index[key] = r
                 rows.append({})
-            acc = rows[r].get(unknown)
-            rows[r][unknown] = (acc + c) if acc is not None else c
+            row = rows[r]
+            acc = row.get(unknown, 0) + c
+            if acc:
+                row[unknown] = acc
+            else:
+                row.pop(unknown, None)
 
     for i, deriv in enumerate(m.ps.principal):
         a = m.conn[i]
@@ -475,10 +479,7 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                         continue
                     add_coeff((i, lp), -(coeff_den * denom * coeff * mono), unknown)
 
-    dense = [
-        [row.get(c, Fraction(0)) for c in range(nunknowns)] for row in rows
-    ]
-    basis = linalg.fraction_nullspace(dense, nunknowns)
+    basis = linalg.fraction_nullspace(rows, nunknowns)
     out = []
     den_rf = RatFun.from_poly(denom)
     for sol in basis:

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over a rational function field.
+"""Exact linear algebra: dense over a rational function field, sparse over Q.
 
-Matrices are plain lists of lists of ``RatFun``; all routines are pure and
-use Gaussian elimination with first-nonzero pivoting in the given row
-order, so results are deterministic.
+Matrices over Q(v) are plain lists of lists of ``RatFun``; their routines
+are pure and use Gaussian elimination with first-nonzero pivoting in the
+given row order, so results are deterministic.  ``fraction_nullspace``
+works on sparse rows over Q (``{column: Fraction}``) for the horizontal
+solver.
 """
 
 from __future__ import annotations
@@ -155,25 +157,6 @@ def rank(a: Matrix) -> int:
     return len(pivots)
 
 
-def solve(a: Matrix, b: list) -> list | None:
-    """One solution of a x = b (free variables set to zero), or None."""
-    m, n = shape(a)
-    if len(b) != m:
-        raise ShapeMismatch("rhs length mismatch")
-    aug = [list(ra) + [bv] for ra, bv in zip(a, b)]
-    rows, pivots = _eliminate(aug)
-    spec = b[0].spec if b else a[0][0].spec
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-    x = [RatFun.zero(spec) for _ in range(n)]
-    for r, c in enumerate(pivots):
-        if c < n:
-            x[c] = rows[r][n]
-    # rows beyond pivots are zero rows in echelon form
-    return x
-
-
 def solve_or_residual(a: Matrix, b: list) -> tuple[list, list]:
     """Best-effort solution of a x = b plus the residual b - a x.
 
@@ -194,18 +177,6 @@ def solve_or_residual(a: Matrix, b: list) -> tuple[list, list]:
     return x, residual
 
 
-def solve_matrix(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b column by column; None if any column is inconsistent."""
-    cols = []
-    bt = transpose(b)
-    for col in bt:
-        x = solve(a, list(col))
-        if x is None:
-            return None
-        cols.append(x)
-    return transpose(cols)
-
-
 def inverse(a: Matrix) -> Matrix:
     m, n = shape(a)
     if m != n:
@@ -218,55 +189,60 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in rows]
 
 
-def nullspace(a: Matrix) -> list[list]:
-    """Basis of the right kernel."""
-    m, n = shape(a)
-    spec = a[0][0].spec
-    rows, pivots = _eliminate(a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [RatFun.zero(spec) for _ in range(n)]
-        v[f] = RatFun.one(spec)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
-    return basis
-
-
 # --- rational (constant) elimination for the horizontal solver ---------------
 
 
-def fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the kernel of a matrix over Q, first-nonzero pivoting."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
+def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the kernel of a sparse matrix over Q.
+
+    Each row maps a column to its nonzero entry.  Sparse Gauss–Jordan: for
+    each column in increasing order the pivot is the pending row with the
+    fewest entries that has the column, ties going to the lowest row index
+    (Markowitz pivoting); the column is eliminated from the other pending
+    rows, and back-substitution then gives the reduced row echelon form.
+    That form does not depend on the pivot order, so the basis (one vector
+    per free column f, ascending, with v[f] = 1 and v[c] = -R[c][f] for
+    each pivot column c) is the one dense first-nonzero pivoting gives.
+    """
+    mat = [{c: v for c, v in row.items() if v} for row in rows]
+    pending = list(range(len(mat)))
+    echelon: list[tuple[int, dict[int, Fraction]]] = []
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        having = [i for i in pending if c in mat[i]]
+        if not having:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+        p = min(having, key=lambda i: len(mat[i]))
+        prow = mat[p]
+        inv = 1 / prow[c]
+        for k in prow:
+            prow[k] *= inv
+        for i in having:
+            if i != p:
+                _axpy(mat[i], -mat[i][c], prow)
+        pending.remove(p)
+        echelon.append((c, prow))
+    for k in range(len(echelon) - 1, 0, -1):
+        c, prow = echelon[k]
+        for _, row in echelon[:k]:
+            f = row.get(c)
+            if f is not None:
+                _axpy(row, -f, prow)
+    pivots = {c for c, _ in echelon}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for rr, c in enumerate(pivots):
-            v[c] = -mat[rr][f]
-        basis.append(v)
-    return basis
+    for c, row in echelon:
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())
+
+
+def _axpy(row: dict[int, Fraction], a: Fraction, prow: dict[int, Fraction]) -> None:
+    """row += a * prow in place, dropping entries that cancel to zero."""
+    for k, x in prow.items():
+        y = row.get(k, 0) + a * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]

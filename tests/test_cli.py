@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -137,6 +138,12 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == out1.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramjet", "run", str(FIXTURES / "xt_prolong.session")],
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == out1.read_bytes()
 
 
 def test_derived_names_chain(tmp_path):
@@ -170,3 +177,27 @@ def test_prolong_of_curved_module_is_semantic_error(tmp_path):
     f = tmp_path / "curved.session"
     f.write_text(text)
     assert main(["run", str(f), "--quiet", "--out", str(tmp_path / "c.jsonl")]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--degree-bound", "--depth", "--rank-cap"])
+def test_negative_flag_is_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(FIXTURES / "calculus.session"), "--quiet", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("calculus", "429988deda1c19155f9b82485c2a08f5730d9cfe346bee5314f8c443d3c94dce"),
+        ("ring_morphism_ok", "00d816d5fcd716e752307a0f4c4fea29b61ff10d67d1439fd4fab5d5ea609365"),
+        ("ring_morphism_fail", "1d65ffb365ca5cdd33e2009133f30184df8050ef8971ae41bec2318bedd3570f"),
+        ("xt_prolong", "c90f8e29216f54f5ae534e633eff8bbbb585fed16658b6051bc0d6e7312f9927"),
+    ],
+)
+def test_fixture_certificate_digests(tmp_path, name, digest):
+    """The certificates of the good fixtures at degree bound 1 are pinned
+    byte for byte; a change that alters them must say why and re-pin."""
+    _, payload = run_cli(tmp_path, name + ".session", "--degree-bound", "1")
+    assert hashlib.sha256(payload).hexdigest() == digest

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -315,3 +316,25 @@ def test_horizontal_with_non_coordinate_principal():
     for v in found:
         lhs = scaled.apply(v[0])
         assert lhs == rf(spec, "2/x^2") * v[0]
+
+
+@pytest.mark.parametrize("a, nullity", [("-1", 3), ("-2", 2), ("-3", 1), ("1/7", 0)])
+def test_horizontal_hypergeometric_bound_3(xt, a, nullity):
+    """The rank-2 Gauss system for 2F1(a, 2/3; 1/5; x) over Q(x, t) at
+    degree bound 3.  For a = -n the polynomial solution F and F*t^k,
+    k <= 3 - n, span the solutions in the ansatz (nullity 4 - n); a generic
+    a leaves none.  The linear system over Q is 200 x 110."""
+    spec, ps = xt
+    b, c = "2/3", "1/5"
+    m = DiffModule(ps, 2, ([
+        [rf(spec, "0"), rf(spec, "1")],
+        [rf(spec, f"({a})*({b})/(x*(1-x))"),
+         rf(spec, f"((({a})+({b})+1)*x-({c}))/(x*(1-x))")],
+    ],))
+    start = time.perf_counter()
+    found = horizontal_space(m, 3)
+    assert time.perf_counter() - start < 2.0
+    assert len(found) == nullity
+    (dx,) = ps.principal
+    for v in found:
+        assert [dx.apply(e) for e in v] == linalg.mat_vec(m.conn[0], list(v))

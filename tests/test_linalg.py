@@ -1,0 +1,123 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from paramjet import linalg
+
+
+def dense_fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Reference: dense Gauss–Jordan over Q with first-nonzero pivoting."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for rr, c in enumerate(pivots):
+            v[c] = -mat[rr][f]
+        basis.append(v)
+    return basis
+
+
+def densify(rows, ncols):
+    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+
+
+def sparse(dense_rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in dense_rows]
+
+
+def check_against_oracle(rows, ncols):
+    got = linalg.fraction_nullspace(rows, ncols)
+    assert got == dense_fraction_nullspace(densify(rows, ncols), ncols)
+    for v in got:
+        for row in rows:
+            assert sum(x * v[c] for c, x in row.items()) == 0
+    return got
+
+
+def test_fraction_nullspace_matches_dense_oracle_random():
+    rng = random.Random(20260)
+    nullities = set()
+    for _ in range(400):
+        m, n = rng.randint(0, 12), rng.randint(1, 10)
+        density = rng.choice((0.15, 0.35, 0.7))
+        rows = [
+            {
+                c: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                for c in range(n)
+                if rng.random() < density
+            }
+            for _ in range(m)
+        ]
+        if rows and rng.random() < 0.3:  # dependent rows
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            rows.append(dict(rows[i]))
+            mixed = {c: 2 * x for c, x in rows[i].items()}
+            for c, x in rows[j].items():
+                y = mixed.get(c, 0) - Fraction(1, 3) * x
+                if y:
+                    mixed[c] = y
+                else:
+                    mixed.pop(c, None)
+            rows.append(mixed)
+        nullities.add(len(check_against_oracle(rows, n)))
+    assert 0 in nullities and max(nullities) >= 3
+
+
+@pytest.mark.parametrize(
+    "dense_rows, ncols, nullity",
+    [
+        # nullity > 0: a 2 x 4 system of full row rank
+        ([[1, 2, 0, 3], [0, 1, -1, 0]], 4, 2),
+        # rank-deficient with duplicate and proportional rows
+        ([[1, 1, 0], [1, 1, 0], [2, 2, 0], [0, 0, 5]], 3, 1),
+        # column 1 has no entries, so e_1 is in the kernel
+        ([[3, 0, 1], [1, 0, 2]], 3, 1),
+        # full column rank: trivial kernel
+        ([[1, 0], [0, 2], [1, 1]], 2, 0),
+        # every row empty
+        ([[0, 0], [0, 0]], 2, 2),
+    ],
+)
+def test_fraction_nullspace_cases(dense_rows, ncols, nullity):
+    rows = sparse([[Fraction(x) for x in row] for row in dense_rows])
+    assert len(check_against_oracle(rows, ncols)) == nullity
+
+
+def test_fraction_nullspace_no_rows_is_identity():
+    assert linalg.fraction_nullspace([], 3) == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+    assert linalg.fraction_nullspace([], 0) == []
+
+
+def test_fraction_nullspace_does_not_modify_rows():
+    rows = [{0: Fraction(2), 1: Fraction(4)}, {1: Fraction(1), 2: Fraction(1)}]
+    before = [dict(r) for r in rows]
+    linalg.fraction_nullspace(rows, 3)
+    assert rows == before
