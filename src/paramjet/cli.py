@@ -27,8 +27,14 @@ Certificates are emitted one JSON object per line with sorted keys, so a
 session always produces byte-identical output; matrices are rendered in
 the canonical rational-function text form and can be re-ingested.
 
-Exit codes: 0 all verdicts ok, 2 parse error, 3 semantic error, 4 at
-least one verdict-bearing command failed.
+Every command verb is one entry of ``VERBS``: its argument kinds, whether
+it builds a module that ``command X = ...`` can name, and its handler.
+Parsing checks each command against the table; running calls each handler
+once, in order.
+
+Exit codes: 0 all verdicts ok, 2 parse error (including a command with the
+wrong number of arguments) or closed output, 3 semantic error, 4 at least
+one verdict-bearing command failed.
 """
 
 from __future__ import annotations
@@ -36,7 +42,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from typing import Callable, Iterator, NamedTuple
 
 from . import linalg
 from .conn import (
@@ -72,59 +80,30 @@ from .prolong import (
 
 VERSION = "0.1.0"
 
-COMMANDS = {
-    "check-structure",
-    "check-morphism",
-    "check-integrability",
-    "tensor",
-    "dual",
-    "hom",
-    "extend-scalars",
-    "prolong",
-    "at2",
-    "baer-check",
-    "closure",
-    "horizontal",
-    "jet-eval",
-    "constants-check",
-}
-
 
 class Session:
     def __init__(self):
         self.field: FieldSpec | None = None
         self.structures: dict[str, ParamStructure] = {}
         self.deriv_names: dict[str, list[str]] = {}
-        self.modules: dict[str, DiffModule] = {}
-        self.module_structure: dict[str, str] = {}
+        self.modules: dict[str, DiffModule] = {}  # command-bound ones once run
+        self.module_structure: dict[str, str] = {}  # declared and command-bound
         self.mod_morphisms: dict[str, tuple] = {}  # name -> (src, dst, matrix)
         self.ring_morphisms: dict[str, tuple] = {}  # name -> (src, dst, DiffMorphism)
         self.commands: list[tuple[int, list[str]]] = []
         self.names: set[str] = set()
 
-    def structure_of(self, module_name: str) -> str:
-        return self.module_structure[module_name]
+
+Lines = Iterator[tuple[int, str]]
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
-
-    def next_content(self) -> tuple[int, str] | None:
-        while self.pos < len(self.raw):
-            lineno = self.pos + 1
-            line = self.raw[self.pos].split("#", 1)[0].strip()
-            self.pos += 1
-            if line:
-                return lineno, line
-        return None
-
-    def peek_content(self) -> tuple[int, str] | None:
-        saved = self.pos
-        out = self.next_content()
-        self.pos = saved
-        return out
+def _content_lines(text: str) -> Lines:
+    """(line number, text) of each line that is not blank once its comment
+    is cut; the block parsers consume it with next(lines, None)."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _split_csv(text: str) -> list[str]:
@@ -134,10 +113,10 @@ def _split_csv(text: str) -> list[str]:
     return parts
 
 
-def _parse_matrix_block(lines: _Lines, spec: FieldSpec, lineno: int) -> list[list[RatFun]]:
+def _parse_matrix_block(lines: Lines, spec: FieldSpec, lineno: int) -> list[list[RatFun]]:
     rows = []
     while True:
-        item = lines.next_content()
+        item = next(lines, None)
         if item is None:
             raise ParseError("unterminated matrix block", line=lineno)
         ln, content = item
@@ -163,7 +142,7 @@ def _fresh_name(session: Session, name: str, lineno: int):
     session.names.add(name)
 
 
-def _parse_structure_block(lines: _Lines, session: Session, header: list[str], lineno: int):
+def _parse_structure_block(lines: Lines, session: Session, header: list[str], lineno: int):
     name = header[1] if len(header) > 1 else "main"
     _fresh_name(session, name, lineno)
     spec = session.field if name == "main" else None
@@ -171,7 +150,7 @@ def _parse_structure_block(lines: _Lines, session: Session, header: list[str], l
     parameter: list[tuple[str, list[str]]] = []
     constants: list[str] = []
     while True:
-        item = lines.next_content()
+        item = next(lines, None)
         if item is None:
             raise ParseError("unterminated structure block", line=lineno)
         ln, content = item
@@ -210,7 +189,7 @@ def _parse_structure_block(lines: _Lines, session: Session, header: list[str], l
             [mk(c) for _, c in parameter],
             constants,
         )
-    except ParseError as err:
+    except (ParseError, ValueError) as err:  # ValueError: a coefficient count, no derivations
         raise ParseError(f"bad structure {name!r}: {err}", line=lineno) from None
     except ParamjetError as err:
         raise SemanticError(f"invalid structure {name!r}: {err}") from None
@@ -221,7 +200,7 @@ def _parse_structure_block(lines: _Lines, session: Session, header: list[str], l
     session.deriv_names[name] = deriv_names
 
 
-def _parse_module_block(lines: _Lines, session: Session, header: list[str], lineno: int):
+def _parse_module_block(lines: Lines, session: Session, header: list[str], lineno: int):
     # module NAME [over STRUCT] rank N
     if len(header) == 4 and header[2] == "rank":
         name, struct, rank_s = header[1], "main", header[3]
@@ -239,7 +218,7 @@ def _parse_module_block(lines: _Lines, session: Session, header: list[str], line
         raise ParseError("rank must be an integer", line=lineno) from None
     matrices: dict[str, list] = {}
     while True:
-        item = lines.next_content()
+        item = next(lines, None)
         if item is None:
             raise ParseError("unterminated module block", line=lineno)
         ln, content = item
@@ -264,22 +243,26 @@ def _parse_module_block(lines: _Lines, session: Session, header: list[str], line
     session.module_structure[name] = struct
 
 
-def _parse_morphism_block(lines: _Lines, session: Session, header: list[str], lineno: int):
-    # morphism NAME : SRC -> DST
-    text = " ".join(header[1:])
-    if ":" not in text or "->" not in text:
-        raise ParseError("expected 'morphism NAME : SRC -> DST'", line=lineno)
-    name, arrow = text.split(":", 1)
+def _parse_arrow(session: Session, header: list[str], lineno: int) -> tuple[str, str, str]:
+    """The NAME, SRC and DST of a 'KEYWORD NAME : SRC -> DST' header."""
+    name, colon, arrow = " ".join(header[1:]).partition(":")
+    if not colon or "->" not in arrow:
+        raise ParseError(f"expected '{header[0]} NAME : SRC -> DST'", line=lineno)
     src, dst = arrow.split("->", 1)
-    name, src, dst = name.strip(), src.strip(), dst.strip()
+    name = name.strip()
     _fresh_name(session, name, lineno)
+    return name, src.strip(), dst.strip()
+
+
+def _parse_morphism_block(lines: Lines, session: Session, header: list[str], lineno: int):
+    name, src, dst = _parse_arrow(session, header, lineno)
     if src not in session.modules or dst not in session.modules:
         raise SemanticError(f"morphism {name!r} references undefined module")
-    item = lines.next_content()
+    item = next(lines, None)
     if item is None or item[1] != "matrix":
         raise ParseError("expected 'matrix' block", line=lineno)
     matrix = _parse_matrix_block(lines, session.modules[src].spec, item[0])
-    tail = lines.next_content()
+    tail = next(lines, None)
     if tail is None or tail[1] != "end":
         raise ParseError("expected 'end' after morphism matrix", line=lineno)
     m, n = session.modules[src], session.modules[dst]
@@ -288,14 +271,8 @@ def _parse_morphism_block(lines: _Lines, session: Session, header: list[str], li
     session.mod_morphisms[name] = (src, dst, matrix)
 
 
-def _parse_ring_morphism_block(lines: _Lines, session: Session, header: list[str], lineno: int):
-    text = " ".join(header[1:])
-    if ":" not in text or "->" not in text:
-        raise ParseError("expected 'ringmorphism NAME : SRC -> DST'", line=lineno)
-    name, arrow = text.split(":", 1)
-    src, dst = arrow.split("->", 1)
-    name, src, dst = name.strip(), src.strip(), dst.strip()
-    _fresh_name(session, name, lineno)
+def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str], lineno: int):
+    name, src, dst = _parse_arrow(session, header, lineno)
     if src not in session.structures or dst not in session.structures:
         raise SemanticError(f"ring morphism {name!r} references undefined structure")
     source = session.structures[src]
@@ -303,7 +280,7 @@ def _parse_ring_morphism_block(lines: _Lines, session: Session, header: list[str
     images: dict[str, RatFun] = {}
     omega = None
     while True:
-        item = lines.next_content()
+        item = next(lines, None)
         if item is None:
             raise ParseError("unterminated ringmorphism block", line=lineno)
         ln, content = item
@@ -311,7 +288,7 @@ def _parse_ring_morphism_block(lines: _Lines, session: Session, header: list[str
             break
         tokens = content.split(None, 1)
         if tokens[0] == "image":
-            if "=" not in tokens[1]:
+            if len(tokens) < 2 or "=" not in tokens[1]:
                 raise ParseError("expected 'image VAR = expr'", line=ln)
             var, expr = tokens[1].split("=", 1)
             images[var.strip()] = parse_ratfun(target.base, expr.strip())
@@ -336,12 +313,8 @@ def _parse_ring_morphism_block(lines: _Lines, session: Session, header: list[str
 
 def parse_session(text: str) -> Session:
     session = Session()
-    lines = _Lines(text)
-    while True:
-        item = lines.next_content()
-        if item is None:
-            break
-        lineno, content = item
+    lines = _content_lines(text)
+    for lineno, content in lines:
         tokens = content.split()
         head = tokens[0]
         if head == "field":
@@ -362,78 +335,84 @@ def parse_session(text: str) -> Session:
         elif head == "ringmorphism":
             _parse_ring_morphism_block(lines, session, tokens, lineno)
         elif head == "command":
-            if len(tokens) < 2 or tokens[1] not in COMMANDS:
-                raise ParseError(f"unknown command {' '.join(tokens[1:2])!r}", line=lineno)
-            _check_command_references(session, tokens[1:], lineno)
-            session.commands.append((lineno, tokens[1:]))
+            _parse_command(session, tokens, lineno)
         else:
             raise ParseError(f"unknown declaration {head!r}", line=lineno)
     return session
 
 
-def _check_command_references(session: Session, cmd: list[str], lineno: int):
-    """Commands may only refer to names defined earlier in the file; a
-    'NEW = ...' derivation defines NEW for later commands."""
-    verb, args = cmd[0], cmd[1:]
-    new = None
+# --- commands ----------------------------------------------------------------------
+
+# argument kinds: what each operand of a command names
+MODULE, RING, MORPHISM, EXPR = "module", "ring morphism", "morphism", "expression"
+
+
+class Verb(NamedTuple):
+    kinds: tuple[str, ...]
+    binds: bool  # builds a module that 'command X = ...' can name
+    # (session, flags, *operands) -> (module, extra 'derived' fields) when
+    # binds, else the certificate fields with the verdict; a module operand
+    # comes as its DiffModule, any other as its text
+    handler: Callable
+
+
+def _split_assignment(args: list[str]) -> tuple[str | None, list[str]]:
     if len(args) >= 2 and args[1] == "=":
-        new, args = args[0], args[2:]
-    module_refs: list[str] = []
-    if verb in ("check-integrability", "prolong", "at2", "dual", "closure", "horizontal"):
-        module_refs = args[:1]
-    elif verb in ("tensor", "hom", "baer-check"):
-        module_refs = args[:2]
-    elif verb == "extend-scalars":
-        if not args or args[0] not in session.ring_morphisms:
-            raise SemanticError(f"undefined ring morphism in command (line {lineno})")
-        module_refs = args[1:2]
-    elif verb == "check-morphism":
-        if not args or (
-            args[0] not in session.ring_morphisms and args[0] not in session.mod_morphisms
-        ):
-            raise SemanticError(f"undefined morphism {args[:1]} (line {lineno})")
-    for name in module_refs:
-        if name not in session.modules:
-            raise SemanticError(f"undefined module {name!r} (line {lineno})")
+        return args[0], args[2:]
+    return None, args
+
+
+def _check_operand(session: Session, kind: str, name: str, lineno: int):
+    if kind == MODULE:
+        defined = name in session.module_structure
+    elif kind == RING:
+        defined = name in session.ring_morphisms
+    elif kind == MORPHISM:
+        defined = name in session.ring_morphisms or name in session.mod_morphisms
+    else:  # an expression, parsed over the main field when the command runs
+        kind, name = "structure", "main"
+        defined = name in session.structures
+    if not defined:
+        raise SemanticError(f"undefined {kind} {name!r} (line {lineno})")
+
+
+def _result_structure(session: Session, verb: Verb, operands: list[str]) -> str:
+    """A derived module lives over the structure of its first operand, or
+    over the target of the ring morphism it is extended along."""
+    if verb.kinds[0] == RING:
+        return session.ring_morphisms[operands[0]][1]
+    return session.module_structure[operands[0]]
+
+
+def _parse_command(session: Session, tokens: list[str], lineno: int):
+    """Check arity and names against VERBS; commands may only refer to names
+    defined earlier in the file, and 'X = ...' defines X for later ones."""
+    name = tokens[1] if len(tokens) > 1 else ""
+    verb = VERBS.get(name)
+    if verb is None:
+        raise ParseError(f"unknown command {name!r}", line=lineno)
+    new, operands = _split_assignment(tokens[2:])
+    if new is not None and not verb.binds:
+        raise ParseError(f"command {name!r} does not produce a named result", line=lineno)
+    if len(operands) != len(verb.kinds):
+        raise ParseError(
+            f"command {name!r} takes {len(verb.kinds)} argument(s), got {len(operands)}",
+            line=lineno,
+        )
+    for kind, operand in zip(verb.kinds, operands):
+        _check_operand(session, kind, operand, lineno)
     if new is not None:
-        if verb not in ("tensor", "hom", "dual", "prolong", "at2", "extend-scalars"):
-            raise ParseError(f"command {verb!r} does not produce a named result", line=lineno)
         _fresh_name(session, new, lineno)
-        # register a placeholder so later commands can reference the result
-        if verb == "extend-scalars":
-            struct = session.ring_morphisms[args[0]][1]
-        else:
-            struct = session.module_structure[module_refs[0]]
-        src = session.modules[module_refs[0]] if verb != "extend-scalars" else session.modules[args[1]]
-        session.module_structure[new] = struct
-        session.modules[new] = _derived_placeholder(session, verb, args, struct, src)
+        session.module_structure[new] = _result_structure(session, verb, operands)
+    session.commands.append((lineno, tokens[1:]))
 
 
-def _derived_placeholder(session: Session, verb: str, args: list[str], struct: str, src: DiffModule) -> DiffModule:
-    """Construct the derived module eagerly so later commands can refer to
-    it; run_session recomputes the same value when emitting certificates."""
-    ps = session.structures[struct]
-    if verb == "tensor":
-        return tensor(session.modules[args[0]], session.modules[args[1]])
-    if verb == "hom":
-        return hom(session.modules[args[0]], session.modules[args[1]])
-    if verb == "dual":
-        return dual(session.modules[args[0]])
-    if verb == "prolong":
-        return prolong_module(session.modules[args[0]]).core
-    if verb == "at2":
-        return at2_module(session.modules[args[0]]).invariant
-    if verb == "extend-scalars":
-        _, dst, morphism = session.ring_morphisms[args[0]]
-        return extend_scalars(morphism, session.modules[args[1]], session.structures[dst])
-    raise SemanticError(f"cannot derive a module with {verb!r}")
-
-
-# --- execution -----------------------------------------------------------------
+def _strs(xs) -> list[str]:
+    return [str(x) for x in xs]
 
 
 def _render_matrix(a) -> list[list[str]]:
-    return [[str(x) for x in row] for row in a]
+    return [_strs(row) for row in a]
 
 
 def _module_record(session: Session, struct_name: str, module: DiffModule) -> dict:
@@ -445,202 +424,157 @@ def _module_record(session: Session, struct_name: str, module: DiffModule) -> di
     }
 
 
-def _require(session: Session, table: dict, name: str, kind: str):
-    if name not in table:
-        raise SemanticError(f"undefined {kind} {name!r}")
-    return table[name]
+def _check_structure(session: Session, flags) -> dict:
+    report = {}
+    for name, ps in sorted(session.structures.items()):
+        report[name] = {
+            "principal": ps.principal_count,
+            "parameter": ps.parameter_count,
+            "constants": list(ps.constant_variables),
+            "brackets_vanish": True,  # build_param_structure accepts commuting bases only
+        }
+    return {"verdict": "ok", "structures": report}
 
 
-def _split_assignment(args: list[str]) -> tuple[str | None, list[str]]:
-    if len(args) >= 2 and args[1] == "=":
-        return args[0], args[2:]
-    return None, args
+def _check_integrability(session: Session, flags, module: DiffModule) -> dict:
+    verdict = check_integrability(module)
+    if verdict.flat:
+        return {"verdict": "flat"}
+    i, j, res = verdict.witness
+    return {"verdict": "curved", "witness": {"pair": [i, j], "residual": _render_matrix(res)}}
+
+
+def _check_morphism(session: Session, flags, name: str) -> dict:
+    if name in session.mod_morphisms:
+        src, dst, matrix = session.mod_morphisms[name]
+        verdict = morphism_check(matrix, session.modules[src], session.modules[dst])
+        if verdict.ok:
+            return {"verdict": "ok"}
+        witness = {"principal_index": verdict.index, "residual": _render_matrix(verdict.residual)}
+        return {"verdict": "fail", "witness": witness}
+    verdict = check_morphism(session.ring_morphisms[name][2])
+    if verdict.ok:
+        return {"verdict": "ok"}
+    if verdict.kind == "d_compat_fail":
+        witness = {"variable": verdict.variable, "form": _strs(verdict.witness_form.coeffs)}
+        return {"verdict": "d-compat-fail", "witness": witness}
+    witness = {"dual_index": verdict.dual_index, "two_form": _strs(verdict.witness_two_form.coeffs)}
+    return {"verdict": "integrability-fail", "witness": witness}
+
+
+def _extend_scalars(session: Session, flags, phi: str, module: DiffModule):
+    _, dst, morphism = session.ring_morphisms[phi]
+    return extend_scalars(morphism, module, session.structures[dst]), {}
+
+
+def _prolong(session: Session, flags, module: DiffModule):
+    p = prolong_module(module)
+    return p.core, {
+        "parent_rank": p.parent_rank,
+        "q": p.q,
+        "incl": _render_matrix(p.incl.matrix),
+        "proj": _render_matrix(p.proj.matrix),
+    }
+
+
+def _at2(session: Session, flags, module: DiffModule):
+    s = at2_module(module)
+    return s.invariant, {"double_rank": s.double.rank, "incl": _render_matrix(s.incl.matrix)}
+
+
+def _baer_check(session: Session, flags, a: DiffModule, b: DiffModule) -> dict:
+    ea = extension_of_prolongation(prolong_module(a))
+    neutral = baer_sum(ea, trivial_extension(ea.quot, ea.sub))
+    ok = all(linalg.mat_eq(x, y) for x, y in zip(neutral.off, ea.off))
+    inverse = baer_sum(ea, ea.negate())
+    ok = ok and all(linalg.is_zero_matrix(x) for x in inverse.off)
+    ok = ok and check_tensor_compat(a, b)
+    return {"verdict": "ok" if ok else "fail"}
+
+
+def _closure(session: Session, flags, module: DiffModule) -> dict:
+    res = generate_closure(module, flags.depth, flags.rank_cap)
+    return {
+        "verdict": "ok",
+        "items": [
+            {"label": it.label, "rank": it.module.rank, "depth": it.prolong_depth}
+            for it in res.items
+        ],
+        "truncated_by_rank": res.truncated_by_rank,
+        "truncated_by_items": res.truncated_by_items,
+    }
+
+
+def _horizontal(session: Session, flags, module: DiffModule) -> dict:
+    vectors = horizontal_space(module, flags.degree_bound)
+    return {
+        "verdict": "ok",
+        "degree_bound": flags.degree_bound,
+        "vectors": [_strs(v) for v in vectors],
+    }
+
+
+def _jet_eval(session: Session, flags, f_text: str, g_text: str) -> dict:
+    s = session.structures["main"].full
+    f, g = parse_ratfun(s.base, f_text), parse_ratfun(s.base, g_text)
+    prod = jet2_mul(jet2_r(f, s), jet2_r(g, s), s)
+    return {
+        "verdict": "ok" if prod == jet2_r(f * g, s) else "fail",
+        "r2_product": {
+            "scalar": str(prod.a),
+            "form": _strs(prod.omega.coeffs),
+            "tensor": _render_matrix(prod.eta),
+        },
+    }
+
+
+def _constants_check(session: Session, flags, text: str) -> dict:
+    struct = session.structures["main"]
+    ok = constants_check(parse_ratfun(struct.base, text), struct)
+    return {"verdict": "true" if ok else "false"}
+
+
+VERBS: dict[str, Verb] = {
+    "check-structure": Verb((), False, _check_structure),
+    "check-morphism": Verb((MORPHISM,), False, _check_morphism),
+    "check-integrability": Verb((MODULE,), False, _check_integrability),
+    "tensor": Verb((MODULE, MODULE), True, lambda session, flags, a, b: (tensor(a, b), {})),
+    "dual": Verb((MODULE,), True, lambda session, flags, a: (dual(a), {})),
+    "hom": Verb((MODULE, MODULE), True, lambda session, flags, a, b: (hom(a, b), {})),
+    "extend-scalars": Verb((RING, MODULE), True, _extend_scalars),
+    "prolong": Verb((MODULE,), True, _prolong),
+    "at2": Verb((MODULE,), True, _at2),
+    "baer-check": Verb((MODULE, MODULE), False, _baer_check),
+    "closure": Verb((MODULE,), False, _closure),
+    "horizontal": Verb((MODULE,), False, _horizontal),
+    "jet-eval": Verb((EXPR, EXPR), False, _jet_eval),
+    "constants-check": Verb((EXPR,), False, _constants_check),
+}
+
+# verdicts of a failed check; any of them makes the run exit 4
+FAILING_VERDICTS = frozenset({"curved", "fail", "d-compat-fail", "integrability-fail", "false"})
 
 
 def run_session(session: Session, flags) -> tuple[list[dict], int]:
     records: list[dict] = []
     any_verdict_failed = False
-    for index, (lineno, cmd) in enumerate(session.commands):
-        verb, args = cmd[0], cmd[1:]
-        record: dict = {"record": "certificate", "index": index, "command": verb, "args": args}
-        try:
-            if verb == "check-structure":
-                report = {}
-                for name, ps in sorted(session.structures.items()):
-                    report[name] = {
-                        "principal": ps.principal_count,
-                        "parameter": ps.parameter_count,
-                        "constants": list(ps.constant_variables),
-                        "brackets_vanish": True,
-                    }
-                record["verdict"] = "ok"
-                record["structures"] = report
-            elif verb == "check-integrability":
-                module = _require(session, session.modules, args[0], "module")
-                verdict = check_integrability(module)
-                if verdict.flat:
-                    record["verdict"] = "flat"
-                else:
-                    i, j, res = verdict.witness
-                    record["verdict"] = "curved"
-                    record["witness"] = {"pair": [i, j], "residual": _render_matrix(res)}
-                    any_verdict_failed = True
-            elif verb == "check-morphism":
-                name = args[0]
-                if name in session.ring_morphisms:
-                    _, _, morphism = session.ring_morphisms[name]
-                    verdict = check_morphism(morphism)
-                    if verdict.ok:
-                        record["verdict"] = "ok"
-                    else:
-                        any_verdict_failed = True
-                        if verdict.kind == "d_compat_fail":
-                            record["verdict"] = "d-compat-fail"
-                            record["witness"] = {
-                                "variable": verdict.variable,
-                                "form": [str(c) for c in verdict.witness_form.coeffs],
-                            }
-                        else:
-                            record["verdict"] = "integrability-fail"
-                            record["witness"] = {
-                                "dual_index": verdict.dual_index,
-                                "two_form": [str(c) for c in verdict.witness_two_form.coeffs],
-                            }
-                elif name in session.mod_morphisms:
-                    src, dst, matrix = session.mod_morphisms[name]
-                    verdict = morphism_check(
-                        matrix, session.modules[src], session.modules[dst]
-                    )
-                    if verdict.ok:
-                        record["verdict"] = "ok"
-                    else:
-                        record["verdict"] = "fail"
-                        record["witness"] = {
-                            "principal_index": verdict.index,
-                            "residual": _render_matrix(verdict.residual),
-                        }
-                        any_verdict_failed = True
-                else:
-                    raise SemanticError(f"undefined morphism {name!r}")
-            elif verb in ("tensor", "hom"):
-                new, rest = _split_assignment(args)
-                a = _require(session, session.modules, rest[0], "module")
-                b = _require(session, session.modules, rest[1], "module")
-                out = tensor(a, b) if verb == "tensor" else hom(a, b)
-                struct = session.structure_of(rest[0])
-                record["verdict"] = "ok"
-                record["derived"] = _module_record(session, struct, out)
-                if new:
-                    session.modules[new] = out
-                    session.module_structure[new] = struct
-            elif verb == "dual":
-                new, rest = _split_assignment(args)
-                a = _require(session, session.modules, rest[0], "module")
-                out = dual(a)
-                struct = session.structure_of(rest[0])
-                record["verdict"] = "ok"
-                record["derived"] = _module_record(session, struct, out)
-                if new:
-                    session.modules[new] = out
-                    session.module_structure[new] = struct
-            elif verb == "extend-scalars":
-                new, rest = _split_assignment(args)
-                phi_name, mod_name = rest[0], rest[1]
-                src, dst, morphism = _require(
-                    session, session.ring_morphisms, phi_name, "ring morphism"
-                )
-                module = _require(session, session.modules, mod_name, "module")
-                target = session.structures[dst]
-                out = extend_scalars(morphism, module, target)
-                record["verdict"] = "ok"
-                record["derived"] = _module_record(session, dst, out)
-                if new:
-                    session.modules[new] = out
-                    session.module_structure[new] = dst
-            elif verb == "prolong":
-                new, rest = _split_assignment(args)
-                module = _require(session, session.modules, rest[0], "module")
-                p = prolong_module(module)
-                struct = session.structure_of(rest[0])
-                derived = _module_record(session, struct, p.core)
-                derived["parent_rank"] = p.parent_rank
-                derived["q"] = p.q
-                derived["incl"] = _render_matrix(p.incl.matrix)
-                derived["proj"] = _render_matrix(p.proj.matrix)
-                record["verdict"] = "ok"
-                record["derived"] = derived
-                if new:
-                    session.modules[new] = p.core
-                    session.module_structure[new] = struct
-            elif verb == "at2":
-                new, rest = _split_assignment(args)
-                module = _require(session, session.modules, rest[0], "module")
-                s = at2_module(module)
-                struct = session.structure_of(rest[0])
-                derived = _module_record(session, struct, s.invariant)
-                derived["double_rank"] = s.double.rank
-                derived["incl"] = _render_matrix(s.incl.matrix)
-                record["verdict"] = "ok"
-                record["derived"] = derived
-                if new:
-                    session.modules[new] = s.invariant
-                    session.module_structure[new] = struct
-            elif verb == "baer-check":
-                a = _require(session, session.modules, args[0], "module")
-                b = _require(session, session.modules, args[1], "module")
-                ea = extension_of_prolongation(prolong_module(a))
-                neutral = baer_sum(ea, trivial_extension(ea.quot, ea.sub))
-                ok = all(linalg.mat_eq(x, y) for x, y in zip(neutral.off, ea.off))
-                inverse = baer_sum(ea, ea.negate())
-                ok = ok and all(linalg.is_zero_matrix(x) for x in inverse.off)
-                ok = ok and check_tensor_compat(a, b)
-                record["verdict"] = "ok" if ok else "fail"
-                if not ok:
-                    any_verdict_failed = True
-            elif verb == "closure":
-                module = _require(session, session.modules, args[0], "module")
-                res = generate_closure(module, flags.depth, flags.rank_cap)
-                record["verdict"] = "ok"
-                record["items"] = [
-                    {"label": it.label, "rank": it.module.rank, "depth": it.prolong_depth}
-                    for it in res.items
-                ]
-                record["truncated_by_rank"] = res.truncated_by_rank
-                record["truncated_by_items"] = res.truncated_by_items
-            elif verb == "horizontal":
-                module = _require(session, session.modules, args[0], "module")
-                vectors = horizontal_space(module, flags.degree_bound)
-                record["verdict"] = "ok"
-                record["degree_bound"] = flags.degree_bound
-                record["vectors"] = [[str(c) for c in v] for v in vectors]
-            elif verb == "jet-eval":
-                struct = session.structures["main"]
-                s = struct.full
-                f = parse_ratfun(s.base, args[0])
-                g = parse_ratfun(s.base, args[1])
-                rf, rg = jet2_r(f, s), jet2_r(g, s)
-                prod = jet2_mul(rf, rg, s)
-                law = prod == jet2_r(f * g, s)
-                record["verdict"] = "ok" if law else "fail"
-                record["r2_product"] = {
-                    "scalar": str(prod.a),
-                    "form": [str(c) for c in prod.omega.coeffs],
-                    "tensor": _render_matrix(prod.eta),
-                }
-                if not law:
-                    any_verdict_failed = True
-            elif verb == "constants-check":
-                struct = session.structures["main"]
-                a = parse_ratfun(struct.base, args[0])
-                ok = constants_check(a, struct)
-                record["verdict"] = "true" if ok else "false"
-                if not ok:
-                    any_verdict_failed = True
-            else:
-                raise SemanticError(f"unhandled command {verb!r}")
-        except IndexError:
-            raise SemanticError(f"command {verb!r} is missing arguments (line {lineno})")
-        records.append(record)
+    for index, (_, cmd) in enumerate(session.commands):
+        name, args = cmd[0], cmd[1:]
+        verb = VERBS[name]
+        new, operands = _split_assignment(args)
+        values = [session.modules[n] if k == MODULE else n for k, n in zip(verb.kinds, operands)]
+        if verb.binds:
+            module, extra = verb.handler(session, flags, *values)
+            struct = _result_structure(session, verb, operands)
+            fields = {"verdict": "ok", "derived": _module_record(session, struct, module) | extra}
+            if new is not None:
+                session.modules[new] = module
+        else:
+            fields = verb.handler(session, flags, *values)
+        any_verdict_failed = any_verdict_failed or fields["verdict"] in FAILING_VERDICTS
+        records.append(
+            {"record": "certificate", "index": index, "command": name, "args": args, **fields}
+        )
     return records, (4 if any_verdict_failed else 0)
 
 
@@ -651,8 +585,6 @@ def _emit(records: list[dict], out_stream) -> None:
 
 def _human_report(records: list[dict], stream) -> None:
     for r in records:
-        if r.get("record") != "certificate":
-            continue
         head = " ".join([r["command"], *r["args"]])
         stream.write(f"[{r['index']}] {head}: {r['verdict']}\n")
 
@@ -691,7 +623,15 @@ def run(path: str, flags) -> int:
         if not flags.quiet:
             _human_report(records, sys.stdout)
     else:
-        _emit(stream_records, sys.stdout)
+        try:
+            _emit(stream_records, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe; point stdout at devnull so that the
+            # flush at interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: output closed before all certificates were written", file=sys.stderr)
+            return 2
         if not flags.quiet:
             _human_report(records, sys.stderr)
     return verdict_code
@@ -721,10 +661,7 @@ def main(argv=None) -> int:
     runp.add_argument("--rank-cap", type=_nonnegative_int, default=8, dest="rank_cap")
     runp.add_argument("--quiet", action="store_true")
     ns = parser.parse_args(argv)
-    if ns.verb == "run":
-        return run(ns.file, ns)
-    parser.error("unknown command")
-    return 2
+    return run(ns.file, ns)
 
 
 if __name__ == "__main__":

@@ -55,9 +55,6 @@ class DiffModule:
     def spec(self) -> FieldSpec:
         return self.ps.base
 
-    def matrices(self) -> list:
-        return [[list(row) for row in a] for a in self.conn]
-
     def nabla_matrices(self) -> list:
         """The matrices in the other common convention, where the i-th
         matrix holds the coefficients of the connection applied to the
@@ -94,19 +91,15 @@ class IntegrabilityVerdict:
 
 
 def curvature_residual(m: DiffModule, i: int, j: int) -> Matrix:
-    """∂i(Aj) − ∂j(Ai) − [Ai, Aj] − Σq c_ij^q Aq (the last term vanishes for
-    commuting bases but the formula keeps it)."""
+    """∂i(Aj) − ∂j(Ai) − [Ai, Aj].  The structure-constant term −Σq c_ij^q Aq
+    of the general formula vanishes, because build_param_structure accepts
+    commuting bases only."""
     di, dj = m.ps.principal[i], m.ps.principal[j]
     ai, aj = m.conn[i], m.conn[j]
     res = linalg.mat_sub(
         linalg.entrywise(di.apply, aj), linalg.entrywise(dj.apply, ai)
     )
-    res = linalg.mat_sub(res, linalg.mat_sub(linalg.mat_mul(ai, aj), linalg.mat_mul(aj, ai)))
-    constants = m.ps.principal_structure.constants(i, j)
-    for q, c in enumerate(constants):
-        if not c.is_zero():
-            res = linalg.mat_sub(res, linalg.mat_scale(c, m.conn[q]))
-    return res
+    return linalg.mat_sub(res, linalg.mat_sub(linalg.mat_mul(ai, aj), linalg.mat_mul(aj, ai)))
 
 
 def check_integrability(m: DiffModule) -> IntegrabilityVerdict:

@@ -540,19 +540,6 @@ class RatFun:
 # --- spec-level operations ---------------------------------------------------
 
 
-def ratfun_arith(op: str, x: RatFun, y: RatFun) -> RatFun:
-    """Field arithmetic dispatcher; ``op`` is one of add/sub/mul/div."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def partial_derivative(x: RatFun, v: str | int) -> RatFun:
     """Coordinate partial derivative, by the quotient rule."""
     i = x.spec.index(v) if isinstance(v, str) else v

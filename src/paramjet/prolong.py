@@ -25,7 +25,7 @@ from .conn import (
     tensor,
     trivial_module,
 )
-from .diffstruct import Derivation, ParamStructure, bracket
+from .diffstruct import Derivation, ParamStructure
 from .errors import MorphismInvalid, RestrictionFails, ShapeMismatch, StructureMismatch
 from .field import RatFun
 
@@ -50,38 +50,11 @@ class ProlongedModule:
         return [[a[r0 + r][c] for c in range(m)] for r in range(m)]
 
 
-def _bracket_matrix(m: DiffModule, principal_index: int, parameter_index: int) -> Matrix:
-    """The connection matrix attached to [∂, ∂t]; identically zero for the
-    commuting structures this engine accepts, but computed faithfully."""
-    ps = m.ps
-    br = bracket(ps.principal[principal_index], ps.parameter[parameter_index])
-    return _matrix_for_derivation(m, br)
-
-
-def _matrix_for_derivation(m: DiffModule, deriv: Derivation) -> Matrix:
-    """Expand a derivation in the principal basis and combine the module's
-    matrices accordingly; the derivation must lie in the principal span."""
-    spec = m.spec
-    if deriv.is_zero():
-        return linalg.zeros(spec, m.rank, m.rank)
-    basis = m.ps.principal
-    a = [[b.coeffs[n] for b in basis] for n in range(len(spec))]
-    coeffs, residual = linalg.solve_or_residual(a, list(deriv.coeffs))
-    if any(not r.is_zero() for r in residual):
-        raise StructureMismatch("derivation escapes the principal span")
-    out = linalg.zeros(spec, m.rank, m.rank)
-    for q, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = linalg.mat_add(out, linalg.mat_scale(c, m.conn[q]))
-    return out
-
-
-def prolong_block(a: Matrix, parameter_derivation: Derivation, bracket_term: Matrix) -> Matrix:
-    """B = −∂t(A) − A_[∂,∂t], the first-column block of the prolonged
-    connection."""
-    return linalg.mat_sub(
-        linalg.mat_neg(linalg.entrywise(parameter_derivation.apply, a)), bracket_term
-    )
+def prolong_block(a: Matrix, parameter_derivation: Derivation) -> Matrix:
+    """B = −∂t(A), the first-column block of the prolonged connection.  The
+    bracket term −A_[∂,∂t] of the general formula vanishes, because
+    build_param_structure accepts commuting bases only."""
+    return linalg.mat_neg(linalg.entrywise(parameter_derivation.apply, a))
 
 
 def prolong_module(m: DiffModule) -> ProlongedModule:
@@ -94,14 +67,14 @@ def prolong_module(m: DiffModule) -> ProlongedModule:
     spec = m.spec
     rank = m.rank
     conn = []
-    for i, a in enumerate(m.conn):
+    for a in m.conn:
         blocks = [
             [linalg.zeros(spec, rank, rank) for _ in range(1 + q)] for _ in range(1 + q)
         ]
         for d in range(1 + q):
             blocks[d][d] = a
         for j in range(q):
-            blocks[1 + j][0] = prolong_block(a, ps.parameter[j], _bracket_matrix(m, i, j))
+            blocks[1 + j][0] = prolong_block(a, ps.parameter[j])
         conn.append(linalg.block(blocks))
     core = DiffModule(ps, rank * (1 + q), tuple(conn))
     if q == 0:
@@ -143,7 +116,7 @@ def prolong_morphism(t: ModMorphism) -> ModMorphism:
     for d in range(1 + q):
         blocks[d][d] = tm
     for j in range(q):
-        blocks[1 + j][0] = linalg.mat_neg(linalg.entrywise(ps.parameter[j].apply, tm))
+        blocks[1 + j][0] = prolong_block(tm, ps.parameter[j])
     big = linalg.block(blocks)
     src = prolong_module(t.src).core
     dst = prolong_module(t.dst).core

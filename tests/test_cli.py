@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from paramjet.cli import main, parse_session, run_session
+from paramjet.cli import VERBS, main, parse_session, run_session
 from paramjet.errors import ParseError, SemanticError
 from paramjet.field import parse_ratfun
 
@@ -201,3 +203,93 @@ def test_fixture_certificate_digests(tmp_path, name, digest):
     byte for byte; a change that alters them must say why and re-pin."""
     _, payload = run_cli(tmp_path, name + ".session", "--degree-bound", "1")
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+XT_HEAD = (
+    "field x t\n"
+    "structure\n  principal dx = 1, 0\n  parameter dt = 0, 1\n  constants t\nend\n"
+    "module M rank 1\n  matrix dx\n    t/x\n  end\nend\n"
+)
+
+
+def run_text(tmp_path, text):
+    f = tmp_path / "s.session"
+    f.write_text(text)
+    return main(["run", str(f), "--quiet", "--out", str(tmp_path / "s.jsonl")])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("field x t\nstructure\n  principal dx = 1\n  constants t\nend\n", 2),
+        ("field x t\nstructure\n  constants t\nend\n", 2),
+        (
+            XT_HEAD + "structure aux\n  field y\n  principal dy = 1\n  constants\nend\n"
+            "ringmorphism phi : aux -> main\n  image\n  omega\n    1\n  end\nend\n",
+            18,
+        ),
+        (XT_HEAD + "morphism f -> M : M\n  matrix\n    1\n  end\nend\n", 12),
+    ],
+    ids=["coefficient-count", "no-derivations", "bare-image", "arrow-before-colon"],
+)
+def test_malformed_block_is_parse_error(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_session(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "command", ["tensor M", "dual M M", "tensor X = M", "check-structure M", "prolong P ="]
+)
+def test_command_arity_is_parse_error(tmp_path, command):
+    assert run_text(tmp_path, XT_HEAD + f"command {command}\n") == 2
+
+
+@pytest.mark.parametrize("command", ["jet-eval t/x x", "constants-check t"])
+def test_expression_command_without_main_structure(tmp_path, command):
+    assert run_text(tmp_path, f"field x t\ncommand {command}\n") == 3
+
+
+def test_morphism_over_command_bound_name_is_undefined(tmp_path):
+    text = XT_HEAD + "command dual D = M\nmorphism f : D -> M\n  matrix\n    1\n  end\nend\n"
+    assert run_text(tmp_path, text) == 3
+
+
+def test_derived_module_is_built_once(monkeypatch):
+    import paramjet.cli as cli
+
+    calls = []
+    build = cli.prolong_module
+
+    def counted(module):
+        calls.append(module)
+        return build(module)
+
+    monkeypatch.setattr(cli, "prolong_module", counted)
+    session = parse_session(XT_HEAD + "command prolong P = M\ncommand check-integrability P\n")
+    assert calls == []
+    records, code = run_session(session, None)
+    assert len(calls) == 1 and code == 0
+    assert records[1]["verdict"] == "flat"
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramjet", "run", str(FIXTURES / "xt_prolong.session")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    err = proc.stderr.decode().strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: output closed"), err
+
+
+def test_verbs_match_readme_session_example():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Session files", 1)[1].split("```")[1]
+    assert set(re.findall(r"^command ([\w-]+)", example, re.M)) == set(VERBS)

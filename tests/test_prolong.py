@@ -61,14 +61,11 @@ def test_prolong_xt_fixture(xt):
 
 
 def test_prolong_block_formula_with_bracket_term(xt):
-    """The parameter block is −∂t(A) − A_[∂,∂t]; the second term is fed
-    explicitly here since valid structures make it vanish."""
+    """The parameter block is −∂t(A) − A_[∂,∂t]; valid structures commute,
+    so the bracket term vanishes and the block is −∂t(A)."""
     spec, ps = xt
     a = [[rf(spec, "t/x")]]
-    bracket_term = [[rf(spec, "x")]]
-    b = prolong_block(a, ps.parameter[0], bracket_term)
-    assert b[0][0] == rf(spec, "-1/x") - rf(spec, "x")
-    assert prolong_block(a, ps.parameter[0], [[rf(spec, "0")]])[0][0] == rf(spec, "-1/x")
+    assert prolong_block(a, ps.parameter[0])[0][0] == rf(spec, "-1/x")
 
 
 def test_prolong_requires_flat(fg_curved=None):
