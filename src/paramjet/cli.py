@@ -33,8 +33,9 @@ Parsing checks each command against the table; running calls each handler
 once, in order.
 
 Exit codes: 0 all verdicts ok, 2 parse error (including a command with the
-wrong number of arguments) or closed output, 3 semantic error, 4 at least
-one verdict-bearing command failed.
+wrong number of arguments and a literal division by zero), closed output or
+an unwritable --out path, 3 semantic error, 4 at least one verdict-bearing
+command failed.
 """
 
 from __future__ import annotations
@@ -618,8 +619,12 @@ def run(path: str, flags) -> int:
     }
     stream_records = [header] + records
     if flags.out:
-        with open(flags.out, "w", encoding="utf-8") as fh:
-            _emit(stream_records, fh)
+        try:
+            with open(flags.out, "w", encoding="utf-8") as fh:
+                _emit(stream_records, fh)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         if not flags.quiet:
             _human_report(records, sys.stdout)
     else:

@@ -115,10 +115,11 @@ def check_integrability(m: DiffModule) -> IntegrabilityVerdict:
 
 
 def require_flat(m: DiffModule):
-    if m.flat is None:
-        check_integrability(m)
-    if not m.flat:
-        raise NotFlat(check_integrability(m).witness)
+    if m.flat:
+        return
+    verdict = check_integrability(m)
+    if not verdict:
+        raise NotFlat(verdict.witness)
 
 
 # --- tensor calculus -------------------------------------------------------------
@@ -130,14 +131,11 @@ def _same_structure(m: DiffModule, n: DiffModule):
 
 
 def tensor(m: DiffModule, n: DiffModule) -> DiffModule:
-    """Basis e_a⊗f_b ordered row-major over (left basis x right basis)."""
+    """Basis e_a⊗f_b ordered row-major over (left basis x right basis); the
+    Leibniz rule ∂(e⊗f) = ∂e⊗f + e⊗∂f makes each matrix the Kronecker sum
+    A⊗I + I⊗B."""
     _same_structure(m, n)
-    im = linalg.identity(m.spec, m.rank)
-    i_n = linalg.identity(m.spec, n.rank)
-    conn = tuple(
-        linalg.mat_add(linalg.kron(a, i_n), linalg.kron(im, b))
-        for a, b in zip(m.conn, n.conn)
-    )
+    conn = tuple(linalg.kron_sum(a, b) for a, b in zip(m.conn, n.conn))
     return DiffModule(m.ps, m.rank * n.rank, conn)
 
 
@@ -147,16 +145,9 @@ def dual(m: DiffModule) -> DiffModule:
 
 
 def hom(m: DiffModule, n: DiffModule) -> DiffModule:
-    """Internal Hom on matrices Ψ ↦ A^N Ψ − Ψ A^M, vectorized row-major
-    over (dst basis x src basis); identical matrices to tensor(n, dual(m))."""
-    _same_structure(m, n)
-    im = linalg.identity(m.spec, m.rank)
-    i_n = linalg.identity(m.spec, n.rank)
-    conn = tuple(
-        linalg.mat_sub(linalg.kron(b, im), linalg.kron(i_n, linalg.transpose(a)))
-        for a, b in zip(m.conn, n.conn)
-    )
-    return DiffModule(m.ps, m.rank * n.rank, conn)
+    """Internal Hom N ⊗ M^∨: on matrices Ψ it acts as Ψ ↦ A^N Ψ − Ψ A^M,
+    vectorized row-major over (dst basis x src basis)."""
+    return tensor(n, dual(m))
 
 
 def direct_sum(m: DiffModule, n: DiffModule) -> DiffModule:

@@ -636,6 +636,12 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     variable names into a canonical rational function."""
     toks = _Tokens(text)
 
+    def integer(digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # over int()'s digit limit, or a non-ASCII digit such as '²'
+            raise ParseError("integer literal too long or not base 10", position=pos) from None
+
     def expr() -> RatFun:
         out = term()
         while True:
@@ -654,6 +660,8 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             if tok and tok[0] in "*/":
                 toks.next()
                 rhs = factor()
+                if tok[0] == "/" and rhs.is_zero():
+                    raise ParseError("division by zero", position=tok[2])
                 out = out * rhs if tok[0] == "*" else out / rhs
             else:
                 return out
@@ -672,7 +680,7 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             kind, value, pos = toks.next()
             if kind != "int":
                 raise ParseError("exponent must be an integer", position=pos)
-            power = int(value)
+            power = integer(value, pos)
             out = RatFun.one(spec)
             for _ in range(power):
                 out = out * base
@@ -682,7 +690,7 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     def atom() -> RatFun:
         kind, value, pos = toks.next()
         if kind == "int":
-            return RatFun.const(spec, int(value))
+            return RatFun.const(spec, integer(value, pos))
         if kind == "name":
             if value not in spec._index:
                 raise ParseError(f"unknown variable {value!r}", position=pos)

@@ -82,16 +82,23 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    ma, na = shape(a)
-    mb, nb = shape(b)
+def kron_sum(a: Matrix, b: Matrix) -> Matrix:
+    """A⊗I + I⊗B for square A and B, rows and columns ordered row-major
+    over (A index, B index).  Entry ((i, k), (j, l)) is a[i][j] where
+    k == l plus b[k][l] where i == j, read off without multiplying."""
+    m, n = len(a), len(b)
+    if shape(a) != (m, m) or shape(b) != (n, n):
+        raise ShapeMismatch("Kronecker sum of non-square matrices")
+    zero = RatFun.zero(a[0][0].spec) if m and n else None
     out = []
-    for i in range(ma):
-        for k in range(mb):
+    for i, arow in enumerate(a):
+        for k, brow in enumerate(b):
             row = []
-            for j in range(na):
-                for l in range(nb):
-                    row.append(a[i][j] * b[k][l])
+            for j, x in enumerate(arow):
+                if j == i:
+                    row.extend(x + y if l == k else y for l, y in enumerate(brow))
+                else:
+                    row.extend(x if l == k else zero for l in range(n))
             out.append(row)
     return out
 

@@ -57,6 +57,20 @@ def prolong_block(a: Matrix, parameter_derivation: Derivation) -> Matrix:
     return linalg.mat_neg(linalg.entrywise(parameter_derivation.apply, a))
 
 
+def _prolong_matrix(ps: ParamStructure, a: Matrix) -> Matrix:
+    """The block lower-triangular matrix with 1 + q diagonal copies of A and
+    the blocks −∂t_j(A) in the first block column: the prolongation of a
+    connection matrix, or of a (rectangular) morphism matrix."""
+    rows, cols = linalg.shape(a)
+    q = ps.parameter_count
+    blocks = [[linalg.zeros(ps.base, rows, cols) for _ in range(1 + q)] for _ in range(1 + q)]
+    for d in range(1 + q):
+        blocks[d][d] = a
+    for j in range(q):
+        blocks[1 + j][0] = prolong_block(a, ps.parameter[j])
+    return linalg.block(blocks)
+
+
 def prolong_module(m: DiffModule) -> ProlongedModule:
     """One prolongation step: adjoin the parameter-derivatives of
     solutions.  Refused on curved input, which is not a module over the
@@ -66,17 +80,7 @@ def prolong_module(m: DiffModule) -> ProlongedModule:
     q = ps.parameter_count
     spec = m.spec
     rank = m.rank
-    conn = []
-    for a in m.conn:
-        blocks = [
-            [linalg.zeros(spec, rank, rank) for _ in range(1 + q)] for _ in range(1 + q)
-        ]
-        for d in range(1 + q):
-            blocks[d][d] = a
-        for j in range(q):
-            blocks[1 + j][0] = prolong_block(a, ps.parameter[j])
-        conn.append(linalg.block(blocks))
-    core = DiffModule(ps, rank * (1 + q), tuple(conn))
+    core = DiffModule(ps, rank * (1 + q), tuple(_prolong_matrix(ps, a) for a in m.conn))
     if q == 0:
         sub = DiffModule(
             ps, 0, tuple(linalg.zeros(spec, 0, 0) for _ in range(ps.principal_count))
@@ -107,17 +111,7 @@ def prolong_morphism(t: ModMorphism) -> ModMorphism:
     verdict = morphism_check([list(r) for r in t.matrix], t.src, t.dst)
     if not verdict.ok:
         raise MorphismInvalid("matrix does not intertwine the connections")
-    ps = t.src.ps
-    q = ps.parameter_count
-    spec = t.src.spec
-    n, m = t.dst.rank, t.src.rank
-    tm = [list(r) for r in t.matrix]
-    blocks = [[linalg.zeros(spec, n, m) for _ in range(1 + q)] for _ in range(1 + q)]
-    for d in range(1 + q):
-        blocks[d][d] = tm
-    for j in range(q):
-        blocks[1 + j][0] = prolong_block(tm, ps.parameter[j])
-    big = linalg.block(blocks)
+    big = _prolong_matrix(t.src.ps, [list(r) for r in t.matrix])
     src = prolong_module(t.src).core
     dst = prolong_module(t.dst).core
     return ModMorphism(src, dst, tuple(tuple(r) for r in big))
@@ -262,13 +256,9 @@ def check_tensor_compat(m: DiffModule, n: DiffModule) -> bool:
     pm = prolong_module(m)
     pn = prolong_module(n)
     pt = prolong_module(tensor(m, n))
-    im = linalg.identity(m.spec, m.rank)
-    i_n = linalg.identity(m.spec, n.rank)
     for i in range(m.ps.principal_count):
         for j in range(m.ps.parameter_count):
-            expected = linalg.mat_add(
-                linalg.kron(pm.block(i, j), i_n), linalg.kron(im, pn.block(i, j))
-            )
+            expected = linalg.kron_sum(pm.block(i, j), pn.block(i, j))
             if not linalg.mat_eq(pt.block(i, j), expected):
                 return False
     return True
@@ -298,7 +288,8 @@ def generate_closure(
     duals, prolongations, tensor products and direct sums.
 
     ``depth`` caps the number of nested prolongations, ``rank_cap`` prunes
-    large modules (recorded in ``truncated_by_rank``), and ``max_items``
+    large modules (recorded in ``truncated_by_rank``) before they are built,
+    since a candidate's rank follows from its construction, and ``max_items``
     bounds the enumeration itself, since the reachable set is infinite in
     general; hitting it sets ``truncated_by_items``.  Duplicates are pruned
     by exact matrix equality, and the discovery order is deterministic.
@@ -307,53 +298,47 @@ def generate_closure(
     items: list[ClosureItem] = [ClosureItem("M", m, 0)]
     truncated_rank: list[str] = []
     truncated_items = False
+    q = m.ps.parameter_count
 
-    def try_add(label: str, module: DiffModule, pdepth: int) -> bool:
+    def offer(label: str, rank: int, pdepth: int, build) -> None:
         nonlocal truncated_items
-        if module.rank > rank_cap:
+        if truncated_items:
+            return
+        if rank > rank_cap:
             truncated_rank.append(label)
-            return False
-        for it in items:
-            if it.module == module:
-                return False
+            return
+        module = build()
+        if any(item.module == module for item in items):
+            return
         if len(items) >= max_items:
             truncated_items = True
-            return False
+            return
         items.append(ClosureItem(label, module, pdepth))
-        return True
 
     i = 0
     while i < len(items) and not truncated_items:
         it = items[i]
-        candidates: list[tuple[str, DiffModule, int]] = [
-            (f"dual({it.label})", dual(it.module), it.prolong_depth)
-        ]
+        offer(f"dual({it.label})", it.module.rank, it.prolong_depth, lambda: dual(it.module))
         if it.prolong_depth < depth:
-            candidates.append(
-                (
-                    f"at1({it.label})",
-                    prolong_module(it.module).core,
-                    it.prolong_depth + 1,
-                )
+            offer(
+                f"at1({it.label})",
+                it.module.rank * (1 + q),
+                it.prolong_depth + 1,
+                lambda: prolong_module(it.module).core,
             )
         for other in items[: i + 1]:
-            candidates.append(
-                (
-                    f"tensor({it.label},{other.label})",
-                    tensor(it.module, other.module),
-                    max(it.prolong_depth, other.prolong_depth),
-                )
+            pdepth = max(it.prolong_depth, other.prolong_depth)
+            offer(
+                f"tensor({it.label},{other.label})",
+                it.module.rank * other.module.rank,
+                pdepth,
+                lambda: tensor(it.module, other.module),
             )
-            candidates.append(
-                (
-                    f"sum({it.label},{other.label})",
-                    direct_sum(it.module, other.module),
-                    max(it.prolong_depth, other.prolong_depth),
-                )
+            offer(
+                f"sum({it.label},{other.label})",
+                it.module.rank + other.module.rank,
+                pdepth,
+                lambda: direct_sum(it.module, other.module),
             )
-        for label, module, pdepth in candidates:
-            if truncated_items:
-                break
-            try_add(label, module, pdepth)
         i += 1
     return ClosureResult(items, truncated_rank, truncated_items)

@@ -293,3 +293,53 @@ def test_verbs_match_readme_session_example():
     readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("### Session files", 1)[1].split("```")[1]
     assert set(re.findall(r"^command ([\w-]+)", example, re.M)) == set(VERBS)
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.jsonl"
+    code = main(["run", str(FIXTURES / "calculus.session"), "--quiet", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+LONG_INT = "1" * 5000  # over the 4300 digits int() converts
+
+
+def ring_morphism_text(image_z: str, e_d1: str = "0") -> str:
+    text = (FIXTURES / "ring_morphism_ok.session").read_text()
+    text = text.replace("image z = 0", f"image z = {image_z}")
+    return text.replace("matrix d1\n    0", f"matrix d1\n    {e_d1}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        XT_HEAD + f"command constants-check {LONG_INT}\n",
+        XT_HEAD + f"command constants-check x^{LONG_INT}\n",
+        XT_HEAD + f"command jet-eval {LONG_INT} x\n",
+        ring_morphism_text(LONG_INT),
+    ],
+    ids=["constants-check", "exponent", "jet-eval", "image"],
+)
+def test_overlong_integer_is_parse_error(tmp_path, text):
+    assert run_text(tmp_path, text) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        XT_HEAD + "command constants-check 1/0\n",
+        XT_HEAD + "command jet-eval x/(t-t) x\n",
+        XT_HEAD.replace("t/x", "t/0"),
+        ring_morphism_text("1/0"),
+    ],
+    ids=["constants-check", "jet-eval", "matrix-row", "image"],
+)
+def test_literal_division_by_zero_is_parse_error(tmp_path, text):
+    assert run_text(tmp_path, text) == 2
+
+
+def test_substitution_pole_stays_semantic_error(tmp_path):
+    # E has the entry 1/z and phi sends z to 0: the pole appears at run time
+    assert run_text(tmp_path, ring_morphism_text("0", e_d1="1/z")) == 3

@@ -24,7 +24,7 @@ from paramjet.conn import (
     unit_module,
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
-from paramjet.errors import MorphismInvalid, StructureMismatch
+from paramjet.errors import MorphismInvalid, NotFlat, StructureMismatch
 from paramjet.field import FieldSpec, RatFun, parse_ratfun
 
 from conftest import (
@@ -32,6 +32,7 @@ from conftest import (
     morphism39,
     perturb_module,
     rand_gauge_module,
+    rand_ratfun,
     rand_unipotent,
 )
 
@@ -70,6 +71,30 @@ def test_fg_flat_iff_crossed_partials(fg_setup):
     assert res[0][0] == rf(spec, "1")
 
 
+def test_require_flat_checks_a_curved_module_once(fg_setup, monkeypatch):
+    import paramjet.conn as conn
+
+    spec, ps, make = fg_setup
+    calls = []
+    check = conn.check_integrability
+
+    def counted(module):
+        calls.append(module)
+        return check(module)
+
+    monkeypatch.setattr(conn, "check_integrability", counted)
+    curved = make("y", "0")
+    with pytest.raises(NotFlat) as exc:
+        conn.require_flat(curved)
+    assert len(calls) == 1
+    i, j, res = exc.value.witness
+    assert (i, j) == (0, 1) and res[0][0] == rf(spec, "1")
+    flat = make("y", "x")
+    conn.require_flat(flat)
+    conn.require_flat(flat)  # the cached verdict needs no second check
+    assert len(calls) == 2
+
+
 def test_gauge_connection_flat(x12t):
     spec, ps = x12t
     t = [[rf(spec, "1"), rf(spec, "x1*x2")], [rf(spec, "0"), rf(spec, "1")]]
@@ -87,14 +112,23 @@ def test_tensor_dual_hom_examples(xt):
     assert tensor(m, dual(m)).conn[0][0][0].is_zero()
 
 
-def test_hom_equals_tensor_with_dual(x12t):
+def test_hom_acts_on_matrices(x12t):
+    """hom(M, N) is the connection Ψ ↦ A^N Ψ − Ψ A^M on N x M matrices,
+    vectorized row-major over (dst basis x src basis)."""
     spec, ps = x12t
     rng = random.Random(5)
-    m = rand_gauge_module(spec, ps, rng, 2)
-    n = rand_gauge_module(spec, ps, rng, 2)
-    h = hom(m, n)
-    td = tensor(n, dual(m))
-    assert all(linalg.mat_eq(a, b) for a, b in zip(h.conn, td.conn))
+    for rm, rn in ((2, 2), (1, 3), (3, 2)):
+        m = rand_gauge_module(spec, ps, rng, rm)
+        n = rand_gauge_module(spec, ps, rng, rn)
+        h = hom(m, n)
+        assert h.rank == rm * rn
+        psi = [[rand_ratfun(spec, rng, max_deg=1, terms=2) for _ in range(rm)] for _ in range(rn)]
+        vec = [x for row in psi for x in row]
+        for i in range(ps.principal_count):
+            expected = linalg.mat_sub(
+                linalg.mat_mul(n.conn[i], psi), linalg.mat_mul(psi, m.conn[i])
+            )
+            assert linalg.mat_vec(h.conn[i], vec) == [x for row in expected for x in row]
 
 
 def test_structure_mismatch_rejected(xt, x12t):

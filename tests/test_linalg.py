@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 
 from paramjet import linalg
+from paramjet.errors import ShapeMismatch
+from paramjet.field import FieldSpec, RatFun
+
+from conftest import rand_ratfun
 
 
 def dense_fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -121,3 +125,46 @@ def test_fraction_nullspace_does_not_modify_rows():
     before = [dict(r) for r in rows]
     linalg.fraction_nullspace(rows, 3)
     assert rows == before
+
+
+# --- Kronecker sum --------------------------------------------------------------
+
+
+def kron(a, b):
+    """Reference: the Kronecker product, every entry a product."""
+    return [
+        [x * y for x in arow for y in brow]
+        for arow in a
+        for brow in b
+    ]
+
+
+def kron_sum_oracle(a, b, spec):
+    """Reference: A⊗I + I⊗B through two full Kronecker products."""
+    return linalg.mat_add(
+        kron(a, linalg.identity(spec, len(b))), kron(linalg.identity(spec, len(a)), b)
+    )
+
+
+def test_kron_sum_matches_kron_oracle_random():
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(20261)
+    sizes = set()
+    for _ in range(60):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        sizes.add((m, n))
+        a = [[rand_ratfun(spec, rng, max_deg=2, terms=2) for _ in range(m)] for _ in range(m)]
+        b = [[rand_ratfun(spec, rng, max_deg=2, terms=2) for _ in range(n)] for _ in range(n)]
+        got = linalg.kron_sum(a, b)
+        expected = kron_sum_oracle(a, b, spec)
+        assert len(got) == m * n and all(len(row) == m * n for row in got)
+        assert linalg.mat_eq(got, expected)
+        assert [[str(x) for x in row] for row in got] == [[str(x) for x in row] for row in expected]
+    assert {(0, 0), (0, 2), (1, 1), (1, 3), (3, 1), (3, 3)} <= sizes
+
+
+def test_kron_sum_rejects_non_square():
+    spec = FieldSpec(["x"])
+    one = RatFun.one(spec)
+    with pytest.raises(ShapeMismatch):
+        linalg.kron_sum([[one, one]], [[one]])

@@ -338,6 +338,52 @@ def test_closure_deterministic(xt):
     assert [it.label for it in r1.items] == [it.label for it in r2.items]
 
 
+def test_closure_rank_cap_pinned(xt):
+    """Labels and truncations of one capped closure, as recorded when every
+    candidate was built before the cap was applied."""
+    res = generate_closure(xt_module(xt), 1, 2, max_items=16)
+    assert [it.label for it in res.items] == [
+        "M", "dual(M)", "at1(M)", "tensor(M,M)", "sum(M,M)", "at1(dual(M))",
+        "tensor(dual(M),M)", "sum(dual(M),M)", "tensor(dual(M),dual(M))",
+        "sum(dual(M),dual(M))", "dual(at1(M))", "tensor(at1(M),M)",
+        "tensor(at1(M),dual(M))", "at1(tensor(M,M))", "tensor(tensor(M,M),M)",
+        "sum(tensor(M,M),M)",
+    ]
+    assert res.truncated_by_rank == [
+        "sum(at1(M),M)", "sum(at1(M),dual(M))", "tensor(at1(M),at1(M))", "sum(at1(M),at1(M))",
+    ]
+    assert res.truncated_by_items is True
+
+
+def test_closure_builds_no_candidate_over_the_cap(xt, p2q2, monkeypatch):
+    import paramjet.prolong as prolong
+
+    built = []
+
+    def recording(fn, rank_of):
+        def wrapper(*args):
+            out = fn(*args)
+            built.append(rank_of(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(prolong, "tensor", recording(prolong.tensor, lambda m: m.rank))
+    monkeypatch.setattr(prolong, "direct_sum", recording(prolong.direct_sum, lambda m: m.rank))
+    monkeypatch.setattr(
+        prolong, "prolong_module", recording(prolong.prolong_module, lambda p: p.core.rank)
+    )
+    spec, ps = p2q2
+    for m, depth, cap in (
+        (xt_module(xt), 1, 2),
+        (xt_module(xt), 2, 3),
+        (rand_gauge_module(spec, ps, random.Random(149), 2), 1, 4),
+    ):
+        built.clear()
+        res = generate_closure(m, depth, cap, max_items=20)
+        assert res.truncated_by_rank and built
+        assert max(built) <= cap
+
+
 def test_prolongation_adjoins_parameter_derivatives(xt, p2q2):
     """If v is horizontal then (v, -∂t1(v), ..., -∂tq(v)) is horizontal for
     the prolonged module: prolongation adjoins the parameter derivatives
