@@ -137,6 +137,13 @@ def _parse_matrix_block(lines: Lines, spec: FieldSpec, lineno: int) -> list[list
     return rows
 
 
+def _parse_expression(spec: FieldSpec, text: str, lineno: int) -> RatFun:
+    try:
+        return parse_ratfun(spec, text)
+    except ParseError as err:
+        raise ParseError(f"bad expression: {err}", line=lineno) from None
+
+
 def _fresh_name(session: Session, name: str, lineno: int):
     if name in session.names:
         raise ParseError(f"name {name!r} already defined", line=lineno)
@@ -292,7 +299,7 @@ def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str]
             if len(tokens) < 2 or "=" not in tokens[1]:
                 raise ParseError("expected 'image VAR = expr'", line=ln)
             var, expr = tokens[1].split("=", 1)
-            images[var.strip()] = parse_ratfun(target.base, expr.strip())
+            images[var.strip()] = _parse_expression(target.base, expr.strip(), ln)
         elif tokens[0] == "omega":
             omega = _parse_matrix_block(lines, target.base, ln)
         else:
@@ -353,7 +360,7 @@ class Verb(NamedTuple):
     binds: bool  # builds a module that 'command X = ...' can name
     # (session, flags, *operands) -> (module, extra 'derived' fields) when
     # binds, else the certificate fields with the verdict; a module operand
-    # comes as its DiffModule, any other as its text
+    # comes as its DiffModule, an expression as its RatFun, any other as text
     handler: Callable
 
 
@@ -480,7 +487,7 @@ def _prolong(session: Session, flags, module: DiffModule):
 
 def _at2(session: Session, flags, module: DiffModule):
     s = at2_module(module)
-    return s.invariant, {"double_rank": s.double.rank, "incl": _render_matrix(s.incl.matrix)}
+    return s.invariant, {"double_rank": s.double_rank, "incl": _render_matrix(s.incl)}
 
 
 def _baer_check(session: Session, flags, a: DiffModule, b: DiffModule) -> dict:
@@ -515,9 +522,8 @@ def _horizontal(session: Session, flags, module: DiffModule) -> dict:
     }
 
 
-def _jet_eval(session: Session, flags, f_text: str, g_text: str) -> dict:
+def _jet_eval(session: Session, flags, f: RatFun, g: RatFun) -> dict:
     s = session.structures["main"].full
-    f, g = parse_ratfun(s.base, f_text), parse_ratfun(s.base, g_text)
     prod = jet2_mul(jet2_r(f, s), jet2_r(g, s), s)
     return {
         "verdict": "ok" if prod == jet2_r(f * g, s) else "fail",
@@ -529,9 +535,8 @@ def _jet_eval(session: Session, flags, f_text: str, g_text: str) -> dict:
     }
 
 
-def _constants_check(session: Session, flags, text: str) -> dict:
-    struct = session.structures["main"]
-    ok = constants_check(parse_ratfun(struct.base, text), struct)
+def _constants_check(session: Session, flags, f: RatFun) -> dict:
+    ok = constants_check(f, session.structures["main"])
     return {"verdict": "true" if ok else "false"}
 
 
@@ -556,14 +561,22 @@ VERBS: dict[str, Verb] = {
 FAILING_VERDICTS = frozenset({"curved", "fail", "d-compat-fail", "integrability-fail", "false"})
 
 
+def _operand(session: Session, kind: str, text: str, lineno: int):
+    if kind == MODULE:
+        return session.modules[text]
+    if kind == EXPR:
+        return _parse_expression(session.structures["main"].base, text, lineno)
+    return text
+
+
 def run_session(session: Session, flags) -> tuple[list[dict], int]:
     records: list[dict] = []
     any_verdict_failed = False
-    for index, (_, cmd) in enumerate(session.commands):
+    for index, (lineno, cmd) in enumerate(session.commands):
         name, args = cmd[0], cmd[1:]
         verb = VERBS[name]
         new, operands = _split_assignment(args)
-        values = [session.modules[n] if k == MODULE else n for k, n in zip(verb.kinds, operands)]
+        values = [_operand(session, k, n, lineno) for k, n in zip(verb.kinds, operands)]
         if verb.binds:
             module, extra = verb.handler(session, flags, *values)
             struct = _result_structure(session, verb, operands)

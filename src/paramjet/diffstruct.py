@@ -192,8 +192,8 @@ def _expand_in_basis(basis: tuple[Derivation, ...], target: Derivation):
     return tuple(coeffs), Derivation(spec, tuple(residual))
 
 
-def build_structure(base: FieldSpec, basis) -> DiffStructure:
-    """Verify independence and bracket closure; compute structure constants."""
+def _independent_basis(base: FieldSpec, basis) -> tuple[Derivation, ...]:
+    """The basis, checked nonempty, over ``base`` and independent."""
     basis = tuple(basis)
     if not basis:
         raise ValueError("empty derivation basis")
@@ -203,6 +203,18 @@ def build_structure(base: FieldSpec, basis) -> DiffStructure:
     coeff_matrix = [list(b.coeffs) for b in basis]
     if linalg.rank(coeff_matrix) != len(basis):
         raise NotIndependent("derivation basis is linearly dependent over the field")
+    return basis
+
+
+def _commuting_structure(base: FieldSpec, basis: tuple[Derivation, ...]) -> DiffStructure:
+    """The structure of a basis whose brackets are known to vanish."""
+    zero = tuple(RatFun.zero(base) for _ in basis)
+    return DiffStructure(base, basis, {(i, j): zero for j in range(len(basis)) for i in range(j)})
+
+
+def build_structure(base: FieldSpec, basis) -> DiffStructure:
+    """Verify independence and bracket closure; compute structure constants."""
+    basis = _independent_basis(base, basis)
     constants = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -446,10 +458,8 @@ def build_param_structure(base, principal, parameter, constant_variables) -> Par
             raise NotIndependent(
                 "parameter derivations restrict to dependent derivations of the constants"
             )
-    full = build_structure(base, basis)  # also checks independence
-    principal_structure = (
-        build_structure(base, principal) if principal else None
-    )
+    full = _commuting_structure(base, _independent_basis(base, basis))
+    principal_structure = _commuting_structure(base, principal) if principal else None
     return ParamStructure(
         full=full,
         principal_count=len(principal),

@@ -108,7 +108,3 @@ class NotFlat(ParamjetError):
     def __init__(self, witness=None):
         self.witness = witness
         super().__init__("module is not integrable")
-
-
-class RestrictionFails(ParamjetError):
-    """The swap-invariant subspace is not preserved; indicates a bug."""

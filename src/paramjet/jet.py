@@ -247,22 +247,26 @@ def jet2_Delta(x: Jet2Element, s: DiffStructure) -> Jet11Element:
 def jet11_to_jet2(x: Jet11Element, s: DiffStructure) -> Jet2Element:
     """Read a canonical-form element back as a 2-jet element; raises
     MembershipViolated when it is not one."""
-    if not x.omega_left.sub(x.omega_right).is_zero():
+    defect = jet11_membership_defect(x, s)
+    if defect is None:
         raise MembershipViolated("left and right form slots differ")
-    eta = _mat_sub(_deriv_matrix(x.omega_left, s), x.eta)
-    candidate = Jet2Element(x.a, x.omega_left, eta)
-    if not jet2_is_member(candidate, s):
+    if not defect.is_zero():
         raise MembershipViolated("antisymmetric part does not match dω")
-    return candidate
+    return Jet2Element(x.a, x.omega_left, _mat_sub(_deriv_matrix(x.omega_left, s), x.eta))
 
 
 def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> TwoForm | None:
     """Membership defect of a canonical-form element, or None when the two
-    form slots already disagree."""
+    form slots already disagree.  Read back, η = D(ω) − x.eta, and the
+    derivatives in D(ω) cancel against dω: the defect is ω(c_ij) − (x.eta
+    antisymmetrised), with no derivative taken."""
     if not x.omega_left.sub(x.omega_right).is_zero():
         return None
-    eta = _mat_sub(_deriv_matrix(x.omega_left, s), x.eta)
-    return jet2_membership_defect(Jet2Element(x.a, x.omega_left, eta), s)
+    w, eta = x.omega_left, x.eta
+    return TwoForm(s.dim, tuple(
+        w.pair(s.constants(i, j)) - (eta[i][j] - eta[j][i])
+        for i in range(s.dim) for j in range(i + 1, s.dim)
+    ))
 
 
 def jet11_scale_right(x: Jet11Element, c: RatFun, s: DiffStructure) -> Jet11Element:

@@ -17,7 +17,6 @@ from . import linalg
 from .conn import (
     DiffModule,
     ModMorphism,
-    check_integrability,
     direct_sum,
     dual,
     morphism_check,
@@ -26,7 +25,7 @@ from .conn import (
     trivial_module,
 )
 from .diffstruct import Derivation, ParamStructure
-from .errors import MorphismInvalid, RestrictionFails, ShapeMismatch, StructureMismatch
+from .errors import MorphismInvalid, ShapeMismatch, StructureMismatch
 from .field import RatFun
 
 Matrix = list
@@ -124,67 +123,45 @@ def prolong_morphism(t: ModMorphism) -> ModMorphism:
 class SecondProlongation:
     """The swap-invariant part of the twice-prolonged module."""
 
-    double: DiffModule
     invariant: DiffModule
-    incl: ModMorphism
-    pairs: list  # ordered unordered index pairs (a <= b) labelling blocks
+    double_rank: int  # rank of the twice-prolonged module, rank * (1 + q)^2
+    incl: Matrix  # 0/1, double_rank x invariant.rank: the invariant basis
 
 
 def at2_module(m: DiffModule) -> SecondProlongation:
-    """Restrict the double prolongation to the subspace invariant under
-    swapping the two parameter-form slots.
-
-    The flat index of the double prolongation is (outer block, inner
-    block, module index); the swap exchanges the two block indices.  The
-    restriction must close exactly; a failure is surfaced as
-    RestrictionFails since it would indicate an implementation bug (in the
-    commuting setting mixed second parameter derivatives agree).
+    """The double prolongation, flat index (outer block, inner block, module
+    index), restricted to the swap-invariant blocks e(a,b) + e(b,a), a <= b,
+    built from its formula.  With B_b = prolong_block(A, t_b), parameters
+    numbered from 1, each matrix has A on the diagonal, B_b at ((0,b),(0,0)),
+    and for 1 <= a <= b prolong_block(B_b, t_a) at ((a,b),(0,0)), B_b at
+    ((a,b),(0,a)) and B_a added at ((a,b),(0,b)).
     """
     require_flat(m)
-    q = m.ps.parameter_count
+    ps = m.ps
     rank = m.rank
-    first = prolong_module(m)
-    second = prolong_module(first.core)
-    double = second.core
-    width = 1 + q
-
-    def flat(outer: int, inner: int, l: int) -> int:
-        return (outer * width + inner) * rank + l
-
-    pairs = [(a, b) for a in range(width) for b in range(a, width)]
-    spec = m.spec
-    zero = RatFun.zero(spec)
-    one = RatFun.one(spec)
-    cols = []
-    for (a, b) in pairs:
-        for l in range(rank):
-            col = [zero] * double.rank
-            col[flat(a, b, l)] = one
-            if a != b:
-                col[flat(b, a, l)] = col[flat(b, a, l)] + one
-            cols.append(col)
-    sub_rank = len(cols)
+    width = 1 + ps.parameter_count
+    pairs = [(a, b) for a in range(width) for b in range(a, width)]  # (0, c) is block c
     conn = []
-    for i in range(m.ps.principal_count):
-        a_big = double.conn[i]
-        restricted = [[zero for _ in range(sub_rank)] for _ in range(sub_rank)]
-        for cidx, col in enumerate(cols):
-            w = linalg.mat_vec(a_big, col)
-            # the image must itself be swap-symmetric
-            for oa in range(width):
-                for ob in range(oa + 1, width):
-                    for l in range(rank):
-                        if w[flat(oa, ob, l)] != w[flat(ob, oa, l)]:
-                            raise RestrictionFails(
-                                "double prolongation does not preserve the invariant subspace"
-                            )
-            for pidx, (pa, pb) in enumerate(pairs):
-                for l in range(rank):
-                    restricted[pidx * rank + l][cidx] = w[flat(pa, pb, l)]
-        conn.append(restricted)
-    invariant = DiffModule(m.ps, sub_rank, tuple(conn))
-    incl = ModMorphism(invariant, double, tuple(tuple(c[r] for c in cols) for r in range(double.rank)))
-    return SecondProlongation(double, invariant, incl, pairs)
+    for a_mat in m.conn:
+        b_mats = [None] + [prolong_block(a_mat, t) for t in ps.parameter]
+        blocks = [[linalg.zeros(ps.base, rank, rank) for _ in pairs] for _ in pairs]
+        for k, (pa, pb) in enumerate(pairs):
+            blocks[k][k] = a_mat
+            if pa:
+                blocks[k][0] = prolong_block(b_mats[pb], ps.parameter[pa - 1])
+                blocks[k][pa] = b_mats[pb]
+                blocks[k][pb] = linalg.mat_add(blocks[k][pb], b_mats[pa])  # 2·B_a when a = b
+            elif pb:
+                blocks[k][0] = b_mats[pb]
+        conn.append(linalg.block(blocks))
+    invariant = DiffModule(ps, rank * len(pairs), tuple(conn))
+    one = RatFun.one(m.spec)
+    incl = linalg.zeros(m.spec, rank * width * width, invariant.rank)
+    for k, (a, b) in enumerate(pairs):
+        for l in range(rank):
+            incl[(a * width + b) * rank + l][k * rank + l] = one
+            incl[(b * width + a) * rank + l][k * rank + l] = one
+    return SecondProlongation(invariant, rank * width * width, incl)
 
 
 # --- Baer sums of block extensions ---------------------------------------------------
@@ -247,19 +224,17 @@ def baer_sum(e1: BlockExtension, e2: BlockExtension) -> BlockExtension:
 
 def check_tensor_compat(m: DiffModule, n: DiffModule) -> bool:
     """Matrix form of the Baer-sum compatibility of prolongation with
-    tensor products: every parameter block of the prolonged tensor product
-    is B_j(M)⊗I + I⊗B_j(N)."""
+    tensor products: every parameter block −∂t_j(A⊗I + I⊗B) of the
+    prolonged tensor product is B_j(M)⊗I + I⊗B_j(N)."""
     if m.ps != n.ps:
         raise StructureMismatch("modules over different parameterized structures")
     require_flat(m)
     require_flat(n)
-    pm = prolong_module(m)
-    pn = prolong_module(n)
-    pt = prolong_module(tensor(m, n))
-    for i in range(m.ps.principal_count):
-        for j in range(m.ps.parameter_count):
-            expected = linalg.kron_sum(pm.block(i, j), pn.block(i, j))
-            if not linalg.mat_eq(pt.block(i, j), expected):
+    for a, b in zip(m.conn, n.conn):
+        ab = linalg.kron_sum(a, b)
+        for t in m.ps.parameter:
+            expected = linalg.kron_sum(prolong_block(a, t), prolong_block(b, t))
+            if not linalg.mat_eq(prolong_block(ab, t), expected):
                 return False
     return True
 

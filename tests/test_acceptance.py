@@ -305,9 +305,8 @@ def test_criterion_7_prolongation_theorems(xt, x12t, p2q2):
             s = at2_module(m)
             q = ps.parameter_count
             assert s.invariant.rank == m.rank * (1 + q + q * (q + 1) // 2)
-            assert morphism_check(
-                [list(r) for r in s.incl.matrix], s.incl.src, s.incl.dst
-            ).ok
+            double = prolong_module(prolong_module(m).core).core
+            assert morphism_check(s.incl, s.invariant, double).ok
 
 
 def test_criterion_8_horizontal_recovery(xt):

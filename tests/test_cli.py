@@ -168,17 +168,25 @@ def test_derived_names_chain(tmp_path):
     assert at2["derived"]["double_rank"] == 8
 
 
+CURVED_HEAD = (
+    "field x y t\n"
+    "structure\n  principal dx = 1, 0, 0\n  principal dy = 0, 1, 0\n"
+    "  parameter dt = 0, 0, 1\n  constants t\nend\n"
+    "module C rank 1\n  matrix dx\n    -y\n  end\n  matrix dy\n    0\n  end\nend\n"
+)
+
+
 def test_prolong_of_curved_module_is_semantic_error(tmp_path):
-    text = (
-        "field x y t\n"
-        "structure\n  principal dx = 1, 0, 0\n  principal dy = 0, 1, 0\n"
-        "  parameter dt = 0, 0, 1\n  constants t\nend\n"
-        "module C rank 1\n  matrix dx\n    -y\n  end\n  matrix dy\n    0\n  end\nend\n"
-        "command prolong P = C\n"
-    )
     f = tmp_path / "curved.session"
-    f.write_text(text)
+    f.write_text(CURVED_HEAD + "command prolong P = C\n")
     assert main(["run", str(f), "--quiet", "--out", str(tmp_path / "c.jsonl")]) == 3
+
+
+def test_at2_of_curved_module_is_semantic_error(tmp_path, capsys):
+    f = tmp_path / "curved.session"
+    f.write_text(CURVED_HEAD + "command at2 C\n")
+    assert main(["run", str(f), "--quiet", "--out", str(tmp_path / "c.jsonl")]) == 3
+    assert capsys.readouterr().err.strip() == "semantic error: NotFlat: module is not integrable"
 
 
 @pytest.mark.parametrize("flag", ["--degree-bound", "--depth", "--rank-cap"])
@@ -338,6 +346,25 @@ def test_overlong_integer_is_parse_error(tmp_path, text):
 )
 def test_literal_division_by_zero_is_parse_error(tmp_path, text):
     assert run_text(tmp_path, text) == 2
+
+
+def _line_of(text: str, prefix: str) -> int:
+    return next(n for n, line in enumerate(text.splitlines(), 1) if line.strip().startswith(prefix))
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        (XT_HEAD + "command constants-check 1/0\n", "command"),
+        (XT_HEAD + "command check-structure\ncommand jet-eval x x/(t-t)\n", "command jet-eval"),
+        (ring_morphism_text("1/0"), "image z"),
+    ],
+    ids=["constants-check", "jet-eval", "image"],
+)
+def test_expression_parse_error_gives_its_line(tmp_path, capsys, text, prefix):
+    assert run_text(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"parse error: bad expression: division by zero (at 1) (line {_line_of(text, prefix)})"]
 
 
 def test_substitution_pole_stays_semantic_error(tmp_path):

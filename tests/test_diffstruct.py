@@ -324,3 +324,48 @@ def test_param_structure_rejects_dependent_parameter_restrictions():
             [dt1, dt1.scale(parse_ratfun(spec, "2"))],
             ["t1", "t2"],
         )
+
+
+def test_param_structure_computes_each_bracket_once(monkeypatch):
+    """The commuting check computes each bracket; the structures built from
+    it get zero constants without a second bracket or any solve."""
+    import paramjet.diffstruct as diffstruct
+    from paramjet import linalg
+
+    calls = {"bracket": 0, "solve": 0}
+    real_bracket, real_solve = diffstruct.bracket, linalg.solve_or_residual
+
+    def counting_bracket(a, b):
+        calls["bracket"] += 1
+        return real_bracket(a, b)
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return real_solve(a, b)
+
+    monkeypatch.setattr(diffstruct, "bracket", counting_bracket)
+    monkeypatch.setattr(linalg, "solve_or_residual", counting_solve)
+    spec = FieldSpec(["x1", "x2", "t1", "t2"])
+    ps = build_param_structure(
+        spec,
+        [coordinate_derivation(spec, v) for v in ("x1", "x2")],
+        [coordinate_derivation(spec, v) for v in ("t1", "t2")],
+        ["t1", "t2"],
+    )
+    assert calls == {"bracket": 6, "solve": 0}  # 13 and 7 when built twice over
+    zero = RatFun.zero(spec)
+    assert ps.full.dim == 4 and ps.principal_structure.dim == 2
+    assert ps.full.constants(1, 3) == (zero,) * 4
+    assert ps.principal_structure.constants(1, 0) == (zero,) * 2
+
+
+def test_param_structure_basis_errors_keep_their_messages():
+    spec = FieldSpec(["x"])
+    dx = coordinate_derivation(spec, "x")
+    with pytest.raises(ValueError, match="^empty derivation basis$"):
+        build_param_structure(spec, [], [], [])
+    other = FieldSpec(["y"])
+    with pytest.raises(ValueError, match="^derivation over the wrong field$"):
+        build_param_structure(spec, [coordinate_derivation(other, "y")], [], [])
+    with pytest.raises(NotIndependent, match="^derivation basis is linearly dependent over the field$"):
+        build_param_structure(spec, [dx, dx.scale(parse_ratfun(spec, "2"))], [], [])

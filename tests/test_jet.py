@@ -15,6 +15,7 @@ from paramjet.field import FieldSpec, RatFun, parse_ratfun
 from paramjet.jet import (
     Jet1Element,
     Jet2Element,
+    Jet11Element,
     jet1_antipode,
     jet1_e,
     jet1_l,
@@ -26,15 +27,17 @@ from paramjet.jet import (
     jet2_gamma,
     jet2_is_member,
     jet2_l,
+    jet2_membership_defect,
     jet2_mul,
     jet2_proj1,
     jet2_r,
     jet2_sym_value,
     jet2_zero,
+    jet11_membership_defect,
     jet11_mul,
     jet11_to_jet2,
 )
-from paramjet.jet import _mat_add, _mat_scale, _mat_sub, _outer, _zero_matrix
+from paramjet.jet import _deriv_matrix, _mat_add, _mat_scale, _mat_sub, _outer, _zero_matrix
 
 from conftest import rand_ratfun
 
@@ -243,3 +246,57 @@ def test_jets_over_nonfree_dual_basis(example39):
     r = lambda text: parse_ratfun(spec, text)
     z = r("z")
     assert jet2_mul(jet2_r(z, s39), jet2_r(z, s39), s39) == jet2_r(z * z, s39)
+
+
+def read_back_defect(x: Jet11Element, s):
+    """The membership defect of the read-back element η = D(ω) − x.eta,
+    through dω: the formula the canonical-form one replaced."""
+    if not x.omega_left.sub(x.omega_right).is_zero():
+        return None
+    eta = _mat_sub(_deriv_matrix(x.omega_left, s), x.eta)
+    return jet2_membership_defect(Jet2Element(x.a, x.omega_left, eta), s)
+
+
+@pytest.fixture(scope="module")
+def s_noncommuting():
+    """{∂x, x·∂t}: [∂x, x·∂t] = ∂t = (1/x)·(x·∂t), so c_01 = (0, 1/x)."""
+    return build_structure(
+        SPEC, [coordinate_derivation(SPEC, "x"), coordinate_derivation(SPEC, "t").scale(rf("x"))]
+    )
+
+
+@pytest.mark.parametrize("structure", ["s", "s_noncommuting"])
+def test_jet11_membership_defect_matches_read_back_oracle(structure, request):
+    s = request.getfixturevalue(structure)
+    rng = random.Random(47)
+    non_members = 0
+    for _ in range(30):
+        member = jet2_Delta(rand_member(s, rng), s)
+        product = jet11_mul(member, jet2_Delta(rand_member(s, rng), s))
+        w = member.omega_left
+        noise = tuple(tuple(rand_ratfun(SPEC, rng, max_deg=1) for _ in range(2)) for _ in range(2))
+        perturbed = Jet11Element(member.a, w, w, _mat_add(member.eta, noise))
+        slots_differ = Jet11Element(member.a, w, w.add(omega_unit(SPEC, 2, 0)), member.eta)
+        for x in (member, product, perturbed, slots_differ):
+            assert jet11_membership_defect(x, s) == read_back_defect(x, s)
+        assert jet11_membership_defect(member, s).is_zero()
+        assert jet11_membership_defect(product, s).is_zero()
+        assert jet11_membership_defect(slots_differ, s) is None
+        if not jet11_membership_defect(perturbed, s).is_zero():
+            non_members += 1
+            with pytest.raises(MembershipViolated, match="^antisymmetric part does not match dω$"):
+                jet11_to_jet2(perturbed, s)
+        with pytest.raises(MembershipViolated, match="^left and right form slots differ$"):
+            jet11_to_jet2(slots_differ, s)
+    assert non_members >= 20
+
+
+def test_jet2_mul_takes_d_of_its_operands_only(s, monkeypatch):
+    import paramjet.jet as jet
+
+    calls = []
+    real = jet.deRham_d1
+    monkeypatch.setattr(jet, "deRham_d1", lambda omega, st: calls.append(omega) or real(omega, st))
+    x, t = rf("x"), rf("t")
+    assert jet2_mul(jet2_r(x, s), jet2_r(t, s), s) == jet2_r(x * t, s)
+    assert len(calls) == 2  # one membership check per operand

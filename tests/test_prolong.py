@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from paramjet.conn import (
     tensor,
     trivial_module,
 )
+from paramjet.diffstruct import build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, ShapeMismatch
 from paramjet.field import FieldSpec, RatFun, parse_ratfun
 from paramjet.prolong import (
@@ -70,8 +72,6 @@ def test_prolong_block_formula_with_bracket_term(xt):
 
 def test_prolong_requires_flat(fg_curved=None):
     spec = FieldSpec(["x", "y", "t"])
-    from paramjet.diffstruct import build_param_structure, coordinate_derivation
-
     ps = build_param_structure(
         spec,
         [coordinate_derivation(spec, "x"), coordinate_derivation(spec, "y")],
@@ -208,7 +208,7 @@ def test_at2_xt_fixture(xt):
         ["(-1)/(x)", "(t)/(x)", "(0)/(1)"],
         ["(0)/(1)", "(-2)/(x)", "(t)/(x)"],
     ]
-    assert morphism_check([list(r) for r in s.incl.matrix], s.incl.src, s.incl.dst).ok
+    assert morphism_check(s.incl, s.invariant, double_prolongation(xt_module(xt))).ok
 
 
 def test_at2_dimension_count_q2(p2q2):
@@ -217,17 +217,72 @@ def test_at2_dimension_count_q2(p2q2):
     assert s.invariant.rank == 6  # 1 + q + q(q+1)/2 with q = 2
 
 
-def test_at2_random_restriction(p2q2):
+def double_prolongation(m):
+    """The twice-prolonged module, built as the at2 restriction's oracle."""
+    return prolong_module(prolong_module(m).core).core
+
+
+def structure_with_parameters(q):
+    """Q(x1, x2, t1..tq) with the principal dx1, dx2 and the parameters dtj."""
+    names = ["x1", "x2"] + [f"t{j}" for j in range(1, q + 1)]
+    spec = FieldSpec(names)
+    ps = build_param_structure(
+        spec,
+        [coordinate_derivation(spec, "x1"), coordinate_derivation(spec, "x2")],
+        [coordinate_derivation(spec, t) for t in names[2:]],
+        names[2:],
+    )
+    return spec, ps
+
+
+def test_at2_random_restriction():
+    """incl is constant and injective, so its intertwining the invariant
+    module with the double prolongation pins the restricted matrices.  For
+    q >= 2 one module has ∂t1∂tq(A) != ∂tq∂tq(A), so the mixed blocks are
+    told apart from the pure ones."""
+    for q, ranks in [(0, (1, 2, 3)), (1, (1, 2, 3)), (2, (2, 2, 2, 2)), (3, (1, 2))]:
+        spec, ps = structure_with_parameters(q)
+        rng = random.Random(113)
+        modules = [rand_gauge_module(spec, ps, rng, rank) for rank in ranks]
+        if q >= 2:
+            u = f"x1*t1*t{q} + x2*t{q}^2"
+            modules.append(gauge_module(ps, [[rf(spec, "1"), rf(spec, u)], [rf(spec, "0"), rf(spec, "1")]]))
+        for m in modules:
+            s = at2_module(m)
+            double = double_prolongation(m)
+            assert s.invariant.rank == m.rank * (1 + q) * (2 + q) // 2
+            assert s.double_rank == double.rank == m.rank * (1 + q) ** 2
+            assert morphism_check(s.incl, s.invariant, double).ok
+            assert check_integrability(s.invariant).flat
+
+
+def test_at2_rational_gauge_with_t_in_denominators(x12t):
+    """The gauge image of the trivial connection under T = diag(r1, r2)·U
+    with t in r1, r2 and U: t is in every denominator of A, and restricting
+    the double prolongation took over 60 s."""
+    spec, ps = x12t
+    r1, r2 = "x1 + x2 + t", "x1 - x2 + t + 1"
+    t_matrix = [[rf(spec, r1), rf(spec, f"({r1})*(x1 + t)")], [rf(spec, "0"), rf(spec, r2)]]
+    m = gauge_module(ps, t_matrix)
+    start = time.perf_counter()
+    s = at2_module(m)
+    assert time.perf_counter() - start < 10.0
+    assert s.invariant.rank == 6
+    assert s.double_rank == 8
+
+
+def test_at2_and_tensor_compat_build_no_prolonged_module(p2q2, monkeypatch):
+    import paramjet.prolong as prolong
+
+    calls = []
+    monkeypatch.setattr(prolong, "prolong_module", lambda m: calls.append(m))
     spec, ps = p2q2
-    rng = random.Random(113)
-    for _ in range(4):
-        m = rand_gauge_module(spec, ps, rng, 2)
-        s = at2_module(m)
-        assert s.invariant.rank == 2 * 6
-        assert morphism_check(
-            [list(r) for r in s.incl.matrix], s.incl.src, s.incl.dst
-        ).ok
-        assert check_integrability(s.invariant).flat
+    rng = random.Random(131)
+    m = rand_gauge_module(spec, ps, rng, 2)
+    n = rand_gauge_module(spec, ps, rng, 1)
+    prolong.at2_module(m)
+    assert prolong.check_tensor_compat(m, n)
+    assert calls == []
 
 
 def test_baer_sum_laws(xt, p2q2):
