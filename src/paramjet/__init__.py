@@ -2,107 +2,4 @@
 systems: differential rings over multivariate rational function fields,
 jet rings, differential modules, and the prolongation functor."""
 
-from .errors import (
-    ConstantsMismatch,
-    DenominatorVanishes,
-    DivisionByZero,
-    MembershipViolated,
-    MorphismInvalid,
-    NotClosed,
-    NotCommuting,
-    NotFlat,
-    NotInAugmentationIdeal,
-    NotIndependent,
-    ParamjetError,
-    ParseError,
-    PrincipalMovesConstants,
-    SemanticError,
-    ShapeMismatch,
-    StructureMismatch,
-    UnknownVariable,
-)
-from .field import (
-    FieldSpec,
-    MultiPoly,
-    RatFun,
-    parse_ratfun,
-    partial_derivative,
-    poly_gcd,
-    substitute,
-)
-from .diffstruct import (
-    Derivation,
-    DiffMorphism,
-    DiffStructure,
-    OmegaElement,
-    ParamStructure,
-    TwoForm,
-    bracket,
-    build_param_structure,
-    build_structure,
-    check_morphism,
-    compose_morphisms,
-    coordinate_derivation,
-    deRham_d0,
-    deRham_d1,
-    identity_morphism,
-    lie_derivative,
-    lie_derivative_general,
-    omega_unit,
-    omega_zero,
-)
-from .jet import (
-    Jet1Element,
-    Jet11Element,
-    Jet2Element,
-    jet1_antipode,
-    jet1_e,
-    jet1_l,
-    jet1_mul,
-    jet1_r,
-    jet2_Delta,
-    jet2_e,
-    jet2_gamma,
-    jet2_is_member,
-    jet2_l,
-    jet2_mul,
-    jet2_proj1,
-    jet2_r,
-    jet11_mul,
-    jet11_to_jet2,
-)
-from .conn import (
-    DiffModule,
-    ModMorphism,
-    ModuleJetVector,
-    OmegaTensorVector,
-    check_integrability,
-    constants_check,
-    direct_sum,
-    dual,
-    evaluation_morphism,
-    extend_scalars,
-    hom,
-    horizontal_space,
-    lambda_map,
-    morphism_check,
-    phi1,
-    phi2_membership,
-    tensor,
-    trivial_module,
-    unit_module,
-)
-from .prolong import (
-    BlockExtension,
-    ProlongedModule,
-    at2_module,
-    baer_sum,
-    check_tensor_compat,
-    extension_of_prolongation,
-    generate_closure,
-    prolong_module,
-    prolong_morphism,
-    trivial_extension,
-)
-
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ import os
 import sys
 from typing import Callable, Iterator, NamedTuple
 
-from . import linalg
+from . import __version__ as VERSION, linalg
 from .conn import (
     DiffModule,
     check_integrability,
@@ -78,8 +78,6 @@ from .prolong import (
     prolong_module,
     trivial_extension,
 )
-
-VERSION = "0.1.0"
 
 
 class Session:
@@ -224,6 +222,8 @@ def _parse_module_block(lines: Lines, session: Session, header: list[str], linen
         rank = int(rank_s)
     except ValueError:
         raise ParseError("rank must be an integer", line=lineno) from None
+    if rank < 0:
+        raise ParseError("rank must be nonnegative", line=lineno)
     matrices: dict[str, list] = {}
     while True:
         item = next(lines, None)
@@ -235,6 +235,8 @@ def _parse_module_block(lines: Lines, session: Session, header: list[str], linen
         tokens = content.split()
         if tokens[0] != "matrix" or len(tokens) != 2:
             raise ParseError("expected 'matrix DERIVATION'", line=ln)
+        if tokens[1] in matrices:
+            raise ParseError(f"second matrix block for {tokens[1]!r}", line=ln)
         matrices[tokens[1]] = _parse_matrix_block(lines, ps.base, ln)
     names = session.deriv_names[struct][: ps.principal_count]
     conn = []
@@ -478,10 +480,10 @@ def _extend_scalars(session: Session, flags, phi: str, module: DiffModule):
 def _prolong(session: Session, flags, module: DiffModule):
     p = prolong_module(module)
     return p.core, {
-        "parent_rank": p.parent_rank,
-        "q": p.q,
-        "incl": _render_matrix(p.incl.matrix),
-        "proj": _render_matrix(p.proj.matrix),
+        "parent_rank": module.rank,
+        "q": module.ps.parameter_count,
+        "incl": _render_matrix(p.incl),
+        "proj": _render_matrix(p.proj),
     }
 
 
@@ -491,7 +493,7 @@ def _at2(session: Session, flags, module: DiffModule):
 
 
 def _baer_check(session: Session, flags, a: DiffModule, b: DiffModule) -> dict:
-    ea = extension_of_prolongation(prolong_module(a))
+    ea = extension_of_prolongation(a)
     neutral = baer_sum(ea, trivial_extension(ea.quot, ea.sub))
     ok = all(linalg.mat_eq(x, y) for x, y in zip(neutral.off, ea.off))
     inverse = baer_sum(ea, ea.negate())
@@ -609,6 +611,9 @@ def run(path: str, flags) -> int:
             text = fh.read()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as err:
+        print(f"error: {path} is not UTF-8 text: {err}", file=sys.stderr)
         return 2
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:

@@ -55,12 +55,6 @@ class DiffModule:
     def spec(self) -> FieldSpec:
         return self.ps.base
 
-    def nabla_matrices(self) -> list:
-        """The matrices in the other common convention, where the i-th
-        matrix holds the coefficients of the connection applied to the
-        basis vectors; these are the negatives of the stored ones."""
-        return [linalg.mat_neg(a) for a in self.conn]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DiffModule)
@@ -75,10 +69,6 @@ def trivial_module(ps: ParamStructure, rank: int) -> DiffModule:
     m = DiffModule(ps, rank, conn)
     m.flat = True
     return m
-
-
-def unit_module(ps: ParamStructure) -> DiffModule:
-    return trivial_module(ps, 1)
 
 
 @dataclass(frozen=True)
@@ -195,17 +185,6 @@ def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
     return MorphismCheck(True)
 
 
-def evaluation_morphism(m: DiffModule) -> ModMorphism:
-    """The pairing M ⊗ M^∨ → 1, a morphism for every module."""
-    mv = tensor(m, dual(m))
-    unit = unit_module(m.ps)
-    row = []
-    for a in range(m.rank):
-        for b in range(m.rank):
-            row.append(RatFun.one(m.spec) if a == b else RatFun.zero(m.spec))
-    return ModMorphism(mv, unit, (tuple(row),))
-
-
 # --- extension of scalars ----------------------------------------------------------
 
 
@@ -237,56 +216,6 @@ def extend_scalars(morphism: DiffMorphism, module: DiffModule, target: ParamStru
 
 
 # --- jets of module elements --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OmegaTensorVector:
-    """An element of Ω_{K/k} ⊗ M: one coordinate vector per principal
-    dual-basis direction."""
-
-    components: tuple  # p tuples of length rank
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for comp in self.components for c in comp)
-
-
-@dataclass(frozen=True)
-class ModuleJetVector:
-    """An element of M ⊗ P1 in split coordinates: a unit-part coordinate
-    vector and one coordinate vector per (full) dual basis direction."""
-
-    unit: tuple
-    forms: tuple  # d_full tuples of length rank
-
-
-def phi1(m: DiffModule, j: int) -> ModuleJetVector:
-    """Horizontal lift of the j-th basis vector; its form components are
-    the images ρ(∂i)(e_j), so the lift spans the kernel of the connection
-    pairing map below."""
-    spec = m.spec
-    unit = tuple(
-        RatFun.one(spec) if l == j else RatFun.zero(spec) for l in range(m.rank)
-    )
-    forms = []
-    for i in range(m.ps.principal_count):
-        forms.append(tuple(-m.conn[i][l][j] for l in range(m.rank)))
-    zero_row = tuple(RatFun.zero(spec) for _ in range(m.rank))
-    for _ in range(m.ps.parameter_count):
-        forms.append(zero_row)
-    return ModuleJetVector(unit, tuple(forms))
-
-
-def lambda_map(v: ModuleJetVector, m: DiffModule) -> OmegaTensorVector:
-    """The pairing defect whose kernel is the prolongation sub of M ⊗ P1:
-    component s is ∂s(unit) − As·unit − forms[s] over the principal
-    directions."""
-    out = []
-    for s in range(m.ps.principal_count):
-        d = m.ps.principal[s]
-        du = [d.apply(x) for x in v.unit]
-        au = linalg.mat_vec(m.conn[s], list(v.unit))
-        out.append(tuple(x - y - z for x, y, z in zip(du, au, v.forms[s])))
-    return OmegaTensorVector(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     ConstantsMismatch,
-    MorphismInvalid,
     NotClosed,
     NotCommuting,
     NotIndependent,
@@ -323,22 +322,6 @@ class DiffMorphism:
                             k = TwoForm.pair_index(rows, s, u)
                             coeffs[k] = coeffs[k] + pf * wedge
         return TwoForm(rows, tuple(coeffs))
-
-
-def identity_morphism(s: DiffStructure) -> DiffMorphism:
-    images = {v: RatFun.variable(s.base, v) for v in s.base.variables}
-    return DiffMorphism(s, s, images, tuple(tuple(r) for r in linalg.identity(s.base, s.dim)))
-
-
-def compose_morphisms(first: DiffMorphism, second: DiffMorphism) -> DiffMorphism:
-    """The composite sending a to second(first(a)); first.target must be
-    second.source."""
-    if first.target != second.source:
-        raise MorphismInvalid("morphisms are not composable")
-    images = {v: second.apply(img) for v, img in first.gen_images.items()}
-    pushed = [[second.apply(x) for x in row] for row in first.omega_matrix]
-    matrix = linalg.mat_mul([list(r) for r in second.omega_matrix], pushed)
-    return DiffMorphism(first.source, second.target, images, tuple(tuple(r) for r in matrix))
 
 
 @dataclass(frozen=True)

@@ -631,10 +631,16 @@ class _Tokens:
         return tok
 
 
+# open parentheses in one expression; each costs four Python frames, so the
+# deepest allowed expression stays well inside the default recursion limit
+MAX_NESTING = 100
+
+
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     """Parse an expression in +, -, *, /, ^, parentheses, integers and
     variable names into a canonical rational function."""
     toks = _Tokens(text)
+    depth = 0
 
     def integer(digits: str, pos: int) -> int:
         try:
@@ -688,6 +694,7 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
         return base if sign == 1 else -base
 
     def atom() -> RatFun:
+        nonlocal depth
         kind, value, pos = toks.next()
         if kind == "int":
             return RatFun.const(spec, integer(value, pos))
@@ -696,10 +703,14 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
                 raise ParseError(f"unknown variable {value!r}", position=pos)
             return RatFun.variable(spec, value)
         if kind == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError("expression nested too deeply", position=pos)
             out = expr()
             kind2, _, pos2 = toks.next()
             if kind2 != ")":
                 raise ParseError("expected ')'", position=pos2)
+            depth -= 1
             return out
         raise ParseError(f"unexpected token {value!r}", position=pos)
 

@@ -89,10 +89,6 @@ def jet1_e(x: Jet1Element) -> RatFun:
     return x.a
 
 
-def jet1_antipode(x: Jet1Element) -> Jet1Element:
-    return Jet1Element(x.a, x.omega.scale(-RatFun.one(x.a.spec)))
-
-
 # --- level 2 -------------------------------------------------------------------
 
 
@@ -113,10 +109,6 @@ class Jet2Element:
     def __str__(self) -> str:
         eta = "[" + "; ".join(", ".join(str(c) for c in row) for row in self.eta) + "]"
         return f"({self.a}; {self.omega}; {eta})"
-
-
-def jet2_zero(s: DiffStructure) -> Jet2Element:
-    return Jet2Element(RatFun.zero(s.base), omega_zero(s.base, s.dim), _zero_matrix(s))
 
 
 def jet2_l(a: RatFun, s: DiffStructure) -> Jet2Element:

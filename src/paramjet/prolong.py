@@ -22,7 +22,6 @@ from .conn import (
     morphism_check,
     require_flat,
     tensor,
-    trivial_module,
 )
 from .diffstruct import Derivation, ParamStructure
 from .errors import MorphismInvalid, ShapeMismatch, StructureMismatch
@@ -34,19 +33,8 @@ Matrix = list
 @dataclass
 class ProlongedModule:
     core: DiffModule
-    parent: DiffModule
-    parent_rank: int
-    q: int
-    incl: ModMorphism  # from the parameter-block sub (q copies of the parent)
-    proj: ModMorphism  # onto the parent
-
-    def block(self, i: int, j: int) -> Matrix:
-        """The parameter-derivative block of the i-th principal matrix for
-        the j-th parameter direction (block row 1 + j, block column 0)."""
-        m = self.parent_rank
-        a = self.core.conn[i]
-        r0 = (1 + j) * m
-        return [[a[r0 + r][c] for c in range(m)] for r in range(m)]
+    incl: Matrix  # 0/1, core.rank x rank·q: the parameter blocks (q copies of the parent)
+    proj: Matrix  # 0/1, rank x core.rank: the quotient onto the first block
 
 
 def prolong_block(a: Matrix, parameter_derivation: Derivation) -> Matrix:
@@ -76,32 +64,17 @@ def prolong_module(m: DiffModule) -> ProlongedModule:
     principal directions in the first place."""
     require_flat(m)
     ps = m.ps
-    q = ps.parameter_count
-    spec = m.spec
     rank = m.rank
-    core = DiffModule(ps, rank * (1 + q), tuple(_prolong_matrix(ps, a) for a in m.conn))
-    if q == 0:
-        sub = DiffModule(
-            ps, 0, tuple(linalg.zeros(spec, 0, 0) for _ in range(ps.principal_count))
-        )
-    else:
-        sub = m
-        for _ in range(q - 1):
-            sub = direct_sum(sub, m)
-    zero = RatFun.zero(spec)
-    one = RatFun.one(spec)
-    # incl maps the sub into the core (core.rank x sub.rank), landing in the
-    # parameter blocks; proj is the quotient onto the first block.
-    incl_matrix = [
-        [one if r == rank + c else zero for c in range(rank * q)]
-        for r in range(rank * (1 + q))
-    ]
-    proj_matrix = [
-        [one if r == c else zero for c in range(rank * (1 + q))] for r in range(rank)
-    ]
-    incl = ModMorphism(sub, core, tuple(tuple(r) for r in incl_matrix))
-    proj = ModMorphism(core, m, tuple(tuple(r) for r in proj_matrix))
-    return ProlongedModule(core, m, rank, q, incl, proj)
+    big = rank * (1 + ps.parameter_count)
+    core = DiffModule(ps, big, tuple(_prolong_matrix(ps, a) for a in m.conn))
+    one = RatFun.one(m.spec)
+    incl = linalg.zeros(m.spec, big, big - rank)
+    proj = linalg.zeros(m.spec, rank, big)
+    for r in range(rank, big):
+        incl[r][r - rank] = one
+    for r in range(rank):
+        proj[r][r] = one
+    return ProlongedModule(core, incl, proj)
 
 
 def prolong_morphism(t: ModMorphism) -> ModMorphism:
@@ -177,13 +150,6 @@ class BlockExtension:
     sub: DiffModule
     off: tuple  # per principal index, sub.rank x quot.rank
 
-    def to_module(self) -> DiffModule:
-        conn = []
-        for aq, asub, x in zip(self.quot.conn, self.sub.conn, self.off):
-            z = linalg.zeros(self.ps.base, self.quot.rank, self.sub.rank)
-            conn.append(linalg.block([[aq, z], [x, asub]]))
-        return DiffModule(self.ps, self.quot.rank + self.sub.rank, tuple(conn))
-
     def negate(self) -> "BlockExtension":
         return BlockExtension(
             self.ps, self.quot, self.sub, tuple(linalg.mat_neg(x) for x in self.off)
@@ -197,15 +163,19 @@ def trivial_extension(quot: DiffModule, sub: DiffModule) -> BlockExtension:
     return BlockExtension(quot.ps, quot, sub, off)
 
 
-def extension_of_prolongation(p: ProlongedModule) -> BlockExtension:
-    sub = p.incl.src
-    off = []
-    for i in range(p.parent.ps.principal_count):
-        stacked = []
-        for j in range(p.q):
-            stacked.extend(p.block(i, j))
-        off.append(stacked)
-    return BlockExtension(p.parent.ps, p.parent, sub, tuple(off))
+def extension_of_prolongation(m: DiffModule) -> BlockExtension:
+    """The prolongation as an extension of M by q copies of M: the off block
+    of each principal matrix stacks the parameter blocks −∂t_j(A)."""
+    require_flat(m)
+    ps = m.ps
+    q = ps.parameter_count
+    zero = linalg.zeros(m.spec, m.rank, m.rank)
+    sub = DiffModule(ps, m.rank * q, tuple(
+        linalg.block([[a if r == c else zero for c in range(q)] for r in range(q)])
+        for a in m.conn
+    ))
+    off = tuple([row for t in ps.parameter for row in prolong_block(a, t)] for a in m.conn)
+    return BlockExtension(ps, m, sub, off)
 
 
 def baer_sum(e1: BlockExtension, e2: BlockExtension) -> BlockExtension:

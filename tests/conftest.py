@@ -1,12 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from paramjet import linalg
-from paramjet.conn import DiffModule, check_integrability
+from paramjet.conn import DiffModule, check_integrability, direct_sum
 from paramjet.diffstruct import (
-    Derivation,
     DiffMorphism,
     build_param_structure,
     build_structure,
@@ -87,6 +85,25 @@ def morphism39(src, dst, f: str, g: str) -> DiffMorphism:
     return DiffMorphism(src, dst, images, omega)
 
 
+def identity_diff_morphism(s) -> DiffMorphism:
+    """The identity of a differential structure: every variable to itself,
+    the identity on 1-forms."""
+    images = {v: RatFun.variable(s.base, v) for v in s.base.variables}
+    return DiffMorphism(s, s, images, tuple(tuple(r) for r in linalg.identity(s.base, s.dim)))
+
+
+def parameter_sub(m: DiffModule) -> DiffModule:
+    """The sub of the prolongation sequence 0 -> M^q -> P(M) -> M -> 0:
+    q diagonal copies of M, of rank 0 when q = 0."""
+    q = m.ps.parameter_count
+    if q == 0:
+        return DiffModule(m.ps, 0, tuple([] for _ in m.conn))
+    sub = m
+    for _ in range(q - 1):
+        sub = direct_sum(sub, m)
+    return sub
+
+
 # --- random generators ----------------------------------------------------------
 
 
@@ -115,13 +132,6 @@ def rand_ratfun(spec, rng: random.Random, max_deg=2, terms=2) -> RatFun:
     else:
         den = rand_poly_nonzero(spec, rng, max_deg=1, terms=1)
     return RatFun(num, den)
-
-
-def rand_ratfun_nonzero(spec, rng, **kw) -> RatFun:
-    while True:
-        x = rand_ratfun(spec, rng, **kw)
-        if not x.is_zero():
-            return x
 
 
 def rand_unipotent(spec, ps, rng: random.Random, rank: int, steps=2, max_deg=2):

@@ -16,7 +16,6 @@ from paramjet.conn import (
     horizontal_space,
     morphism_check,
     phi2_membership,
-    trivial_module,
 )
 from paramjet.diffstruct import (
     OmegaElement,
@@ -28,7 +27,7 @@ from paramjet.diffstruct import (
     lie_derivative_general,
 )
 from paramjet.errors import NotClosed
-from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, partial_derivative
+from paramjet.field import FieldSpec, RatFun, parse_ratfun, partial_derivative
 from paramjet.jet import (
     Jet1Element,
     Jet2Element,
@@ -53,6 +52,7 @@ from paramjet.prolong import at2_module, check_tensor_compat, prolong_module, pr
 from conftest import (
     gauge_module,
     morphism39,
+    parameter_sub,
     perturb_module,
     rand_gauge_module,
     rand_poly,
@@ -258,11 +258,9 @@ def test_criterion_7_prolongation_theorems(xt, x12t, p2q2):
             m = rand_gauge_module(spec, ps, rng, 1 + k % 3)
             p = prolong_module(m)
             assert check_integrability(p.core).flat
-            incl = [list(r) for r in p.incl.matrix]
-            proj = [list(r) for r in p.proj.matrix]
-            assert morphism_check(incl, p.incl.src, p.incl.dst).ok
-            assert morphism_check(proj, p.proj.src, p.proj.dst).ok
-            assert linalg.is_zero_matrix(linalg.mat_mul(proj, incl))
+            assert morphism_check(p.incl, parameter_sub(m), p.core).ok
+            assert morphism_check(p.proj, p.core, m).ok
+            assert linalg.is_zero_matrix(linalg.mat_mul(p.proj, p.incl))
         # functoriality on 20 composable pairs
         spec, ps = p2q2
         for _ in range(20):

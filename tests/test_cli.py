@@ -370,3 +370,98 @@ def test_expression_parse_error_gives_its_line(tmp_path, capsys, text, prefix):
 def test_substitution_pole_stays_semantic_error(tmp_path):
     # E has the entry 1/z and phi sends z to 0: the pole appears at run time
     assert run_text(tmp_path, ring_morphism_text("0", e_d1="1/z")) == 3
+
+
+def test_non_utf8_session_exits_2_with_one_line(tmp_path, capsys):
+    f = tmp_path / "latin.session"
+    f.write_bytes(b"\xff\xfe field x\n")
+    assert main(["run", str(f), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "UTF-8" in err[0], err
+
+
+DEEP = "(" * 400 + "x" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        (XT_HEAD.replace("t/x", DEEP), DEEP),
+        (XT_HEAD + f"command constants-check {DEEP}\n", "command"),
+    ],
+    ids=["matrix-row", "constants-check"],
+)
+def test_deep_nesting_is_parse_error(tmp_path, capsys, text, prefix):
+    assert run_text(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "expression nested too deeply" in err[0], err
+    assert err[0].endswith(f"(line {_line_of(text, prefix)})"), err
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (
+            XT_HEAD.replace("  end\nend\n", "  end\n  matrix dx\n    x\n  end\nend\n"),
+            "second matrix block for 'dx'",
+            11,
+        ),
+        (XT_HEAD.replace("rank 1", "rank -1"), "rank must be nonnegative", 7),
+    ],
+    ids=["second-matrix-block", "negative-rank"],
+)
+def test_module_block_checks_are_parse_errors(tmp_path, capsys, text, message, line):
+    assert run_text(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"parse error: {message} (line {line})"]
+
+
+O, I = "(0)/(1)", "(1)/(1)"
+
+
+@pytest.mark.parametrize(
+    "text, fields",
+    [
+        (
+            "field x y\nstructure\n  principal dx = 1, 0\n  principal dy = 0, 1\nend\n"
+            "module M rank 2\n  matrix dx\n    0, 1\n    0, 0\n  end\n"
+            "  matrix dy\n    0, 0\n    0, 0\n  end\nend\n",
+            {"parent_rank": 2, "q": 0, "incl": [[], []], "proj": [[I, O], [O, I]]},
+        ),
+        (
+            XT_HEAD.replace("rank 1", "rank 2").replace("    t/x\n", "    t/x, 0\n    1, 0\n"),
+            {
+                "parent_rank": 2,
+                "q": 1,
+                "incl": [[O, O], [O, O], [I, O], [O, I]],
+                "proj": [[I, O, O, O], [O, I, O, O]],
+            },
+        ),
+        (
+            "field x t s\nstructure\n  principal dx = 1, 0, 0\n  parameter dt = 0, 1, 0\n"
+            "  parameter ds = 0, 0, 1\n  constants t s\nend\n"
+            "module M rank 1\n  matrix dx\n    t*s/x\n  end\nend\n",
+            {"parent_rank": 1, "q": 2, "incl": [[O, O], [I, O], [O, I]], "proj": [[I, O, O]]},
+        ),
+    ],
+    ids=["q0", "q1", "q2"],
+)
+def test_prolong_certificate_fields_pinned(text, fields):
+    """parent_rank, q, incl and proj of a prolong certificate, as recorded
+    when prolong_module still wrapped incl and proj in module morphisms."""
+    records, code = run_session(parse_session(text + "command prolong P = M\n"), None)
+    assert code == 0
+    assert {k: records[0]["derived"][k] for k in fields} == fields
+
+
+def test_baer_check_builds_no_prolonged_module(monkeypatch):
+    import paramjet.cli as cli
+    import paramjet.prolong as prolong
+
+    calls = []
+    for owner in (cli, prolong):
+        monkeypatch.setattr(owner, "prolong_module", lambda m: calls.append(m))
+    session = parse_session(XT_HEAD + "command baer-check M M\n")
+    records, code = run_session(session, None)
+    assert calls == [] and code == 0
+    assert records[0]["verdict"] == "ok"

@@ -6,22 +6,17 @@ import pytest
 from paramjet import linalg
 from paramjet.conn import (
     DiffModule,
-    ModMorphism,
     check_integrability,
     constants_check,
     direct_sum,
     dual,
-    evaluation_morphism,
     extend_scalars,
     hom,
     horizontal_space,
-    lambda_map,
     morphism_check,
-    phi1,
     phi2_membership,
     tensor,
     trivial_module,
-    unit_module,
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, StructureMismatch
@@ -29,6 +24,7 @@ from paramjet.field import FieldSpec, RatFun, parse_ratfun
 
 from conftest import (
     gauge_module,
+    identity_diff_morphism,
     morphism39,
     perturb_module,
     rand_gauge_module,
@@ -171,9 +167,7 @@ def test_extend_scalars_examples(example39, fg_setup):
     curved = extend_scalars(morphism39(src, dst, "y", "0"), module, ps2)
     assert not check_integrability(curved).flat
 
-    from paramjet.diffstruct import identity_morphism
-
-    same = extend_scalars(identity_morphism(src), module, src_ps)
+    same = extend_scalars(identity_diff_morphism(src), module, src_ps)
     assert all(linalg.mat_eq(a, b) for a, b in zip(same.conn, module.conn))
 
 
@@ -195,19 +189,6 @@ def test_extend_scalars_rejects_d_incompatible(example39, fg_setup):
     )
     with pytest.raises(MorphismInvalid):
         extend_scalars(bad, module, ps2)
-
-
-def test_phi1_and_lambda(xt, x12t):
-    spec, ps = x12t
-    rng = random.Random(15)
-    m = rand_gauge_module(spec, ps, rng, 2)
-    for j in range(m.rank):
-        v = phi1(m, j)
-        assert v.unit[j] == RatFun.one(spec)
-        assert lambda_map(v, m).is_zero()
-    trivial = trivial_module(ps, 2)
-    v = phi1(trivial, 0)
-    assert all(all(c.is_zero() for c in comp) for comp in v.forms)
 
 
 def test_phi2_membership_oracle_examples(fg_setup, x12t):
@@ -261,8 +242,10 @@ def test_evaluation_map_is_morphism(x12t):
     rng = random.Random(29)
     for k in range(20):
         m = rand_gauge_module(spec, ps, rng, 1 + k % 2)
-        ev = evaluation_morphism(m)
-        assert morphism_check([list(r) for r in ev.matrix], ev.src, ev.dst).ok
+        # the pairing M ⊗ M^∨ -> 1 sends e_a ⊗ e_b^∨ to δ_ab
+        pairing = [[RatFun.one(spec) if a == b else RatFun.zero(spec)
+                    for a in range(m.rank) for b in range(m.rank)]]
+        assert morphism_check(pairing, tensor(m, dual(m)), trivial_module(ps, 1)).ok
 
 
 def test_horizontal_trivial_and_gauge(xt, x12t):
@@ -323,15 +306,6 @@ def test_horizontal_span_bounded_by_rank(x12t):
                 lhs = [d.apply(c) for c in v]
                 rhs = linalg.mat_vec(m.conn[i], list(v))
                 assert lhs == rhs
-
-
-def test_nabla_accessor_sign(xt):
-    """The alternate-convention accessor returns the negated matrices: for
-    the rank-one system with stored matrix [[t/x]] the connection
-    coefficient of the basis vector is -t/x."""
-    spec, ps = xt
-    m = DiffModule(ps, 1, ([[rf(spec, "t/x")]],))
-    assert m.nabla_matrices()[0][0][0] == rf(spec, "-t/x")
 
 
 def test_horizontal_with_non_coordinate_principal():

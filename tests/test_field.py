@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ from paramjet.field import (
     substitute,
 )
 
-from conftest import rand_poly, rand_poly_nonzero, rand_ratfun, rand_ratfun_nonzero
+from conftest import rand_poly, rand_poly_nonzero, rand_ratfun
 
 SPEC = FieldSpec(["x", "t"])
 SPEC3 = FieldSpec(["x", "y", "z"])

@@ -1,0 +1,34 @@
+"""Source hygiene: no engine module imports a name it never uses."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "paramjet"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression in the module
+    reads; ``from __future__`` imports bind nothing and are skipped."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_unused_import_detector():
+    source = "from __future__ import annotations\nimport os, sys as system\nfrom a import b, c as d\nprint(os, d)\n"
+    assert unused_imports(source) == ["b", "system"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -11,12 +11,11 @@ from paramjet.conn import (
     direct_sum,
     horizontal_space,
     morphism_check,
-    tensor,
     trivial_module,
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, ShapeMismatch
-from paramjet.field import FieldSpec, RatFun, parse_ratfun
+from paramjet.field import FieldSpec, parse_ratfun
 from paramjet.prolong import (
     at2_module,
     baer_sum,
@@ -29,7 +28,7 @@ from paramjet.prolong import (
     trivial_extension,
 )
 
-from conftest import perturb_module, rand_gauge_module, rand_unipotent, gauge_module
+from conftest import gauge_module, parameter_sub, rand_gauge_module, rand_unipotent
 
 
 def rf(spec, s):
@@ -81,6 +80,8 @@ def test_prolong_requires_flat(fg_curved=None):
     curved = DiffModule(ps, 1, ([[rf(spec, "-y")]], [[rf(spec, "0")]]))
     with pytest.raises(NotFlat):
         prolong_module(curved)
+    with pytest.raises(NotFlat):
+        extension_of_prolongation(curved)
 
 
 def test_prolong_preserves_flatness_random(p2q2):
@@ -99,12 +100,10 @@ def test_exact_sequence_invariants(p2q2):
     for _ in range(5):
         m = rand_gauge_module(spec, ps, rng, 2)
         p = prolong_module(m)
-        incl = [list(r) for r in p.incl.matrix]
-        proj = [list(r) for r in p.proj.matrix]
-        assert morphism_check(incl, p.incl.src, p.incl.dst).ok
-        assert morphism_check(proj, p.proj.src, p.proj.dst).ok
-        assert linalg.is_zero_matrix(linalg.mat_mul(proj, incl))
-        assert linalg.rank(incl) + p.parent_rank == p.core.rank
+        assert morphism_check(p.incl, parameter_sub(m), p.core).ok
+        assert morphism_check(p.proj, p.core, m).ok
+        assert linalg.is_zero_matrix(linalg.mat_mul(p.proj, p.incl))
+        assert linalg.rank(p.incl) + m.rank == p.core.rank
 
 
 def test_prolong_morphism_identity_and_constants(xt):
@@ -172,23 +171,20 @@ def test_naturality_square(p2q2):
     pf = prolong_morphism(f)
     p1, p2 = prolong_module(m1), prolong_module(m2)
     # proj ∘ prolong(T) = T ∘ proj
-    lhs = linalg.mat_mul([list(r) for r in p2.proj.matrix], [list(r) for r in pf.matrix])
-    rhs = linalg.mat_mul(t, [list(r) for r in p1.proj.matrix])
+    lhs = linalg.mat_mul(p2.proj, [list(r) for r in pf.matrix])
+    rhs = linalg.mat_mul(t, p1.proj)
     assert linalg.mat_eq(lhs, rhs)
-    # prolong(T) ∘ incl = (sub-copies of T) ∘ incl
+    # prolong(T) ∘ incl = incl ∘ (q diagonal copies of T)
     q = ps.parameter_count
-    tsub = t
-    for _ in range(q - 1):
-        zero_nm = linalg.zeros(spec, len(tsub), 2)
-        # block diagonal stack of T
     sub_t = linalg.block(
         [
             [t if i == j else linalg.zeros(spec, 2, 2) for j in range(q)]
             for i in range(q)
         ]
     )
-    lhs2 = linalg.mat_mul([list(r) for r in pf.matrix], [list(r) for r in p1.incl.matrix])
-    rhs2 = linalg.mat_mul([list(r) for r in p2.incl.matrix], sub_t)
+    assert morphism_check(sub_t, parameter_sub(m1), parameter_sub(m2)).ok
+    lhs2 = linalg.mat_mul([list(r) for r in pf.matrix], p1.incl)
+    rhs2 = linalg.mat_mul(p2.incl, sub_t)
     assert linalg.mat_eq(lhs2, rhs2)
 
 
@@ -290,7 +286,7 @@ def test_baer_sum_laws(xt, p2q2):
     rng = random.Random(127)
     m = rand_gauge_module(spec, ps, rng, 1)
     n = rand_gauge_module(spec, ps, rng, 1)
-    em = extension_of_prolongation(prolong_module(m))
+    em = extension_of_prolongation(m)
     # neutral element and inverses
     assert all(
         linalg.mat_eq(a, b)
@@ -300,7 +296,7 @@ def test_baer_sum_laws(xt, p2q2):
         linalg.is_zero_matrix(x) for x in baer_sum(em, em.negate()).off
     )
     # additivity on the off blocks for same-(sub, quot) extensions
-    e1 = extension_of_prolongation(prolong_module(m))
+    e1 = extension_of_prolongation(m)
     scaled = e1.__class__(
         e1.ps, e1.quot, e1.sub, tuple(linalg.mat_scale(rf(spec, "2"), x) for x in e1.off)
     )
@@ -308,7 +304,39 @@ def test_baer_sum_laws(xt, p2q2):
     for x, y in zip(summed.off, e1.off):
         assert linalg.mat_eq(x, linalg.mat_add(y, linalg.mat_scale(rf(spec, "2"), y)))
     with pytest.raises(ShapeMismatch):
-        baer_sum(em, extension_of_prolongation(prolong_module(n)))
+        baer_sum(em, extension_of_prolongation(n))
+
+
+def extension_module(e):
+    """The module of a block extension: matrices [[A_quot, 0], [X, A_sub]]."""
+    conn = []
+    for aq, asub, x in zip(e.quot.conn, e.sub.conn, e.off):
+        z = linalg.zeros(e.ps.base, e.quot.rank, e.sub.rank)
+        conn.append(linalg.block([[aq, z], [x, asub]]))
+    return DiffModule(e.ps, e.quot.rank + e.sub.rank, tuple(conn))
+
+
+def test_extension_of_prolongation_is_the_prolonged_module():
+    """For q = 0..3 the extension's sub is q copies of M and its module is
+    the prolonged one; for q = 0 the sub has rank 0 and the off blocks no
+    rows."""
+    for q in range(4):
+        spec, ps = structure_with_parameters(q)
+        m = rand_gauge_module(spec, ps, random.Random(151), 2)
+        e = extension_of_prolongation(m)
+        assert e.quot == m and e.sub == parameter_sub(m)
+        assert extension_module(e) == prolong_module(m).core
+        assert all(linalg.shape(x) == (2 * q, 2 if q else 0) for x in e.off)
+
+
+def test_prolong_module_builds_no_direct_sum(p2q2, monkeypatch):
+    import paramjet.prolong as prolong
+
+    calls = []
+    monkeypatch.setattr(prolong, "direct_sum", lambda *args: calls.append(args))
+    spec, ps = p2q2
+    prolong.prolong_module(rand_gauge_module(spec, ps, random.Random(157), 2))
+    assert calls == []
 
 
 def test_baer_sum_matches_kernel_image_oracle(xt):
@@ -316,10 +344,7 @@ def test_baer_sum_matches_kernel_image_oracle(xt):
     construction of the sum of two extensions, computed directly on a
     rank-one pair."""
     spec, ps = xt
-    rng = random.Random(131)
-    m = xt_module(xt)
-    p = prolong_module(m)
-    e1 = extension_of_prolongation(p)
+    e1 = extension_of_prolongation(xt_module(xt))
     e2 = e1.__class__(
         e1.ps, e1.quot, e1.sub, tuple(linalg.mat_scale(rf(spec, "t"), x) for x in e1.off)
     )
@@ -327,7 +352,7 @@ def test_baer_sum_matches_kernel_image_oracle(xt):
 
     # oracle: inside E1 ⊕ E2 take ker(β1 − β2) and quotient by the
     # antidiagonal copy of the sub; basis {(q,0,q,0), (0,s,0,0)}
-    big = direct_sum(e1.to_module(), e2.to_module())
+    big = direct_sum(extension_module(e1), extension_module(e2))
     j = [
         [rf(spec, "1"), rf(spec, "0")],
         [rf(spec, "0"), rf(spec, "1")],
@@ -346,7 +371,7 @@ def test_baer_sum_matches_kernel_image_oracle(xt):
             [w[0][0], w[0][1]],
             [w[1][0] + w[3][0], w[1][1] + w[3][1]],
         ]
-        expected = block.to_module().conn[i]
+        expected = extension_module(block).conn[i]
         assert linalg.mat_eq(folded, expected)
 
 
