@@ -7,6 +7,14 @@ rational functions store coprime numerator/denominator with a monic
 denominator.  Equality of values is therefore structural equality, and the
 text rendering is a bit-exact interchange form.
 
+Arithmetic keeps that form without taking gcds of the full result: a
+product or quotient cancels only the cross gcds of its operands, a sum
+with different denominators takes the gcd of the denominators and then one
+against the common factor only (Henrici; Knuth, TAOCP 2, 4.5.1), and a
+partial derivative cancels only against the part of the denominator free
+of the variable.  ``poly_gcd`` proves coprimality from a modular image
+before it falls back to the pseudo-remainder sequence.
+
 All values are immutable; operations are pure functions.
 """
 
@@ -265,6 +273,12 @@ class MultiPoly:
 # so the elimination order is fixed by the FieldSpec order.  The result is
 # normalized to integer coefficients with content 1 and positive leading
 # (graded lex) coefficient.
+#
+# Before the primitive parts enter the pseudo-remainder sequence, their
+# images in Z_p[v] (the other variables at a fixed point, v kept) are
+# tested for a common factor; an image gcd of 1 proves the primitive gcd
+# is 1 (see _images_coprime).  Most gcds the RatFun operations ask for are
+# coprime ones, so the sequence runs only where a factor is shared.
 
 
 def _rat_normalize(p: MultiPoly) -> MultiPoly:
@@ -305,12 +319,13 @@ def _from_coeffs(spec: FieldSpec, coeffs: dict[int, MultiPoly], v: int) -> Multi
 
 
 def _coeff_content(coeffs: dict[int, MultiPoly]) -> MultiPoly:
-    it = iter(coeffs.values())
-    g = next(it)
-    for c in it:
-        g = poly_gcd(g, c)
+    # smallest coefficients first: a constant one ends the search at once
+    polys = sorted(coeffs.values(), key=lambda p: (len(p.terms), p.total_degree()))
+    g = polys[0]
+    for c in polys[1:]:
         if g.is_const():
-            break
+            return MultiPoly.one(g.spec)
+        g = poly_gcd(g, c)
     return g
 
 
@@ -318,6 +333,79 @@ def _coeffs_divexact(coeffs, divisor: MultiPoly):
     if divisor.is_one():
         return coeffs
     return {k: poly_divexact(c, divisor) for k, c in coeffs.items()}
+
+
+# the prime of the coprimality proof, and the fixed point the variables other
+# than the main one are sent to: variable j goes to _POINT_BASE^(j+1) mod p
+_P = 2**31 - 1
+_POINT_BASE = 48271
+
+
+def _zp_image(coeffs: dict[int, MultiPoly]) -> list[int] | None:
+    """Image in Z_p[v] of a polynomial given by its coefficients in v,
+    constant term first; None if a coefficient denominator or the leading
+    coefficient vanishes mod p."""
+    powers: dict[tuple[int, int], int] = {}
+    out = [0] * (max(coeffs) + 1)
+    for k, poly in coeffs.items():
+        acc = 0
+        for e, c in poly.terms.items():
+            den = c.denominator % _P
+            if not den:
+                return None
+            term = c.numerator * pow(den, -1, _P)
+            for j, ej in enumerate(e):
+                if ej:
+                    pw = powers.get((j, ej))
+                    if pw is None:
+                        pw = powers[(j, ej)] = pow(_POINT_BASE, (j + 1) * ej, _P)
+                    term = term * pw % _P
+            acc += term
+        out[k] = acc % _P
+    return out if out[-1] else None
+
+
+def _zp_coprime(f: list[int], g: list[int]) -> bool:
+    """Whether two polynomials of Z_p[v] with nonzero leading coefficients
+    (constant term first) have a unit gcd, by Euclid's algorithm."""
+    f, g = list(f), list(g)
+    while len(g) > 1:
+        inv = pow(g[-1], -1, _P)
+        dg = len(g) - 1
+        while len(f) > dg:
+            q = f[-1] * inv % _P
+            shift = len(f) - 1 - dg
+            for k in range(dg):
+                f[shift + k] = (f[shift + k] - q * g[k]) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
+def _images_coprime(F: dict, G: dict) -> bool:
+    """A proof that two primitive polynomials, given by their coefficients
+    in the main variable v, are coprime; False means no proof, not a
+    common factor.
+
+    Let phi: Q[others][v] -> Z_p[v] reduce mod p at the fixed point.  It
+    is defined on F and G, since no coefficient denominator vanishes mod
+    p, and it keeps their degrees in v, since neither leading coefficient
+    does.  Let H be the primitive gcd.  By Gauss's lemma, clearing
+    denominators and integer contents (units mod p, as the images are
+    nonzero) gives integer polynomials that H divides in Z[others][v], so
+    phi(H) divides both images up to units.  lc(H) divides lc(F), whose
+    image is nonzero, so deg phi(H) = deg_v H.  An image gcd of 1 thus
+    forces deg_v H = 0, and a common factor free of v would divide the
+    content of a primitive polynomial: H is 1."""
+    f = _zp_image(F)
+    if f is None:
+        return False
+    g = _zp_image(G)
+    return g is not None and _zp_coprime(f, g)
 
 
 def _prem(F: dict, G: dict, spec: FieldSpec) -> dict:
@@ -372,6 +460,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     c = poly_gcd(cf, cg)
     Fp = _coeffs_divexact(F, cf)
     Gp = _coeffs_divexact(G, cg)
+    if _images_coprime(Fp, Gp):
+        return c
     if max(Fp) < max(Gp):
         Fp, Gp = Gp, Fp
     while Gp:
@@ -442,6 +532,24 @@ class RatFun:
         self.den = den
         self._hash = None
 
+    @classmethod
+    def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RatFun":
+        """num/den for a nonzero den already known coprime to num: the one
+        route that takes no gcd, so each caller states why they are coprime."""
+        out = cls.__new__(cls)
+        if num.is_zero():
+            num = MultiPoly.zero(num.spec)
+            den = MultiPoly.one(num.spec)
+        else:
+            lc = den.leading()[1]
+            if lc != 1:
+                num = num.scale(1 / lc)
+                den = den.scale(1 / lc)
+        out.num = num
+        out.den = den
+        out._hash = None
+        return out
+
     @property
     def spec(self) -> FieldSpec:
         return self.num.spec
@@ -485,9 +593,21 @@ class RatFun:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFun(a + c, b)
+        g = poly_gcd(b, d)
+        if g.is_one():
+            # a prime factor of b divides neither a nor d, so not a*d + c*b;
+            # likewise for d
+            return RatFun._coprime(a * d + c * b, b * d)
+        b1 = poly_divexact(b, g)
+        d1 = poly_divexact(d, g)
+        t = a * d1 + c * b1
+        # b1 and d1 are coprime, so as above no factor of b1 or d1 divides
+        # t: t and the denominator g*b1*d1 share the factors of h only
+        h = poly_gcd(t, g)
+        return RatFun._coprime(poly_divexact(t, h), poly_divexact(d, h) * b1)
 
     def __neg__(self) -> "RatFun":
         out = RatFun.__new__(RatFun)
@@ -506,14 +626,25 @@ class RatFun:
             return other
         if other.is_one():
             return self
-        return RatFun(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_one() and d.is_one():
+            return RatFun._coprime(a * c, b)
+        # gcd(a, b) = gcd(c, d) = 1: after the cross gcds are cancelled no
+        # factor of the numerator is left in the denominator
+        g1 = poly_gcd(a, d)
+        g2 = poly_gcd(c, b)
+        return RatFun._coprime(
+            poly_divexact(a, g1) * poly_divexact(c, g2),
+            poly_divexact(b, g2) * poly_divexact(d, g1),
+        )
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
         if other.is_one():
             return self
-        return RatFun(self.num * other.den, self.den * other.num)
+        # other = c/d is canonical, so d/c is coprime as it stands
+        return self * RatFun._coprime(other.den, other.num)
 
     def inverse(self) -> "RatFun":
         return RatFun.one(self.spec) / self
@@ -541,15 +672,34 @@ class RatFun:
 
 
 def partial_derivative(x: RatFun, v: str | int) -> RatFun:
-    """Coordinate partial derivative, by the quotient rule."""
+    """Coordinate partial derivative, by the quotient rule with the small
+    gcd: with h = gcd(d, d'), e = d/h and f = d'/h,
+    (n/d)' = (n'e - n f) / (h e^2).
+
+    A prime p involving the variable with p^k exactly dividing d divides
+    h exactly k-1 times (characteristic 0), so it divides e but not f, and
+    not n: it does not divide n'e - n f.  The only common factors left are
+    those of the content of d in the variable, its factors free of the
+    variable, so one gcd against that content cancels them, and none is
+    taken when the content is constant."""
     i = x.spec.index(v) if isinstance(v, str) else v
     if not (0 <= i < len(x.spec)):
         raise UnknownVariable(f"variable index {i} out of range")
-    dn = x.num.derivative(i)
-    dd = x.den.derivative(i)
+    n, d = x.num, x.den
+    dn = n.derivative(i)
+    dd = d.derivative(i)
     if dd.is_zero():
-        return RatFun(dn, x.den)
-    return RatFun(dn * x.den - x.num * dd, x.den * x.den)
+        return RatFun(dn, d)
+    h = poly_gcd(d, dd)
+    e = poly_divexact(d, h)
+    num = dn * e - n * poly_divexact(dd, h)
+    den = h * e * e
+    content = _coeff_content(_as_coeffs(d, i))
+    if not content.is_const():
+        g = poly_gcd(num, content)
+        num = poly_divexact(num, g)
+        den = poly_divexact(den, g)
+    return RatFun._coprime(num, den)
 
 
 def _eval_poly(p: MultiPoly, images: Sequence[RatFun], target: FieldSpec) -> RatFun:
@@ -634,6 +784,8 @@ class _Tokens:
 # open parentheses in one expression; each costs four Python frames, so the
 # deepest allowed expression stays well inside the default recursion limit
 MAX_NESTING = 100
+# largest exponent of ^; powers are exact, so the cost grows with the power
+MAX_EXPONENT = 256
 
 
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
@@ -687,10 +839,10 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             if kind != "int":
                 raise ParseError("exponent must be an integer", position=pos)
             power = integer(value, pos)
-            out = RatFun.one(spec)
-            for _ in range(power):
-                out = out * base
-            base = out
+            if power > MAX_EXPONENT:
+                raise ParseError("exponent too large", position=pos)
+            # powers of coprime polynomials stay coprime
+            base = RatFun._coprime(base.num.pow(power), base.den.pow(power))
         return base if sign == 1 else -base
 
     def atom() -> RatFun:

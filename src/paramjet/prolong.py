@@ -58,15 +58,21 @@ def _prolong_matrix(ps: ParamStructure, a: Matrix) -> Matrix:
     return linalg.block(blocks)
 
 
+def _prolonged_core(m: DiffModule) -> DiffModule:
+    """The module of prolong_module, without its inclusion and projection."""
+    require_flat(m)
+    ps = m.ps
+    big = m.rank * (1 + ps.parameter_count)
+    return DiffModule(ps, big, tuple(_prolong_matrix(ps, a) for a in m.conn))
+
+
 def prolong_module(m: DiffModule) -> ProlongedModule:
     """One prolongation step: adjoin the parameter-derivatives of
     solutions.  Refused on curved input, which is not a module over the
     principal directions in the first place."""
-    require_flat(m)
-    ps = m.ps
+    core = _prolonged_core(m)
     rank = m.rank
-    big = rank * (1 + ps.parameter_count)
-    core = DiffModule(ps, big, tuple(_prolong_matrix(ps, a) for a in m.conn))
+    big = core.rank
     one = RatFun.one(m.spec)
     incl = linalg.zeros(m.spec, big, big - rank)
     proj = linalg.zeros(m.spec, rank, big)
@@ -84,8 +90,8 @@ def prolong_morphism(t: ModMorphism) -> ModMorphism:
     if not verdict.ok:
         raise MorphismInvalid("matrix does not intertwine the connections")
     big = _prolong_matrix(t.src.ps, [list(r) for r in t.matrix])
-    src = prolong_module(t.src).core
-    dst = prolong_module(t.dst).core
+    src = _prolonged_core(t.src)
+    dst = _prolonged_core(t.dst)
     return ModMorphism(src, dst, tuple(tuple(r) for r in big))
 
 
@@ -269,7 +275,7 @@ def generate_closure(
                 f"at1({it.label})",
                 it.module.rank * (1 + q),
                 it.prolong_depth + 1,
-                lambda: prolong_module(it.module).core,
+                lambda: _prolonged_core(it.module),
             )
         for other in items[: i + 1]:
             pdepth = max(it.prolong_depth, other.prolong_depth)

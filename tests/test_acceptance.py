@@ -375,3 +375,34 @@ def test_criterion_9_cli_determinism(tmp_path):
                     for row in rows:
                         for cell in row:
                             assert str(parse_ratfun(spec, cell)) == cell
+
+
+def test_criterion_10_gcd_cliffs():
+    """Rungs of the (x+t)^a/(x-t)^b ladder that took minutes with a full gcd
+    of every result: a power builds its canonical form without one, and
+    the quotient rule cancels only against the small gcd."""
+    spec = FieldSpec(["x", "t"])
+    with Budget(10, 1):
+        parse_ratfun(spec, "(x+t)^24/(x-t)^18")
+    with Budget(10, 1):
+        d = partial_derivative(parse_ratfun(spec, "(x+t)^20/(x-t)^15"), "x")
+    assert d == parse_ratfun(spec, "(x+t)^19*(20*(x-t)-15*(x+t))/(x-t)^16")
+
+
+def test_criterion_11_rational_gauge_at2(tmp_path):
+    """at2 of a rational gauge with t in its denominators, whose second
+    t-derivative stalled the gcd, and the flatness of the result."""
+    from paramjet.cli import main
+
+    out = tmp_path / "rational_gauge_at2.jsonl"
+    with Budget(11, 15):
+        code = main(["run", str(FIXTURES / "rational_gauge_at2.session"), "--out", str(out),
+                     "--quiet"])
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [(r["command"], r["verdict"]) for r in records] == [
+        ("check-integrability", "flat"),
+        ("at2", "ok"),
+        ("check-integrability", "flat"),
+    ]
+    assert records[1]["derived"]["rank"] == 6

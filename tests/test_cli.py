@@ -10,7 +10,7 @@ import pytest
 
 from paramjet.cli import VERBS, main, parse_session, run_session
 from paramjet.errors import ParseError, SemanticError
-from paramjet.field import parse_ratfun
+from paramjet.field import MAX_EXPONENT, parse_ratfun
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -204,6 +204,7 @@ def test_negative_flag_is_usage_error(flag, capsys):
         ("ring_morphism_ok", "00d816d5fcd716e752307a0f4c4fea29b61ff10d67d1439fd4fab5d5ea609365"),
         ("ring_morphism_fail", "1d65ffb365ca5cdd33e2009133f30184df8050ef8971ae41bec2318bedd3570f"),
         ("xt_prolong", "c90f8e29216f54f5ae534e633eff8bbbb585fed16658b6051bc0d6e7312f9927"),
+        ("rational_gauge_at2", "654f1864e9b542eea3c1069b589228057ff1b70c60e5896afb75d97910e9d5f4"),
     ],
 )
 def test_fixture_certificate_digests(tmp_path, name, digest):
@@ -395,6 +396,24 @@ def test_deep_nesting_is_parse_error(tmp_path, capsys, text, prefix):
     assert run_text(tmp_path, text) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "expression nested too deeply" in err[0], err
+    assert err[0].endswith(f"(line {_line_of(text, prefix)})"), err
+
+
+HUGE_POWER = f"(x+t)^{MAX_EXPONENT + 1}"
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        (XT_HEAD.replace("t/x", HUGE_POWER), HUGE_POWER),
+        (XT_HEAD + f"command constants-check {HUGE_POWER}\n", "command"),
+    ],
+    ids=["matrix-row", "constants-check"],
+)
+def test_large_exponent_is_parse_error(tmp_path, capsys, text, prefix):
+    assert run_text(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "exponent too large" in err[0], err
     assert err[0].endswith(f"(line {_line_of(text, prefix)})"), err
 
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramjet import field
 from paramjet.errors import DenominatorVanishes, DivisionByZero, ParseError, UnknownVariable
 from paramjet.field import (
+    MAX_EXPONENT,
     FieldSpec,
     MultiPoly,
     RatFun,
@@ -208,3 +210,122 @@ def test_gcd_three_variable_cancellation():
     q = f / g
     assert q == rf("(x-z)/(y+1)", SPEC3)
     assert str(q) == "(x-1*z)/(y+1)"
+
+
+# --- fast routes against the generic constructor ----------------------------------
+#
+# Products, quotients, sums, derivatives and powers cancel only the gcds they
+# cannot rule out; RatFun(num, den) takes the gcd of the whole result.  Both
+# must give the same canonical form.
+
+# small factors, some free of x and some free of t, so that denominators
+# share factors, carry content free of a variable, and repeat factors
+FACTORS = ["x-t", "x+1", "t", "x+2*t-1", "x*t+1", "t+2", "x", "2*x-3*t"]
+
+
+def _rand_factored(rng):
+    """A random RatFun whose denominator is a product of small factors,
+    the first possibly squared, e.g. t*(x-t)^2."""
+    num = rand_poly(SPEC, rng, max_deg=2, terms=3)
+    den = MultiPoly.one(SPEC)
+    for k in range(rng.randint(0, 2)):
+        # one squared factor at most: the generic route's full gcds grow
+        # steeply with the degree of the denominator
+        den = den * rf(rng.choice(FACTORS)).num.pow(rng.randint(1, 2) if k == 0 else 1)
+    if rng.random() < 0.3:
+        num = num * den  # cancels to a polynomial
+    return RatFun(num, den)
+
+
+def test_fast_routes_match_generic_route():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        a, b = _rand_factored(rng), _rand_factored(rng)
+        assert a * b == RatFun(a.num * b.num, a.den * b.den)
+        if not b.is_zero():
+            assert a / b == RatFun(a.num * b.den, a.den * b.num)
+        assert a + b == RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
+        for v in range(len(SPEC)):
+            n, d = a.num, a.den
+            generic = RatFun(n.derivative(v) * d - n * d.derivative(v), d * d)
+            assert partial_derivative(a, v) == generic
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("1/(t*(x-t)^2)", "x/(t^2*(x-t))"),  # shared factors, content free of x
+        ("(x+1)/(x-t)", "(2-x-t)/(x-t)"),  # equal denominators
+        ("x/(t*(x+1))", "-x/(t*(x+1))"),  # a sum that cancels to 0
+        ("1/(x-t)", "-1/(x-t)^2"),
+        ("(x^2+t)/(t*(x-t)^2)", "(x-t)/(t*(x+2*t-1))"),
+    ],
+)
+def test_fast_routes_on_shared_factors(a, b):
+    a, b = rf(a), rf(b)
+    assert a + b == RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert a - b == RatFun(a.num * b.den - b.num * a.den, a.den * b.den)
+    assert a * b == RatFun(a.num * b.num, a.den * b.den)
+    assert a / b == RatFun(a.num * b.den, a.den * b.num)
+    for x in (a, b):
+        n, d = x.num, x.den
+        for v in range(len(SPEC)):
+            generic = RatFun(n.derivative(v) * d - n * d.derivative(v), d * d)
+            assert partial_derivative(x, v) == generic
+
+
+def test_power_matches_repeated_product():
+    for text in ("(x+t)/(x-t)", "-2*t/(3*x^2+1)", "x", "0", "1/(t*(x-t)^2)"):
+        base = rf(text)
+        acc = RatFun.one(SPEC)
+        for k in range(5):
+            assert rf(f"({text})^{k}") == acc
+            acc = RatFun(acc.num * base.num, acc.den * base.den)
+
+
+def test_exponent_cap():
+    assert rf(f"x^{MAX_EXPONENT}") == RatFun.from_poly(rf("x").num.pow(MAX_EXPONENT))
+    with pytest.raises(ParseError, match="exponent too large"):
+        rf(f"(x+t)^{MAX_EXPONENT + 1}")
+
+
+# --- the coprimality proof's fallbacks ---------------------------------------------
+
+
+def _point_value(j):
+    """The value the fixed evaluation point gives variable j."""
+    return pow(field._POINT_BASE, j + 1, field._P)
+
+
+def _images_coprime(f, g):
+    v = max(f.variables_used() | g.variables_used())
+    return field._images_coprime(field._as_coeffs(f, v), field._as_coeffs(g, v))
+
+
+@pytest.mark.parametrize(
+    "f, g, expected, spec",
+    [
+        # the leading coefficient in t vanishes at the point: no image
+        (f"(x-{_point_value(0)})*t+1", "t+x", "1", SPEC),
+        (f"(x-{_point_value(0)})*t^2+x", "t+x", "1", SPEC),
+        # coprime, but the images at the point coincide: an unlucky point
+        ("t+x", f"t+{_point_value(0)}", "1", SPEC),
+        ("(t+x)*(t+1)", f"(t+{_point_value(0)})*(t+1)", "t+1", SPEC),
+        (f"z+x+y-{_point_value(1)}", f"z+{_point_value(0)}", "1", SPEC3),
+        ("(z+x)*(z-y)", f"(z+{_point_value(0)})*(z-y)", "y-z", SPEC3),
+    ],
+)
+def test_gcd_falls_back_when_the_point_proves_nothing(f, g, expected, spec):
+    f, g = rf(f, spec).num, rf(g, spec).num
+    assert not _images_coprime(f, g)
+    assert poly_gcd(f, g) == rf(expected, spec).num
+    assert poly_gcd(g, f) == rf(expected, spec).num
+
+
+def test_gcd_falls_back_on_a_denominator_divisible_by_p():
+    f = rf(f"t+x/{field._P}").num
+    g = rf("t-x").num
+    assert not _images_coprime(f, g)
+    assert poly_gcd(f, g).is_one()
+    q = RatFun(f, g)
+    assert q.num * g == f * q.den
