@@ -10,8 +10,9 @@ all live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import add
 
 from . import linalg
 from .diffstruct import (
@@ -19,7 +20,7 @@ from .diffstruct import (
     ParamStructure,
     check_morphism,
 )
-from .errors import MorphismInvalid, NotFlat, StructureMismatch
+from .errors import MorphismInvalid, NotFlat, SemanticError, StructureMismatch
 from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, poly_gcd
 from .jet import (
     jet11_membership_defect,
@@ -316,6 +317,11 @@ def _monomials_up_to(nvars: int, degree: int):
     return out
 
 
+# most unknowns (rank x monomials) a horizontal search may set up; the
+# system grows as bound^nvars, so a larger search is refused up front
+MAX_UNKNOWNS = 4096
+
+
 def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     """Search for horizontal vectors with a bounded rational ansatz.
 
@@ -326,83 +332,116 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     the bound with numerator degree up to the bound.  The equations
     ∂i(v) = Ai·v are cleared to polynomial identities and solved exactly
     over Q; the returned vectors are a Q-basis of the solutions inside the
-    family (sound, not complete beyond the bound).
+    family (sound, not complete beyond the bound).  A search of more than
+    MAX_UNKNOWNS unknowns is refused with a SemanticError.
     """
     spec = m.spec
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     dens = [entry.den for a in m.conn for row in a for entry in row]
     d_poly = _poly_lcm(dens, spec)
-    denom = d_poly.pow(degree_bound) if not d_poly.is_one() else MultiPoly.one(spec)
     num_bound = degree_bound * (1 + max(d_poly.total_degree(), 0))
+    nmono = math.comb(num_bound + len(spec), len(spec))
+    if m.rank * nmono > MAX_UNKNOWNS:
+        raise SemanticError(
+            f"horizontal search at degree bound {degree_bound} has {m.rank * nmono} "
+            f"unknowns, more than {MAX_UNKNOWNS}"
+        )
+    denom = d_poly.pow(degree_bound)
     monomials = _monomials_up_to(len(spec), num_bound)
-    nunknowns = m.rank * len(monomials)
 
-    # Row equations: for each principal i and each coordinate l,
-    #   d_i * (∂i(N)·D − N·∂i(D)) − D · P_i · N = 0,
-    # with A_i = P_i / d_i after clearing entry denominators.
-    rows: list[dict[int, Fraction]] = []
-    row_index: dict[tuple[int, int, tuple], int] = {}
-
-    def add_coeff(eq_key, poly: MultiPoly, unknown: int):
-        for e, c in poly.terms.items():
-            key = (eq_key[0], eq_key[1], e)
-            r = row_index.get(key)
-            if r is None:
-                r = len(rows)
-                row_index[key] = r
-                rows.append({})
-            row = rows[r]
-            acc = row.get(unknown, 0) + c
-            if acc:
-                row[unknown] = acc
-            else:
-                row.pop(unknown, None)
-
-    for i, deriv in enumerate(m.ps.principal):
-        a = m.conn[i]
-        d_i = _poly_lcm([entry.den for row in a for entry in row], spec)
-        p_mat = [
-            [entry.num * poly_divexact(d_i, entry.den) for entry in row]
-            for row in a
-        ]
-        ddenom = [denom.derivative(n) for n in range(len(spec))]
-        # rational derivation coefficients are cleared too, so the final
-        # identity is d_i·(∂'i(N)·D − N·∂'i(D)) = coeff_den·D·P_i·N with
-        # ∂'i := coeff_den·∂i polynomial
-        coeff_den = _poly_lcm([c.den for c in deriv.coeffs], spec)
-        coeff_num = [c.num * poly_divexact(coeff_den, c.den) for c in deriv.coeffs]
-        dD = MultiPoly.zero(spec)
-        for n in range(len(spec)):
-            if not coeff_num[n].is_zero():
-                dD = dD + coeff_num[n] * ddenom[n]
+    # Row (i, l', x^f) is the x^f coefficient of component l' of principal
+    # i's cleared identity; the column of unknown (l, x^e) is made of the
+    # blocks of _equation_blocks shifted by x^e, or by x^(e - 1_n) times e_n
+    # for the derivative blocks.
+    rows: list[dict[int, int]] = []
+    row_of: dict[tuple, int] = {}
+    for i in range(m.ps.principal_count):
+        derivative, lead, coupling = _equation_blocks(m, i, denom)
         for l in range(m.rank):
-            for k, e_mono in enumerate(monomials):
-                unknown = l * len(monomials) + k
-                mono = MultiPoly(spec, {tuple(e_mono): Fraction(1)})
-                dmono = MultiPoly.zero(spec)
-                for n in range(len(spec)):
-                    if not coeff_num[n].is_zero():
-                        dmono = dmono + coeff_num[n] * mono.derivative(n)
-                lead = d_i * (dmono * denom - mono * dD)
-                add_coeff((i, l), lead, unknown)
-                for lp in range(m.rank):
-                    coeff = p_mat[lp][l]
-                    if coeff.is_zero():
-                        continue
-                    add_coeff((i, lp), -(coeff_den * denom * coeff * mono), unknown)
+            shifted = [(l, lead)] + coupling[l]
+            for k, e in enumerate(monomials):
+                col: dict[int, int] = {}
+                for n, block in derivative:
+                    if e[n]:
+                        e1 = e[:n] + (e[n] - 1,) + e[n + 1:]
+                        _add_shifted(col, rows, row_of, (i, l), block, e1, e[n])
+                for lp, block in shifted:
+                    _add_shifted(col, rows, row_of, (i, lp), block, e, 1)
+                unknown = l * nmono + k
+                for r, x in col.items():
+                    if x:
+                        rows[r][unknown] = x
 
-    basis = linalg.fraction_nullspace(rows, nunknowns)
-    out = []
+    basis = linalg.fraction_nullspace(rows, m.rank * nmono)
     den_rf = RatFun.from_poly(denom)
+    out = []
     for sol in basis:
         vec = []
         for l in range(m.rank):
             terms = {}
-            for k, e_mono in enumerate(monomials):
-                c = sol[l * len(monomials) + k]
+            for k, e in enumerate(monomials):
+                c = sol[l * nmono + k]
                 if c:
-                    terms[tuple(e_mono)] = c
+                    terms[e] = c
             vec.append(RatFun.from_poly(MultiPoly(spec, terms)) / den_rf)
         out.append(vec)
     return out
+
+
+def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly):
+    """Principal i's cleared identity, per unknown monomial, as blocks of
+    integer terms [(exponents, int)].
+
+    With A_i = P_i / d_i and ∂i = Σn c_n ∂n / c_den (polynomial c_n), the
+    identity for N / D is d_i·(∂'(N)·D − N·∂'(D)) − c_den·D·P_i·N = 0,
+    ∂' = Σn c_n ∂n.  For N = x^e in coordinate l it is the sum of e_n·x^(e−1_n)
+    times d_i·D·c_n (``derivative``, one block per n with c_n ≠ 0) and x^e
+    times −d_i·∂'(D) in component l (``lead``) and x^e times −c_den·D·P[l′][l]
+    in component l′ (``coupling[l]``, pairs (l′, block)).  Every block is
+    scaled by one common denominator, which leaves the solutions alone."""
+    spec = m.spec
+    a = m.conn[i]
+    coeffs = m.ps.principal[i].coeffs
+    d_i = _poly_lcm([entry.den for row in a for entry in row], spec)
+    c_den = _poly_lcm([c.den for c in coeffs], spec)
+    c_num = [c.num * poly_divexact(c_den, c.den) for c in coeffs]
+    d_i_denom = d_i * denom
+    derivative = [(n, d_i_denom * c) for n, c in enumerate(c_num) if not c.is_zero()]
+    d_denom = MultiPoly.zero(spec)
+    for n, c in enumerate(c_num):
+        if not c.is_zero():
+            d_denom = d_denom + c * denom.derivative(n)
+    lead = -(d_i * d_denom)
+    c_den_denom = c_den * denom
+    coupling = [
+        [
+            (lp, -(c_den_denom * a[lp][l].num * poly_divexact(d_i, a[lp][l].den)))
+            for lp in range(m.rank)
+            if not a[lp][l].is_zero()
+        ]
+        for l in range(m.rank)
+    ]
+    polys = [p for _, p in derivative] + [lead] + [p for col in coupling for _, p in col]
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+    def integer(p: MultiPoly) -> list[tuple]:
+        return [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+
+    return (
+        [(n, integer(p)) for n, p in derivative],
+        integer(lead),
+        [[(lp, integer(p)) for lp, p in col] for col in coupling],
+    )
+
+
+def _add_shifted(col: dict, rows: list, row_of: dict, eq: tuple, block, shift, factor: int):
+    """col[row of (eq, f + shift)] += factor·c for each term (f, c) of block,
+    creating rows as their keys first appear."""
+    for f, c in block:
+        key = (*eq, *map(add, f, shift))
+        r = row_of.get(key)
+        if r is None:
+            r = row_of[key] = len(rows)
+            rows.append({})
+        col[r] = col.get(r, 0) + factor * c

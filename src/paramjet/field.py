@@ -34,9 +34,12 @@ def _grlex(e: Exponents):
 
 
 class FieldSpec:
-    """An ordered list of variable names; fixes indexing for the session."""
+    """An ordered list of variable names; fixes indexing for the session.
 
-    __slots__ = ("variables", "_index")
+    It also holds the field's zero and one, built once: values are
+    immutable, so every caller can share them."""
+
+    __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one")
 
     def __init__(self, variables: Iterable[str]):
         names = tuple(variables)
@@ -46,6 +49,10 @@ class FieldSpec:
             raise ValueError("variable names must be distinct")
         self.variables = names
         self._index = {v: i for i, v in enumerate(names)}
+        self._poly_zero = MultiPoly(self, {})
+        self._poly_one = MultiPoly(self, {(0,) * len(names): Fraction(1)})
+        self._zero = RatFun._coprime(self._poly_zero, self._poly_one)
+        self._one = RatFun._coprime(self._poly_one, self._poly_one)
 
     def index(self, name: str) -> int:
         try:
@@ -96,7 +103,7 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "MultiPoly":
-        return cls(spec, {})
+        return spec._poly_zero
 
     @classmethod
     def const(cls, spec: FieldSpec, value) -> "MultiPoly":
@@ -107,7 +114,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "MultiPoly":
-        return cls.const(spec, 1)
+        return spec._poly_one
 
     @classmethod
     def variable(cls, spec: FieldSpec, name: str) -> "MultiPoly":
@@ -560,11 +567,11 @@ class RatFun:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "RatFun":
-        return cls.const(spec, 0)
+        return spec._zero
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "RatFun":
-        return cls.const(spec, 1)
+        return spec._one
 
     @classmethod
     def variable(cls, spec: FieldSpec, name: str) -> "RatFun":

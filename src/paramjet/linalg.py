@@ -3,12 +3,14 @@
 Matrices over Q(v) are plain lists of lists of ``RatFun``; their routines
 are pure and use Gaussian elimination with first-nonzero pivoting in the
 given row order, so results are deterministic.  ``fraction_nullspace``
-works on sparse rows over Q (``{column: Fraction}``) for the horizontal
-solver.
+takes sparse rows over Q (``{column: Fraction}``) for the horizontal
+solver, eliminates them over Z without fractions, and returns the kernel
+basis of the same reduced row echelon form as Gauss–Jordan over Q.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ShapeMismatch
@@ -202,54 +204,111 @@ def inverse(a: Matrix) -> Matrix:
 def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the kernel of a sparse matrix over Q.
 
-    Each row maps a column to its nonzero entry.  Sparse Gauss–Jordan: for
-    each column in increasing order the pivot is the pending row with the
-    fewest entries that has the column, ties going to the lowest row index
-    (Markowitz pivoting); the column is eliminated from the other pending
-    rows, and back-substitution then gives the reduced row echelon form.
-    That form does not depend on the pivot order, so the basis (one vector
-    per free column f, ascending, with v[f] = 1 and v[c] = -R[c][f] for
-    each pivot column c) is the one dense first-nonzero pivoting gives.
+    Each row maps a column to its nonzero entry, a ``Fraction`` or an
+    ``int``.  Each row is cleared of denominators once, into a copy, and
+    eliminated over Z, fraction-free in the style of Bareiss (Math. Comp.
+    22, 1968) but with primitive rows in place of his exact divisions:
+    row <- (p/g)·row - (r/g)·pivot_row with g = gcd(p, r), then the row is
+    divided by the gcd of its entries.  For each column in increasing
+    order the pivot is the pending row with the fewest entries that has
+    the column, ties going to the lowest row index (Markowitz pivoting);
+    the column is eliminated from the other pending rows, and
+    back-substitution the same way leaves each pivot row a multiple of its
+    row in the reduced row echelon form.  That form does not depend on the
+    pivot order, so the basis (one vector per free column f, ascending,
+    with v[f] = 1 and v[c] = -R[c][f] for each pivot column c) is the one
+    dense first-nonzero pivoting over Q gives.
     """
-    mat = [{c: v for c, v in row.items() if v} for row in rows]
-    pending = list(range(len(mat)))
-    echelon: list[tuple[int, dict[int, Fraction]]] = []
+    mat = [_integer_row(row) for row in rows]
+    # column -> rows that may hold it; a row joins when fill-in gives it
+    # the column, and leaves lazily (checked when the column is reached)
+    holders: dict[int, list[int]] = {}
+    for i, row in enumerate(mat):
+        for c in row:
+            holders.setdefault(c, []).append(i)
+    pending = [True] * len(mat)
+    echelon: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        having = [i for i in pending if c in mat[i]]
+        having = [i for i in set(holders.pop(c, ())) if pending[i] and c in mat[i]]
         if not having:
             continue
-        p = min(having, key=lambda i: len(mat[i]))
+        p = min(having, key=lambda i: (len(mat[i]), i))
         prow = mat[p]
-        inv = 1 / prow[c]
-        for k in prow:
-            prow[k] *= inv
         for i in having:
             if i != p:
-                _axpy(mat[i], -mat[i][c], prow)
-        pending.remove(p)
+                for k in _eliminate_int(mat[i], prow, c):
+                    holders.setdefault(k, []).append(i)
+        pending[p] = False
         echelon.append((c, prow))
-    for k in range(len(echelon) - 1, 0, -1):
-        c, prow = echelon[k]
-        for _, row in echelon[:k]:
-            f = row.get(c)
-            if f is not None:
-                _axpy(row, -f, prow)
+    # back-substitution only adds free columns, so the rows that hold a
+    # pivot column are known before it starts
     pivots = {c for c, _ in echelon}
+    users: dict[int, list[dict[int, int]]] = {}
+    for c, row in echelon:
+        for k in row:
+            if k != c and k in pivots:
+                users.setdefault(k, []).append(row)
+    for c, prow in reversed(echelon):
+        for row in users.get(c, ()):
+            _eliminate_int(row, prow, c)
     basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
     for f, v in basis.items():
         v[f] = Fraction(1)
     for c, row in echelon:
+        pv = row[c]
         for f, x in row.items():
             if f != c:
-                basis[f][c] = -x
+                basis[f][c] = Fraction(-x, pv)
     return list(basis.values())
 
 
-def _axpy(row: dict[int, Fraction], a: Fraction, prow: dict[int, Fraction]) -> None:
-    """row += a * prow in place, dropping entries that cancel to zero."""
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """A primitive integer multiple of a row over Q, zero entries dropped."""
+    den = 1
+    for x in row.values():
+        den = math.lcm(den, x.denominator)
+    out = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+    _divide_content(out)
+    return out
+
+
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place.  The gcd
+    is a loop that stops at the first 1, not math.gcd(*values), whose
+    argument tuples of every length would fill the interpreter's tuple
+    free lists."""
+    g = 0
+    for x in row.values():
+        g = math.gcd(g, x)
+        if g == 1:
+            return
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _eliminate_int(row: dict[int, int], prow: dict[int, int], c: int) -> list[int]:
+    """row <- (p/g)·row - (r/g)·prow in place, for p = prow[c], r = row[c]
+    and g = gcd(p, r), then divided by the gcd of its entries; entries that
+    cancel are dropped, column c among them.  Returns the columns the row
+    gained."""
+    p, r = prow[c], row[c]
+    g = math.gcd(p, r)
+    a, b = p // g, r // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    gained = []
     for k, x in prow.items():
-        y = row.get(k, 0) + a * x
-        if y:
-            row[k] = y
+        y = row.get(k)
+        if y is None:
+            row[k] = -b * x
+            gained.append(k)
         else:
-            del row[k]
+            y -= b * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+    _divide_content(row)
+    return gained

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -200,3 +201,53 @@ def perturb_module(spec, ps, rng: random.Random, m: DiffModule) -> DiffModule:
         if not check_integrability(cand).flat:
             return cand
     raise AssertionError("could not build a curved perturbation")
+
+
+# --- oracles -------------------------------------------------------------------
+
+
+def fraction_gauss_jordan(rows: list[dict], ncols: int) -> list[list[Fraction]]:
+    """Reference for ``linalg.fraction_nullspace``: sparse Gauss–Jordan with
+    every entry a Fraction, Markowitz pivots, the pivot row scaled to 1
+    and back-substitution; the kernel basis read off the reduced form."""
+
+    def axpy(row, a, prow):
+        for k, x in prow.items():
+            y = row.get(k, 0) + a * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+
+    mat = [{c: Fraction(v) for c, v in row.items() if v} for row in rows]
+    pending = list(range(len(mat)))
+    echelon = []
+    for c in range(ncols):
+        having = [i for i in pending if c in mat[i]]
+        if not having:
+            continue
+        p = min(having, key=lambda i: len(mat[i]))
+        prow = mat[p]
+        inv = 1 / prow[c]
+        for k in prow:
+            prow[k] *= inv
+        for i in having:
+            if i != p:
+                axpy(mat[i], -mat[i][c], prow)
+        pending.remove(p)
+        echelon.append((c, prow))
+    for k in range(len(echelon) - 1, 0, -1):
+        c, prow = echelon[k]
+        for _, row in echelon[:k]:
+            f = row.get(c)
+            if f is not None:
+                axpy(row, -f, prow)
+    pivots = {c for c, _ in echelon}
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivots}
+    for f, v in basis.items():
+        v[f] = Fraction(1)
+    for c, row in echelon:
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x
+    return list(basis.values())

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from paramjet.cli import VERBS, main, parse_session, run_session
+from paramjet.conn import MAX_UNKNOWNS
 from paramjet.errors import ParseError, SemanticError
 from paramjet.field import MAX_EXPONENT, parse_ratfun
 
@@ -84,15 +85,6 @@ def test_shape_mismatch_is_semantic_error(tmp_path):
     )
     code = main(["run", str(bad), "--quiet", "--out", str(tmp_path / "o.jsonl")])
     assert code == 3
-
-
-def test_determinism_full_corpus(tmp_path):
-    for name in sorted(p.name for p in FIXTURES.glob("*.session")):
-        if name == "malformed.session":
-            continue
-        _, first = run_cli(tmp_path, name)
-        _, second = run_cli(tmp_path, name)
-        assert first == second and first, name
 
 
 def test_round_trip_of_emitted_modules(tmp_path, xt):
@@ -205,6 +197,7 @@ def test_negative_flag_is_usage_error(flag, capsys):
         ("ring_morphism_fail", "1d65ffb365ca5cdd33e2009133f30184df8050ef8971ae41bec2318bedd3570f"),
         ("xt_prolong", "c90f8e29216f54f5ae534e633eff8bbbb585fed16658b6051bc0d6e7312f9927"),
         ("rational_gauge_at2", "654f1864e9b542eea3c1069b589228057ff1b70c60e5896afb75d97910e9d5f4"),
+        ("hypergeom_2f1", "77f6ce727d0c504b738b95e5768813c05d93e6dbb4d3446a3b3411ea1305077b"),
     ],
 )
 def test_fixture_certificate_digests(tmp_path, name, digest):
@@ -221,10 +214,22 @@ XT_HEAD = (
 )
 
 
-def run_text(tmp_path, text):
+def run_text(tmp_path, text, *extra):
     f = tmp_path / "s.session"
     f.write_text(text)
-    return main(["run", str(f), "--quiet", "--out", str(tmp_path / "s.jsonl")])
+    return main(["run", str(f), "--quiet", "--out", str(tmp_path / "s.jsonl"), *extra])
+
+
+def test_horizontal_unknowns_cap_is_semantic_error(tmp_path, capsys):
+    # deg D = 1 for D = x, so the ansatz at bound 1000 has C(2002, 2) monomials
+    code = run_text(tmp_path, XT_HEAD + "command horizontal M\n", "--degree-bound", "1000")
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "semantic error: horizontal search at degree bound 1000 has 2003001 unknowns, "
+        f"more than {MAX_UNKNOWNS}"
+    ]
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize(

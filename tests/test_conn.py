@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,14 +21,17 @@ from paramjet.conn import (
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, StructureMismatch
-from paramjet.field import FieldSpec, RatFun, parse_ratfun
+from paramjet.conn import _monomials_up_to, _poly_lcm
+from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, poly_divexact
 
 from conftest import (
+    fraction_gauss_jordan,
     gauge_module,
     identity_diff_morphism,
     morphism39,
     perturb_module,
     rand_gauge_module,
+    rand_poly,
     rand_ratfun,
     rand_unipotent,
 )
@@ -346,3 +350,104 @@ def test_horizontal_hypergeometric_bound_3(xt, a, nullity):
     (dx,) = ps.principal
     for v in found:
         assert [dx.apply(e) for e in v] == linalg.mat_vec(m.conn[0], list(v))
+
+
+def horizontal_oracle(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
+    """Reference for ``horizontal_space``: every equation coefficient built
+    per unknown monomial with MultiPoly products over Q, and the system
+    solved by Gauss–Jordan over Fraction."""
+    spec = m.spec
+    d_poly = _poly_lcm([entry.den for a in m.conn for row in a for entry in row], spec)
+    denom = d_poly.pow(degree_bound)
+    monomials = _monomials_up_to(len(spec), degree_bound * (1 + max(d_poly.total_degree(), 0)))
+    rows, row_index = [], {}
+
+    def add_coeff(i, l, poly, unknown):
+        for e, c in poly.terms.items():
+            r = row_index.setdefault((i, l, e), len(rows))
+            if r == len(rows):
+                rows.append({})
+            rows[r][unknown] = rows[r].get(unknown, 0) + c
+
+    for i, deriv in enumerate(m.ps.principal):
+        a = m.conn[i]
+        d_i = _poly_lcm([entry.den for row in a for entry in row], spec)
+        p_mat = [[e.num * poly_divexact(d_i, e.den) for e in row] for row in a]
+        coeff_den = _poly_lcm([c.den for c in deriv.coeffs], spec)
+        coeff_num = [c.num * poly_divexact(coeff_den, c.den) for c in deriv.coeffs]
+        dD = MultiPoly.zero(spec)
+        for n in range(len(spec)):
+            dD = dD + coeff_num[n] * denom.derivative(n)
+        for l in range(m.rank):
+            for k, e in enumerate(monomials):
+                unknown = l * len(monomials) + k
+                mono = MultiPoly(spec, {e: Fraction(1)})
+                dmono = MultiPoly.zero(spec)
+                for n in range(len(spec)):
+                    dmono = dmono + coeff_num[n] * mono.derivative(n)
+                add_coeff(i, l, d_i * (dmono * denom - mono * dD), unknown)
+                for lp in range(m.rank):
+                    add_coeff(i, lp, -(coeff_den * denom * p_mat[lp][l] * mono), unknown)
+
+    out = []
+    for sol in fraction_gauss_jordan(rows, m.rank * len(monomials)):
+        vec = []
+        for l in range(m.rank):
+            terms = {e: c for k, e in enumerate(monomials) if (c := sol[l * len(monomials) + k])}
+            vec.append(RatFun(MultiPoly(spec, terms), denom))
+        out.append(vec)
+    return out
+
+
+def oracle_structures():
+    """Q(x, t) and Q(x1, x2, t), each with coordinate principals and with a
+    non-coordinate basis that has rational coefficients."""
+    xt = FieldSpec(["x", "t"])
+    x12t = FieldSpec(["x1", "x2", "t"])
+
+    def d(spec, name, scale="1"):
+        return coordinate_derivation(spec, name).scale(rf(spec, scale))
+
+    return [
+        build_param_structure(xt, [d(xt, "x")], [d(xt, "t")], ["t"]),
+        build_param_structure(xt, [d(xt, "x", "1/x")], [d(xt, "t")], ["t"]),
+        build_param_structure(x12t, [d(x12t, "x1"), d(x12t, "x2")], [d(x12t, "t")], ["t"]),
+        build_param_structure(
+            x12t, [d(x12t, "x1", "x1"), d(x12t, "x2", "1/(x2+1)")], [d(x12t, "t")], ["t"]
+        ),
+    ]
+
+
+def oracle_module(ps, rng, rank):
+    """A gauge transform T = S·U of the trivial connection, with U unipotent
+    and S diagonal with entries 1 or 1/L for one linear form L (so its
+    solutions are rational with denominator L), perturbed by a polynomial
+    entry half the time."""
+    spec = ps.base
+    names = spec.variables
+    lin = rf(spec, f"{rng.choice(names)}+{rng.randint(1, 3)}")
+    u = rand_unipotent(spec, ps, rng, rank, steps=2, max_deg=1)
+    s = [[(lin.inverse() if rng.random() < 0.5 else RatFun.one(spec)) if a == b
+          else RatFun.zero(spec) for b in range(rank)] for a in range(rank)]
+    m = gauge_module(ps, linalg.mat_mul(s, u))
+    if rng.random() < 0.5:
+        conn = [[list(row) for row in a] for a in m.conn]
+        i, r, c = rng.randrange(len(conn)), rng.randrange(rank), rng.randrange(rank)
+        conn[i][r][c] = conn[i][r][c] + RatFun.from_poly(rand_poly(spec, rng, max_deg=1, terms=1))
+        m = DiffModule(ps, rank, tuple(conn))
+    return m
+
+
+def test_horizontal_matches_per_monomial_oracle():
+    """The block-shifting builder and the fraction-free elimination against
+    the per-monomial builder over Fraction, at bounds 0-3, ranks 1-3."""
+    rng = random.Random(20263)
+    nullities = set()
+    for ps in oracle_structures():
+        for rank in (1, 2, 3):
+            m = oracle_module(ps, rng, rank)
+            for bound in range(4):
+                got = horizontal_space(m, bound)
+                assert got == horizontal_oracle(m, bound), (ps.base, rank, bound)
+                nullities.add(len(got))
+    assert 0 in nullities and max(nullities) >= 2

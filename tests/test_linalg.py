@@ -7,7 +7,7 @@ from paramjet import linalg
 from paramjet.errors import ShapeMismatch
 from paramjet.field import FieldSpec, RatFun
 
-from conftest import rand_ratfun
+from conftest import fraction_gauss_jordan, rand_ratfun
 
 
 def dense_fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -89,6 +89,61 @@ def test_fraction_nullspace_matches_dense_oracle_random():
             rows.append(mixed)
         nullities.add(len(check_against_oracle(rows, n)))
     assert 0 in nullities and max(nullities) >= 3
+
+
+def random_system(rng):
+    """Sparse rows over Q: small or large entries, empty rows, and rows that
+    are multiples or combinations of others."""
+    m, n = rng.randint(0, 14), rng.randint(1, 12)
+    density = rng.choice((0.15, 0.35, 0.7))
+    big = rng.random() < 0.4
+
+    def entry():
+        if big:
+            return Fraction(rng.randint(-10**30, 10**30) or 1, rng.randint(1, 10**25))
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+    rows = [{c: entry() for c in range(n) if rng.random() < density} for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        if rows and rng.random() < 0.5:
+            a = entry()
+            rows.append({c: a * x for c, x in rng.choice(rows).items()})
+        elif len(rows) >= 2:
+            (r1, r2), a = rng.sample(rows, 2), entry()
+            mixed = dict(r1)
+            for c, x in r2.items():
+                y = mixed.get(c, 0) + a * x
+                if y:
+                    mixed[c] = y
+                else:
+                    mixed.pop(c)
+            rows.append(mixed)
+        else:
+            rows.append({})
+    rng.shuffle(rows)
+    return rows, n
+
+
+def test_fraction_nullspace_matches_fraction_gauss_jordan_random():
+    """The fraction-free elimination against Gauss–Jordan over Fraction,
+    on 300 seeded systems; the input rows come back unmodified."""
+    rng = random.Random(20262)
+    nullities, empty_rows = set(), 0
+    for _ in range(300):
+        rows, n = random_system(rng)
+        before = [dict(r) for r in rows]
+        got = linalg.fraction_nullspace(rows, n)
+        assert rows == before
+        assert got == fraction_gauss_jordan(rows, n)
+        nullities.add(len(got))
+        empty_rows += sum(1 for r in rows if not r)
+    assert 0 in nullities and max(nullities) >= 4 and empty_rows > 0
+
+
+def test_fraction_nullspace_takes_integer_rows():
+    # 6a - 4b + 2c = 0 and 3b + 9c = 0: b = -3c, a = -7c/3
+    rows = [{0: 6, 1: -4, 2: 2}, {1: 3, 2: 9}]
+    assert linalg.fraction_nullspace(rows, 3) == [[Fraction(-7, 3), -3, 1]]
 
 
 @pytest.mark.parametrize(
