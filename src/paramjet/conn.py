@@ -303,16 +303,9 @@ def _poly_lcm(polys: list[MultiPoly], spec: FieldSpec) -> MultiPoly:
 
 
 def _monomials_up_to(nvars: int, degree: int):
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    out = []
-    for e in rec([], degree, nvars):
-        out.append(e)
+    out = [()]
+    for _ in range(nvars):
+        out = [e + (k,) for e in out for k in range(degree - sum(e) + 1)]
     out.sort(key=lambda e: (sum(e), e))
     return out
 
@@ -379,12 +372,8 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     for sol in basis:
         vec = []
         for l in range(m.rank):
-            terms = {}
-            for k, e in enumerate(monomials):
-                c = sol[l * nmono + k]
-                if c:
-                    terms[e] = c
-            vec.append(RatFun.from_poly(MultiPoly(spec, terms)) / den_rf)
+            terms = [(e, c) for k, e in enumerate(monomials) if (c := sol[l * nmono + k])]
+            vec.append(RatFun.from_poly(MultiPoly.from_terms(spec, terms)) / den_rf)
         out.append(vec)
     return out
 
@@ -423,10 +412,11 @@ def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly):
         for l in range(m.rank)
     ]
     polys = [p for _, p in derivative] + [lead] + [p for col in coupling for _, p in col]
-    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    scale = math.lcm(*(p.den for p in polys))
 
     def integer(p: MultiPoly) -> list[tuple]:
-        return [(e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items()]
+        k = scale // p.den
+        return [(e, c * k) for e, c in p.terms.items()]
 
     return (
         [(n, integer(p)) for n, p in derivative],

@@ -1,11 +1,14 @@
 """Exact arithmetic in multivariate rational function fields Q(v1, ..., vN).
 
-Elements are kept in a canonical form at all times: polynomials store no
-zero coefficients and are compared term-by-term under the graded
-lexicographic order induced by the variable order of the ``FieldSpec``;
-rational functions store coprime numerator/denominator with a monic
-denominator.  Equality of values is therefore structural equality, and the
-text rendering is a bit-exact interchange form.
+Elements are kept in a canonical form at all times: a polynomial stores
+integer terms over one positive common denominator coprime to them, with
+no zero terms, ordered by the graded lexicographic order induced by the
+variable order of the ``FieldSpec``; rational functions store coprime
+numerator/denominator with a monic denominator.  Equality of values is
+therefore structural equality, and the text rendering is a bit-exact
+interchange form.  Products, sums, exact division and the gcd run on
+Python ints; ``Fraction`` appears only at the edges (parsing constants,
+``leading``, ``const_value``, ``coefficients`` and ``render``).
 
 Arithmetic keeps that form without taking gcds of the full result: a
 product or quotient cancels only the cross gcds of its operands, a sum
@@ -20,8 +23,10 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnknownVariable
@@ -50,7 +55,7 @@ class FieldSpec:
         self.variables = names
         self._index = {v: i for i, v in enumerate(names)}
         self._poly_zero = MultiPoly(self, {})
-        self._poly_one = MultiPoly(self, {(0,) * len(names): Fraction(1)})
+        self._poly_one = MultiPoly(self, {(0,) * len(names): 1})
         self._zero = RatFun._coprime(self._poly_zero, self._poly_one)
         self._one = RatFun._coprime(self._poly_one, self._poly_one)
 
@@ -74,32 +79,33 @@ class FieldSpec:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with rational coefficients."""
+    """Sparse multivariate polynomial with rational coefficients, stored as
+    integer terms over one common denominator: the coefficient of x^e is
+    terms[e] / den.  The form is canonical: no zero terms, den > 0 and
+    gcd(den, every term) = 1, so den is 1 exactly when every coefficient is
+    an integer."""
 
-    __slots__ = ("spec", "terms", "_hash")
+    __slots__ = ("spec", "terms", "den", "_hash")
 
-    def __init__(self, spec: FieldSpec, terms: dict):
+    def __init__(self, spec: FieldSpec, terms: dict, den: int = 1):
         self.spec = spec
         self.terms = terms
+        self.den = den
         self._hash = None
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, items) -> "MultiPoly":
-        terms = {}
+        acc: dict = {}
         for exps, coeff in items:
             c = Fraction(coeff)
             if c:
                 e = tuple(exps)
-                acc = terms.get(e)
-                if acc is None:
-                    terms[e] = c
-                else:
-                    acc += c
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        del terms[e]
-        return cls(spec, terms)
+                acc[e] = acc[e] + c if e in acc else c
+        # the lcm of the reduced denominators is coprime to the content
+        den = 1
+        for c in acc.values():
+            den = math.lcm(den, c.denominator)
+        return cls(spec, {e: c.numerator * (den // c.denominator) for e, c in acc.items() if c}, den)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "MultiPoly":
@@ -110,7 +116,7 @@ class MultiPoly:
         c = Fraction(value)
         if not c:
             return cls(spec, {})
-        return cls(spec, {(0,) * len(spec): c})
+        return cls(spec, {(0,) * len(spec): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "MultiPoly":
@@ -120,7 +126,11 @@ class MultiPoly:
     def variable(cls, spec: FieldSpec, name: str) -> "MultiPoly":
         i = spec.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(spec)))
-        return cls(spec, {e: Fraction(1)})
+        return cls(spec, {e: 1})
+
+    def coefficients(self) -> dict[Exponents, Fraction]:
+        """The nonzero coefficients as Fractions, keyed by exponents."""
+        return {e: Fraction(c, self.den) for e, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -131,10 +141,10 @@ class MultiPoly:
     def const_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())), self.den)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * len(self.spec)) == 1
+        return len(self.terms) == 1 and self.den == 1 and self.terms == self.spec._poly_one.terms
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -143,62 +153,67 @@ class MultiPoly:
 
     def leading(self) -> tuple[Exponents, Fraction]:
         e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        return e, Fraction(self.terms[e], self.den)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not self.terms:
             return other
         if not other.terms:
             return self
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            if acc is None:
+        da, db = self.den, other.den
+        if da == db:
+            terms = dict(self.terms)
+            rest = other.terms
+        else:
+            den = da // math.gcd(da, db) * db
+            terms = _times(self.terms, den // da)
+            rest = _times(other.terms, den // db)
+            da = den
+        for e, c in rest.items():
+            c += terms.get(e, 0)
+            if c:
                 terms[e] = c
             else:
-                acc += c
-                if acc:
-                    terms[e] = acc
-                else:
-                    del terms[e]
-        return MultiPoly(self.spec, terms)
+                del terms[e]
+        return _reduced(self.spec, terms, da)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.spec, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.spec, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if not self.terms or not other.terms:
-            return MultiPoly(self.spec, {})
+            return self.spec._poly_zero
         if self.is_one():
             return other
         if other.is_one():
             return self
         terms: dict = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = terms.get(e)
-                if acc is None:
-                    terms[e] = c
-                else:
-                    acc += c
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        del terms[e]
-        return MultiPoly(self.spec, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        return _reduced(self.spec, terms, self.den * other.den)
 
     def scale(self, value) -> "MultiPoly":
         c = Fraction(value)
-        if not c:
-            return MultiPoly(self.spec, {})
-        if c == 1:
+        return self._scaled(c.numerator, c.denominator)
+
+    def _scaled(self, num: int, den: int) -> "MultiPoly":
+        """self * num / den for integers num and den != 0."""
+        if not num:
+            return self.spec._poly_zero
+        if den < 0:
+            num, den = -num, -den
+        if num == den or not self.terms:
             return self
-        return MultiPoly(self.spec, {e: k * c for e, k in self.terms.items()})
+        terms = self.terms if num == 1 else _times(self.terms, num)
+        return _reduced(self.spec, terms, self.den * den)
 
     def pow(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -217,13 +232,9 @@ class MultiPoly:
         for e, c in self.terms.items():
             k = e[var_index]
             if k:
-                e2 = e[:var_index] + (k - 1,) + e[var_index + 1:]
-                acc = terms.get(e2)
-                nc = c * k
-                terms[e2] = acc + nc if acc is not None else nc
-                if not terms[e2]:
-                    del terms[e2]
-        return MultiPoly(self.spec, terms)
+                # distinct exponents stay distinct, so no two terms meet
+                terms[e[:var_index] + (k - 1,) + e[var_index + 1:]] = c * k
+        return _reduced(self.spec, terms, self.den)
 
     def variables_used(self) -> set[int]:
         used = set()
@@ -237,12 +248,13 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.spec == other.spec
+            and self.den == other.den
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.spec, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.spec, self.den, tuple(sorted(self.terms.items()))))
         return self._hash
 
     def render(self) -> str:
@@ -251,6 +263,8 @@ class MultiPoly:
         parts = []
         for e in sorted(self.terms, key=_grlex, reverse=True):
             c = self.terms[e]
+            if self.den != 1:
+                c = Fraction(c, self.den)
             factors = []
             for name, k in zip(self.spec.variables, e):
                 if k == 1:
@@ -273,6 +287,25 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
+def _times(terms: dict, k: int) -> dict:
+    return {e: c * k for e, c in terms.items()}
+
+
+def _reduced(spec: FieldSpec, terms: dict, den: int) -> MultiPoly:
+    """terms / den in canonical form, for den > 0: both divided by
+    gcd(den, content), a loop that stops as soon as the gcd reaches 1."""
+    if den != 1:
+        g = den
+        for c in terms.values():
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        else:
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
+    return MultiPoly(spec, terms, den)
+
+
 # --- gcd machinery ----------------------------------------------------------
 #
 # The gcd over Q[v1..vN] is computed by a content/primitive-part recursion:
@@ -289,18 +322,19 @@ class MultiPoly:
 
 
 def _rat_normalize(p: MultiPoly) -> MultiPoly:
+    """The primitive integer part of p, with a positive leading coefficient."""
     if p.is_zero():
         return p
-    num_gcd = 0
-    den_lcm = 1
+    g = 0
     for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    factor = Fraction(den_lcm, num_gcd)
-    q = p.scale(factor)
-    if q.leading()[1] < 0:
-        q = q.scale(-1)
-    return q
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    if p.terms[max(p.terms, key=_grlex)] < 0:
+        g = -g
+    if g == 1:
+        return p if p.den == 1 else MultiPoly(p.spec, p.terms)
+    return MultiPoly(p.spec, {e: c // g for e, c in p.terms.items()})
 
 
 def _main_variable(f: MultiPoly, g: MultiPoly) -> int | None:
@@ -314,15 +348,19 @@ def _as_coeffs(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
         k = e[v]
         e2 = e[:v] + (0,) + e[v + 1:]
         out.setdefault(k, {})[e2] = c
-    return {k: MultiPoly(p.spec, t) for k, t in out.items()}
+    return {k: _reduced(p.spec, t, p.den) for k, t in out.items()}
 
 
 def _from_coeffs(spec: FieldSpec, coeffs: dict[int, MultiPoly], v: int) -> MultiPoly:
+    den = 1
+    for poly in coeffs.values():
+        den = math.lcm(den, poly.den)
     terms = {}
     for k, poly in coeffs.items():
+        m = den // poly.den
         for e, c in poly.terms.items():
-            terms[e[:v] + (k,) + e[v + 1:]] = c
-    return MultiPoly(spec, terms)
+            terms[e[:v] + (k,) + e[v + 1:]] = c * m
+    return _reduced(spec, terms, den)
 
 
 def _coeff_content(coeffs: dict[int, MultiPoly]) -> MultiPoly:
@@ -351,23 +389,25 @@ _POINT_BASE = 48271
 def _zp_image(coeffs: dict[int, MultiPoly]) -> list[int] | None:
     """Image in Z_p[v] of a polynomial given by its coefficients in v,
     constant term first; None if a coefficient denominator or the leading
-    coefficient vanishes mod p."""
+    coefficient vanishes mod p.  Each coefficient costs one modular inverse,
+    of its denominator, and none when that is 1."""
     powers: dict[tuple[int, int], int] = {}
     out = [0] * (max(coeffs) + 1)
     for k, poly in coeffs.items():
         acc = 0
         for e, c in poly.terms.items():
-            den = c.denominator % _P
-            if not den:
-                return None
-            term = c.numerator * pow(den, -1, _P)
             for j, ej in enumerate(e):
                 if ej:
                     pw = powers.get((j, ej))
                     if pw is None:
                         pw = powers[(j, ej)] = pow(_POINT_BASE, (j + 1) * ej, _P)
-                    term = term * pw % _P
-            acc += term
+                    c = c * pw % _P
+            acc += c
+        if poly.den != 1:
+            den = poly.den % _P
+            if not den:
+                return None
+            acc *= pow(den, -1, _P)
         out[k] = acc % _P
     return out if out[-1] else None
 
@@ -445,6 +485,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _rat_normalize(f)
     if f.is_const() or g.is_const():
         return MultiPoly.one(f.spec)
+    # the gcd is defined up to a unit of Q: work on the integer parts
+    if f.den != 1:
+        f = MultiPoly(f.spec, f.terms)
+    if g.den != 1:
+        g = MultiPoly(g.spec, g.terms)
     if len(f.terms) == 1 or len(g.terms) == 1:
         mono = None
         for p in (f, g):
@@ -452,7 +497,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             for e in p.terms:
                 m = e if m is None else tuple(min(a, b) for a, b in zip(m, e))
             mono = m if mono is None else tuple(min(a, b) for a, b in zip(mono, m))
-        return MultiPoly(f.spec, {mono: Fraction(1)})
+        return MultiPoly(f.spec, {mono: 1})
     if f.terms == g.terms:
         return _rat_normalize(f)
     v = _main_variable(f, g)
@@ -489,27 +534,62 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f/g; raises ArithmeticError if the division is inexact."""
+    """Exact division f/g; raises ArithmeticError if the division is inexact.
+
+    With g = (k / g.den)·G for the integer content k and the primitive
+    integer part G, the integer part F of f is divided by G over Z.  By
+    Gauss's lemma a primitive G that divides F over Q leaves an integral
+    quotient, so an integer division with a remainder proves that g does
+    not divide f.  The remainder is one dict changed in place, its leading
+    terms taken from a heap keyed by the graded lex order."""
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    if f.is_zero():
-        return f
-    if g.is_one():
+    if f.is_zero() or g.is_one():
         return f
     if g.is_const():
-        return f.scale(1 / g.const_value())
-    eg, cg = g.leading()
+        return f._scaled(g.den, next(iter(g.terms.values())))
+    k = 0
+    for c in g.terms.values():
+        k = math.gcd(k, c)
+        if k == 1:
+            break
+    eg = max(g.terms, key=_grlex)
+    lg = g.terms[eg] // k
+    rest = [(e, c // k) for e, c in g.terms.items() if e != eg]
+    r = dict(f.terms)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in r]
+    heapq.heapify(heap)
     out = {}
-    r = f
-    while not r.is_zero():
-        er, cr = r.leading()
-        e = tuple(a - b for a, b in zip(er, eg))
-        if any(k < 0 for k in e):
+    while r:
+        er = heapq.heappop(heap)[2]
+        cr = r.pop(er, 0)
+        if not cr:
+            continue  # a stale heap entry: the term cancelled
+        e = tuple(map(sub, er, eg))
+        q, rem = divmod(cr, lg)
+        if rem or min(e) < 0:
             raise ArithmeticError("inexact polynomial division")
-        c = cr / cg
-        out[e] = c
-        r = r - MultiPoly(f.spec, {e: c}) * g
-    return MultiPoly(f.spec, out)
+        out[e] = q
+        for e2, c2 in rest:
+            m = tuple(map(add, e, e2))
+            c = r.get(m)
+            if c is None:
+                r[m] = -q * c2
+                heapq.heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+            elif c == q * c2:
+                del r[m]
+            else:
+                r[m] = c - q * c2
+    return MultiPoly(f.spec, out)._scaled(g.den, f.den * k)
+
+
+def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num/den rescaled so that den has graded-lex leading coefficient 1:
+    the leading integer term of den over den.den is divided out."""
+    lc = den.terms[max(den.terms, key=_grlex)]
+    if lc == 1 and den.den == 1:
+        return num, den
+    return num._scaled(den.den, lc), MultiPoly(den.spec, den.terms)._scaled(1, lc)
 
 
 class RatFun:
@@ -524,17 +604,14 @@ class RatFun:
             num = MultiPoly.zero(num.spec)
             den = MultiPoly.one(num.spec)
         elif den.is_const():
-            num = num.scale(1 / den.const_value())
+            num = num._scaled(den.den, next(iter(den.terms.values())))
             den = MultiPoly.one(num.spec)
         else:
             g = poly_gcd(num, den)
             if not g.is_one():
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
-            lc = den.leading()[1]
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            num, den = _monic(num, den)
         self.num = num
         self.den = den
         self._hash = None
@@ -548,10 +625,7 @@ class RatFun:
             num = MultiPoly.zero(num.spec)
             den = MultiPoly.one(num.spec)
         else:
-            lc = den.leading()[1]
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            num, den = _monic(num, den)
         out.num = num
         out.den = den
         out._hash = None
@@ -712,7 +786,7 @@ def partial_derivative(x: RatFun, v: str | int) -> RatFun:
 def _eval_poly(p: MultiPoly, images: Sequence[RatFun], target: FieldSpec) -> RatFun:
     powers: list[list[RatFun]] = [[RatFun.one(target)] for _ in images]
     out = RatFun.zero(target)
-    for e, c in sorted(p.terms.items(), key=lambda t: _grlex(t[0])):
+    for e, c in sorted(p.coefficients().items(), key=lambda t: _grlex(t[0])):
         term = RatFun.const(target, c)
         for i, k in enumerate(e):
             if k:

@@ -1,7 +1,9 @@
 """Differential tests of the field layer against sympy, an independent
 implementation: the canonical forms of +, *, / and of the partial
 derivative against sympy's cancel, and poly_gcd against sympy's gcd, on
-random triples over Q(x, t), powers of coprime polynomials included."""
+random triples over Q(x, t), powers of coprime polynomials included; and
+substitute against sympy's simultaneous replacement, cancelled in sympy's
+fraction field."""
 
 import random
 from fractions import Fraction
@@ -10,18 +12,33 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, partial_derivative, poly_gcd
+from paramjet.errors import DenominatorVanishes
+from paramjet.field import (
+    FieldSpec,
+    MultiPoly,
+    RatFun,
+    parse_ratfun,
+    partial_derivative,
+    poly_gcd,
+    substitute,
+)
 
 from conftest import rand_poly
 
 SPEC = FieldSpec(["x", "t"])
-# sympy's sparse polynomial ring over QQ, ordered by graded lex as paramjet is
+# the target field of the substitutions: x is sent into Q(u, t)
+TARGET = FieldSpec(["u", "t"])
+# sympy's sparse polynomial rings over QQ, ordered by graded lex as paramjet is
 RING, *GENS = sympy.polys.rings.ring("x,t", sympy.QQ, sympy.polys.orderings.grlex)
+TARGET_RING, *_ = sympy.polys.rings.ring("u,t", sympy.QQ, sympy.polys.orderings.grlex)
+# sympy's field of fractions of that ring: its elements are kept cancelled
+TARGET_FIELD, *_ = sympy.polys.fields.field("u,t", sympy.QQ, sympy.polys.orderings.grlex)
 FACTORS = ["x-t", "x+1", "t", "x+2*t-1", "x*t+1", "t+2", "x", "2*x-3*t"]
+TARGET_FACTORS = ["u-t", "u+1", "t", "2*u+t", "u*t-1", "t+3"]
 
 
-def to_sympy(p: MultiPoly):
-    return RING.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()})
+def to_sympy(p: MultiPoly, ring=RING):
+    return ring.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in p.coefficients().items()})
 
 
 def terms_of(p) -> dict:
@@ -48,19 +65,19 @@ def normalized_gcd(p, q) -> dict:
     return terms_of(g)
 
 
-def rand_element(rng, factors) -> RatFun:
+def rand_element(rng, factors, spec=SPEC) -> RatFun:
     if rng.random() < 0.25:  # a quotient of coprime powers
         a, b = rng.sample(factors, 2)
         return RatFun(a.pow(rng.randint(0, 3)), b.pow(rng.randint(0, 3)))
-    num = rand_poly(SPEC, rng, max_deg=2, terms=2)
-    den = MultiPoly.one(SPEC)
+    num = rand_poly(spec, rng, max_deg=2, terms=2)
+    den = MultiPoly.one(spec)
     for _ in range(rng.randint(0, 2)):
         den = den * rng.choice(factors)
     return RatFun(num, den)
 
 
 def same(r: RatFun, expected: tuple[dict, dict]) -> bool:
-    return (r.num.terms, r.den.terms) == expected
+    return (r.num.coefficients(), r.den.coefficients()) == expected
 
 
 def test_field_against_sympy():
@@ -78,4 +95,36 @@ def test_field_against_sympy():
         assert same(partial_derivative(a, v), expected)
         # the common factor c.den on both sides
         f, g = a.num * c.den, b.num * c.den
-        assert poly_gcd(f, g).terms == normalized_gcd(to_sympy(f), to_sympy(g))
+        assert poly_gcd(f, g).coefficients() == normalized_gcd(to_sympy(f), to_sympy(g))
+
+
+def test_substitute_against_sympy():
+    """x and t sent to random elements of Q(u, t), t often to itself, so
+    that x - t and its kin vanish under some assignments."""
+    rng = random.Random(2718)
+    factors = [parse_ratfun(SPEC, f).num for f in FACTORS]
+    target_factors = [parse_ratfun(TARGET, f).num for f in TARGET_FACTORS]
+    t = RatFun.variable(TARGET, "t")
+    compared = vanished = 0
+    for _ in range(110):
+        a = rand_element(rng, factors)
+        images = {
+            "x": rng.choice([t, rand_element(rng, target_factors, TARGET)]),
+            "t": t if rng.random() < 0.5 else rand_element(rng, target_factors, TARGET),
+        }
+        mapping = {
+            g.as_expr(): to_sympy(images[name].num, TARGET_RING).as_expr()
+            / to_sympy(images[name].den, TARGET_RING).as_expr()
+            for g, name in zip(GENS, SPEC.variables)
+        }
+        num, den = (TARGET_FIELD.from_expr(to_sympy(p).as_expr().xreplace(mapping)) for p in (a.num, a.den))
+        if not den:
+            with pytest.raises(DenominatorVanishes):
+                substitute(a, images, TARGET)
+            vanished += 1
+            continue
+        image = num / den
+        expected = canonical(TARGET_RING(image.numer), TARGET_RING(image.denom))
+        assert same(substitute(a, images, TARGET), expected)
+        compared += 1
+    assert compared >= 100 and vanished > 0

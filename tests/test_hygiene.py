@@ -1,4 +1,5 @@
-"""Source hygiene: no engine module imports a name it never uses."""
+"""Source hygiene: no engine module imports a name it never uses, and no
+good fixture is left out of the pinned certificate digests."""
 
 import ast
 import pathlib
@@ -32,3 +33,14 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_good_fixture_is_pinned():
+    """Every fixture but the malformed one has its certificate digest pinned
+    in test_fixture_certificate_digests, so a new fixture cannot slip out
+    of the byte-identity check."""
+    from test_cli import FIXTURES, test_fixture_certificate_digests
+
+    (mark,) = [m for m in test_fixture_certificate_digests.pytestmark if m.name == "parametrize"]
+    pinned = {name for name, _ in mark.args[1]}
+    assert pinned == {p.stem for p in FIXTURES.glob("*.session")} - {"malformed"}
