@@ -98,11 +98,22 @@ Lines = Iterator[tuple[int, str]]
 
 def _content_lines(text: str) -> Lines:
     """(line number, text) of each line that is not blank once its comment
-    is cut; the block parsers consume it with next(lines, None)."""
+    is cut; the block parsers consume it through _block_lines."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _block_lines(lines: Lines, kind: str, lineno: int) -> Lines:
+    """The lines of the block opened on line ``lineno``, up to and consuming
+    its 'end'; a block may read nested blocks from ``lines`` in between.
+    Running out of lines first is the error "unterminated KIND block"."""
+    for item in lines:
+        if item[1] == "end":
+            return
+        yield item
+    raise ParseError(f"unterminated {kind} block", line=lineno)
 
 
 def _split_csv(text: str) -> list[str]:
@@ -114,13 +125,7 @@ def _split_csv(text: str) -> list[str]:
 
 def _parse_matrix_block(lines: Lines, spec: FieldSpec, lineno: int) -> list[list[RatFun]]:
     rows = []
-    while True:
-        item = next(lines, None)
-        if item is None:
-            raise ParseError("unterminated matrix block", line=lineno)
-        ln, content = item
-        if content == "end":
-            break
+    for ln, content in _block_lines(lines, "matrix", lineno):
         try:
             rows.append([parse_ratfun(spec, e) for e in _split_csv(content)])
         except ParseError as err:
@@ -155,13 +160,7 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
     principal: list[tuple[str, list[str]]] = []
     parameter: list[tuple[str, list[str]]] = []
     constants: list[str] = []
-    while True:
-        item = next(lines, None)
-        if item is None:
-            raise ParseError("unterminated structure block", line=lineno)
-        ln, content = item
-        if content == "end":
-            break
+    for ln, content in _block_lines(lines, "structure", lineno):
         tokens = content.split(None, 1)
         key = tokens[0]
         rest = tokens[1] if len(tokens) > 1 else ""
@@ -225,13 +224,7 @@ def _parse_module_block(lines: Lines, session: Session, header: list[str], linen
     if rank < 0:
         raise ParseError("rank must be nonnegative", line=lineno)
     matrices: dict[str, list] = {}
-    while True:
-        item = next(lines, None)
-        if item is None:
-            raise ParseError("unterminated module block", line=lineno)
-        ln, content = item
-        if content == "end":
-            break
+    for ln, content in _block_lines(lines, "module", lineno):
         tokens = content.split()
         if tokens[0] != "matrix" or len(tokens) != 2:
             raise ParseError("expected 'matrix DERIVATION'", line=ln)
@@ -289,13 +282,7 @@ def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str]
     target = session.structures[dst]
     images: dict[str, RatFun] = {}
     omega = None
-    while True:
-        item = next(lines, None)
-        if item is None:
-            raise ParseError("unterminated ringmorphism block", line=lineno)
-        ln, content = item
-        if content == "end":
-            break
+    for ln, content in _block_lines(lines, "ringmorphism", lineno):
         tokens = content.split(None, 1)
         if tokens[0] == "image":
             if len(tokens) < 2 or "=" not in tokens[1]:
@@ -317,7 +304,7 @@ def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str]
     missing = [v for v in source.base.variables if v not in images]
     if missing:
         raise SemanticError(f"ring morphism {name!r} missing images for {missing}")
-    morphism = DiffMorphism(p_src, p_dst, images, tuple(tuple(r) for r in omega))
+    morphism = DiffMorphism(p_src, p_dst, images, omega)
     session.ring_morphisms[name] = (src, dst, morphism)
 
 

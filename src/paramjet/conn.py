@@ -11,8 +11,8 @@ all live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import add
+from typing import NamedTuple
 
 from . import linalg
 from .diffstruct import (
@@ -35,22 +35,23 @@ from .jet import (
 Matrix = list
 
 
-@dataclass
 class DiffModule:
     """A finite-rank module with one connection matrix per principal
-    derivation; ``flat`` caches the integrability verdict."""
+    derivation; ``flat`` caches the integrability verdict (None until
+    checked)."""
 
-    ps: ParamStructure
-    rank: int
-    conn: tuple
-    flat: bool | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("ps", "rank", "conn", "flat")
 
-    def __post_init__(self):
-        if len(self.conn) != self.ps.principal_count:
+    def __init__(self, ps: ParamStructure, rank: int, conn: tuple):
+        if len(conn) != ps.principal_count:
             raise StructureMismatch("one connection matrix per principal derivation")
-        for a in self.conn:
-            if linalg.shape(a) != (self.rank, self.rank):
+        for a in conn:
+            if linalg.shape(a) != (rank, rank):
                 raise StructureMismatch("connection matrix shape mismatch")
+        self.ps = ps
+        self.rank = rank
+        self.conn = conn
+        self.flat = None
 
     @property
     def spec(self) -> FieldSpec:
@@ -72,8 +73,7 @@ def trivial_module(ps: ParamStructure, rank: int) -> DiffModule:
     return m
 
 
-@dataclass(frozen=True)
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(NamedTuple):
     flat: bool
     witness: tuple | None = None  # (i, j, residual matrix)
 
@@ -154,22 +154,21 @@ def direct_sum(m: DiffModule, n: DiffModule) -> DiffModule:
 # --- morphisms --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ModMorphism:
-    src: DiffModule
-    dst: DiffModule
-    matrix: tuple  # dst.rank x src.rank
+    __slots__ = ("src", "dst", "matrix")
 
-    def __post_init__(self):
-        if linalg.shape(list(self.matrix)) != (self.dst.rank, self.src.rank):
+    def __init__(self, src: DiffModule, dst: DiffModule, matrix: Matrix):
+        if linalg.shape(matrix) != (dst.rank, src.rank):
             raise StructureMismatch("morphism matrix shape mismatch")
+        self.src = src
+        self.dst = dst
+        self.matrix = matrix  # dst.rank x src.rank
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
+class MorphismCheck(NamedTuple):
     ok: bool
     index: int | None = None
-    residual: tuple | None = None
+    residual: Matrix | None = None
 
 
 def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
@@ -182,7 +181,7 @@ def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
         rhs = linalg.mat_sub(linalg.mat_mul(n.conn[i], t), linalg.mat_mul(t, m.conn[i]))
         res = linalg.mat_sub(lhs, rhs)
         if not linalg.is_zero_matrix(res):
-            return MorphismCheck(False, i, tuple(tuple(r) for r in res))
+            return MorphismCheck(False, i, res)
     return MorphismCheck(True)
 
 
@@ -219,8 +218,7 @@ def extend_scalars(morphism: DiffMorphism, module: DiffModule, target: ParamStru
 # --- jets of module elements --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     ok: bool
     witness: tuple | None = None  # (i, j) pair of principal indices
 

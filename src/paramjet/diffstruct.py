@@ -13,7 +13,7 @@ derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -26,16 +26,23 @@ from .errors import (
 from .field import FieldSpec, RatFun, partial_derivative, substitute
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A derivation sum_i coeffs[i] * d/dv_i of the field."""
 
-    spec: FieldSpec
-    coeffs: tuple[RatFun, ...]
+    __slots__ = ("spec", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.spec):
+    def __init__(self, spec: FieldSpec, coeffs: tuple[RatFun, ...]):
+        if len(coeffs) != len(spec):
             raise ValueError("coefficient vector length mismatch")
+        self.spec = spec
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Derivation)
+            and self.spec == other.spec
+            and self.coeffs == other.coeffs
+        )
 
     def apply(self, a: RatFun) -> RatFun:
         out = RatFun.zero(self.spec)
@@ -52,9 +59,6 @@ class Derivation:
 
     def scale(self, c: RatFun) -> "Derivation":
         return Derivation(self.spec, tuple(c * a for a in self.coeffs))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
 def coordinate_derivation(spec: FieldSpec, name: str) -> Derivation:
@@ -75,8 +79,7 @@ def bracket(a: Derivation, b: Derivation) -> Derivation:
     )
 
 
-@dataclass(frozen=True)
-class OmegaElement:
+class OmegaElement(NamedTuple):
     """A 1-form as a coefficient vector over the dual basis of a structure."""
 
     coeffs: tuple[RatFun, ...]
@@ -100,9 +103,6 @@ class OmegaElement:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
-
 
 def omega_zero(spec: FieldSpec, d: int) -> OmegaElement:
     return OmegaElement(tuple(RatFun.zero(spec) for _ in range(d)))
@@ -114,8 +114,7 @@ def omega_unit(spec: FieldSpec, d: int, i: int) -> OmegaElement:
     )
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(NamedTuple):
     """An alternating 2-form; coefficients indexed by pairs i < j."""
 
     dim: int
@@ -140,9 +139,6 @@ class TwoForm:
 
     def sub(self, other: "TwoForm") -> "TwoForm":
         return TwoForm(self.dim, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
 def two_form_zero(spec: FieldSpec, d: int) -> TwoForm:
@@ -177,9 +173,6 @@ class DiffStructure:
             and self.base == other.base
             and self.basis == other.basis
         )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.basis))
 
 
 def _expand_in_basis(basis: tuple[Derivation, ...], target: Derivation):
@@ -271,8 +264,7 @@ def lie_derivative_general(deriv: Derivation, omega: OmegaElement, s: DiffStruct
 # --- morphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffMorphism:
+class DiffMorphism(NamedTuple):
     """A ring homomorphism with a compatible map on 1-forms.
 
     ``gen_images`` sends each source variable to its image; ``omega_matrix``
@@ -283,7 +275,7 @@ class DiffMorphism:
     source: DiffStructure
     target: DiffStructure
     gen_images: dict
-    omega_matrix: tuple
+    omega_matrix: list
 
     def apply(self, a: RatFun) -> RatFun:
         return substitute(a, self.gen_images, self.target.base)
@@ -324,8 +316,7 @@ class DiffMorphism:
         return TwoForm(rows, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class MorphismVerdict:
+class MorphismVerdict(NamedTuple):
     kind: str  # "ok" | "d_compat_fail" | "integrability_fail"
     variable: str | None = None
     dual_index: int | None = None
@@ -361,8 +352,7 @@ def check_morphism(m: DiffMorphism) -> MorphismVerdict:
 # --- parameterized structures ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamStructure:
+class ParamStructure(NamedTuple):
     """A commuting basis split into principal and parameter derivations.
 
     The first ``principal_count`` basis elements annihilate the constant
@@ -388,17 +378,6 @@ class ParamStructure:
     @property
     def parameter(self) -> tuple[Derivation, ...]:
         return self.full.basis[self.principal_count:]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParamStructure)
-            and self.full == other.full
-            and self.principal_count == other.principal_count
-            and self.constant_variables == other.constant_variables
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.full, self.principal_count, self.constant_variables))
 
 
 def build_param_structure(base, principal, parameter, constant_variables) -> ParamStructure:

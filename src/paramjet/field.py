@@ -8,7 +8,7 @@ numerator/denominator with a monic denominator.  Equality of values is
 therefore structural equality, and the text rendering is a bit-exact
 interchange form.  Products, sums, exact division and the gcd run on
 Python ints; ``Fraction`` appears only at the edges (parsing constants,
-``leading``, ``const_value``, ``coefficients`` and ``render``).
+``leading``, ``coefficients`` and ``render``).
 
 Arithmetic keeps that form without taking gcds of the full result: a
 product or quotient cancels only the cross gcds of its operands, a sum
@@ -71,9 +71,6 @@ class FieldSpec:
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and self.variables == other.variables
 
-    def __hash__(self) -> int:
-        return hash(self.variables)
-
     def __repr__(self) -> str:
         return f"FieldSpec({', '.join(self.variables)})"
 
@@ -85,13 +82,12 @@ class MultiPoly:
     gcd(den, every term) = 1, so den is 1 exactly when every coefficient is
     an integer."""
 
-    __slots__ = ("spec", "terms", "den", "_hash")
+    __slots__ = ("spec", "terms", "den")
 
     def __init__(self, spec: FieldSpec, terms: dict, den: int = 1):
         self.spec = spec
         self.terms = terms
         self.den = den
-        self._hash = None
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, items) -> "MultiPoly":
@@ -137,11 +133,6 @@ class MultiPoly:
 
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
-
-    def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(next(iter(self.terms.values())), self.den)
 
     def is_one(self) -> bool:
         return len(self.terms) == 1 and self.den == 1 and self.terms == self.spec._poly_one.terms
@@ -252,14 +243,11 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.spec, self.den, tuple(sorted(self.terms.items()))))
-        return self._hash
-
     def render(self) -> str:
         if not self.terms:
             return "0"
+        if self.is_one():
+            return "1"
         parts = []
         for e in sorted(self.terms, key=_grlex, reverse=True):
             c = self.terms[e]
@@ -291,16 +279,23 @@ def _times(terms: dict, k: int) -> dict:
     return {e: c * k for e, c in terms.items()}
 
 
+def int_content(values: Iterable[int], g: int = 0) -> int:
+    """gcd(g, *values) >= 0.  A loop that stops at the first 1, not
+    math.gcd(*values), whose argument tuples of every length would fill
+    the interpreter's tuple free lists."""
+    for c in values:
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
 def _reduced(spec: FieldSpec, terms: dict, den: int) -> MultiPoly:
     """terms / den in canonical form, for den > 0: both divided by
-    gcd(den, content), a loop that stops as soon as the gcd reaches 1."""
+    gcd(den, content)."""
     if den != 1:
-        g = den
-        for c in terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        else:
+        g = int_content(terms.values(), den)
+        if g != 1:
             terms = {e: c // g for e, c in terms.items()}
             den //= g
     return MultiPoly(spec, terms, den)
@@ -325,11 +320,7 @@ def _rat_normalize(p: MultiPoly) -> MultiPoly:
     """The primitive integer part of p, with a positive leading coefficient."""
     if p.is_zero():
         return p
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
+    g = int_content(p.terms.values())
     if p.terms[max(p.terms, key=_grlex)] < 0:
         g = -g
     if g == 1:
@@ -548,11 +539,7 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f
     if g.is_const():
         return f._scaled(g.den, next(iter(g.terms.values())))
-    k = 0
-    for c in g.terms.values():
-        k = math.gcd(k, c)
-        if k == 1:
-            break
+    k = int_content(g.terms.values())
     eg = max(g.terms, key=_grlex)
     lg = g.terms[eg] // k
     rest = [(e, c // k) for e, c in g.terms.items() if e != eg]
@@ -595,7 +582,7 @@ def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 class RatFun:
     """A rational function in canonical form: gcd(num, den) = 1, den monic."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
@@ -614,7 +601,6 @@ class RatFun:
             num, den = _monic(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     @classmethod
     def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RatFun":
@@ -628,7 +614,6 @@ class RatFun:
             num, den = _monic(num, den)
         out.num = num
         out.den = den
-        out._hash = None
         return out
 
     @property
@@ -661,14 +646,6 @@ class RatFun:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_one()
-
-    def const_value(self) -> Fraction:
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return self.num.const_value()
-
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.is_zero():
             return other
@@ -694,7 +671,6 @@ class RatFun:
         out = RatFun.__new__(RatFun)
         out.num = -self.num
         out.den = self.den
-        out._hash = None
         return out
 
     def __sub__(self, other: "RatFun") -> "RatFun":
@@ -736,11 +712,6 @@ class RatFun:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
 
     def __str__(self) -> str:
         return f"({self.num.render()})/({self.den.render()})"

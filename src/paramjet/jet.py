@@ -18,58 +18,40 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .diffstruct import DiffStructure, OmegaElement, TwoForm, deRham_d0, deRham_d1, omega_zero
+from . import linalg
+from .diffstruct import (
+    DiffStructure,
+    OmegaElement,
+    TwoForm,
+    deRham_d0,
+    deRham_d1,
+    omega_unit,
+    omega_zero,
+)
 from .errors import MembershipViolated, NotInAugmentationIdeal
 from .field import RatFun
 
-Matrix = tuple  # d x d tuple of tuples of RatFun
-
-
-def _zero_matrix(s: DiffStructure) -> Matrix:
-    z = RatFun.zero(s.base)
-    return tuple(tuple(z for _ in range(s.dim)) for _ in range(s.dim))
-
-
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(c: RatFun, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+Matrix = list  # d x d, as in linalg
 
 
 def _outer(u: OmegaElement, v: OmegaElement) -> Matrix:
-    return tuple(tuple(x * y for y in v.coeffs) for x in u.coeffs)
+    return [[x * y for y in v.coeffs] for x in u.coeffs]
 
 
 def _deriv_matrix(omega: OmegaElement, s: DiffStructure) -> Matrix:
     """Matrix with entry (i, j) = δi(ωj-coefficient)."""
-    return tuple(
-        tuple(s.basis[i].apply(omega.coeffs[j]) for j in range(s.dim))
-        for i in range(s.dim)
-    )
+    return [[d.apply(c) for c in omega.coeffs] for d in s.basis]
 
 
 # --- level 1 -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet1Element:
+class Jet1Element(NamedTuple):
     a: RatFun
     omega: OmegaElement
-
-    def add(self, other: "Jet1Element") -> "Jet1Element":
-        return Jet1Element(self.a + other.a, self.omega.add(other.omega))
-
-    def __str__(self) -> str:
-        return f"({self.a}; {self.omega})"
 
 
 def jet1_mul(x: Jet1Element, y: Jet1Element) -> Jet1Element:
@@ -92,8 +74,7 @@ def jet1_e(x: Jet1Element) -> RatFun:
 # --- level 2 -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet2Element:
+class Jet2Element(NamedTuple):
     """The element a⊗1 + 1⊗ω + ω⊗1 − η with η = sum η[i][j]·ωi⊗ωj."""
 
     a: RatFun
@@ -101,22 +82,17 @@ class Jet2Element:
     eta: Matrix
 
     def add(self, other: "Jet2Element") -> "Jet2Element":
-        return Jet2Element(self.a + other.a, self.omega.add(other.omega), _mat_add(self.eta, other.eta))
-
-    def sub(self, other: "Jet2Element") -> "Jet2Element":
-        return Jet2Element(self.a - other.a, self.omega.sub(other.omega), _mat_sub(self.eta, other.eta))
-
-    def __str__(self) -> str:
-        eta = "[" + "; ".join(", ".join(str(c) for c in row) for row in self.eta) + "]"
-        return f"({self.a}; {self.omega}; {eta})"
+        return Jet2Element(
+            self.a + other.a, self.omega.add(other.omega), linalg.mat_add(self.eta, other.eta)
+        )
 
 
 def jet2_l(a: RatFun, s: DiffStructure) -> Jet2Element:
-    return Jet2Element(a, omega_zero(s.base, s.dim), _zero_matrix(s))
+    return Jet2Element(a, omega_zero(s.base, s.dim), linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet2_r(a: RatFun, s: DiffStructure) -> Jet2Element:
-    return Jet2Element(a, deRham_d0(a, s), _zero_matrix(s))
+    return Jet2Element(a, deRham_d0(a, s), linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet2_e(x: Jet2Element) -> RatFun:
@@ -154,7 +130,7 @@ def jet2_canonical_lift(omega: OmegaElement, s: DiffStructure) -> Jet2Element:
             v = half * dw.at(i, j)
             eta[i][j] = v
             eta[j][i] = -v
-    return Jet2Element(RatFun.zero(s.base), omega, tuple(tuple(r) for r in eta))
+    return Jet2Element(RatFun.zero(s.base), omega, eta)
 
 
 def jet2_mul(x: Jet2Element, y: Jet2Element, s: DiffStructure) -> Jet2Element:
@@ -178,14 +154,13 @@ def jet2_sym_value(x: Jet2Element) -> Matrix:
     (it equals −η)."""
     if not x.a.is_zero() or not x.omega.is_zero():
         raise ValueError("element is not in the symmetric-square part")
-    return tuple(tuple(-c for c in row) for row in x.eta)
+    return linalg.mat_neg(x.eta)
 
 
 # --- the ambient tensor square ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet11Element:
+class Jet11Element(NamedTuple):
     """An element of P1 ⊗ P1 in canonical left-coefficient form:
 
     a(1⊗1) + Σ ωL[i](ωi⊗1) + Σ ωR[j](1⊗ωj) + Σ eta[i][j](ωi⊗ωj).
@@ -201,17 +176,13 @@ class Jet11Element:
             self.a + other.a,
             self.omega_left.add(other.omega_left),
             self.omega_right.add(other.omega_right),
-            _mat_add(self.eta, other.eta),
+            linalg.mat_add(self.eta, other.eta),
         )
-
-    def __str__(self) -> str:
-        eta = "[" + "; ".join(", ".join(str(c) for c in row) for row in self.eta) + "]"
-        return f"({self.a}; L{self.omega_left}; R{self.omega_right}; {eta})"
 
 
 def jet11_zero(s: DiffStructure) -> Jet11Element:
     z = omega_zero(s.base, s.dim)
-    return Jet11Element(RatFun.zero(s.base), z, z, _zero_matrix(s))
+    return Jet11Element(RatFun.zero(s.base), z, z, linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
@@ -219,9 +190,9 @@ def jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
     a = x.a * y.a
     omega_left = y.omega_left.scale(x.a).add(x.omega_left.scale(y.a))
     omega_right = y.omega_right.scale(x.a).add(x.omega_right.scale(y.a))
-    eta = _mat_add(_mat_scale(x.a, y.eta), _mat_scale(y.a, x.eta))
-    eta = _mat_add(eta, _outer(x.omega_left, y.omega_right))
-    eta = _mat_add(eta, _outer(y.omega_left, x.omega_right))
+    eta = linalg.mat_add(linalg.mat_scale(x.a, y.eta), linalg.mat_scale(y.a, x.eta))
+    eta = linalg.mat_add(eta, _outer(x.omega_left, y.omega_right))
+    eta = linalg.mat_add(eta, _outer(y.omega_left, x.omega_right))
     return Jet11Element(a, omega_left, omega_right, eta)
 
 
@@ -232,7 +203,7 @@ def jet2_Delta(x: Jet2Element, s: DiffStructure) -> Jet11Element:
     (i, j) slot when the scalars are pulled left.
     """
     return Jet11Element(
-        x.a, x.omega, x.omega, _mat_sub(_deriv_matrix(x.omega, s), x.eta)
+        x.a, x.omega, x.omega, linalg.mat_sub(_deriv_matrix(x.omega, s), x.eta)
     )
 
 
@@ -244,7 +215,7 @@ def jet11_to_jet2(x: Jet11Element, s: DiffStructure) -> Jet2Element:
         raise MembershipViolated("left and right form slots differ")
     if not defect.is_zero():
         raise MembershipViolated("antisymmetric part does not match dω")
-    return Jet2Element(x.a, x.omega_left, _mat_sub(_deriv_matrix(x.omega_left, s), x.eta))
+    return Jet2Element(x.a, x.omega_left, linalg.mat_sub(_deriv_matrix(x.omega_left, s), x.eta))
 
 
 def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> TwoForm | None:
@@ -269,30 +240,25 @@ def jet11_scale_right(x: Jet11Element, c: RatFun, s: DiffStructure) -> Jet11Elem
 
 def jet11_unit(s: DiffStructure) -> Jet11Element:
     z = omega_zero(s.base, s.dim)
-    return Jet11Element(RatFun.one(s.base), z, z, _zero_matrix(s))
+    return Jet11Element(RatFun.one(s.base), z, z, linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet11_omega_left(i: int, s: DiffStructure) -> Jet11Element:
     z = omega_zero(s.base, s.dim)
-    coeffs = tuple(
-        RatFun.one(s.base) if j == i else RatFun.zero(s.base) for j in range(s.dim)
+    return Jet11Element(
+        RatFun.zero(s.base), omega_unit(s.base, s.dim, i), z, linalg.zeros(s.base, s.dim, s.dim)
     )
-    return Jet11Element(RatFun.zero(s.base), OmegaElement(coeffs), z, _zero_matrix(s))
 
 
 def jet11_omega_right(j: int, s: DiffStructure) -> Jet11Element:
     z = omega_zero(s.base, s.dim)
-    coeffs = tuple(
-        RatFun.one(s.base) if i == j else RatFun.zero(s.base) for i in range(s.dim)
+    return Jet11Element(
+        RatFun.zero(s.base), z, omega_unit(s.base, s.dim, j), linalg.zeros(s.base, s.dim, s.dim)
     )
-    return Jet11Element(RatFun.zero(s.base), z, OmegaElement(coeffs), _zero_matrix(s))
 
 
 def jet11_omega_pair(i: int, j: int, s: DiffStructure) -> Jet11Element:
     z = omega_zero(s.base, s.dim)
-    zero = RatFun.zero(s.base)
-    eta = tuple(
-        tuple(RatFun.one(s.base) if (r, c) == (i, j) else zero for c in range(s.dim))
-        for r in range(s.dim)
-    )
-    return Jet11Element(zero, z, z, eta)
+    eta = linalg.zeros(s.base, s.dim, s.dim)
+    eta[i][j] = RatFun.one(s.base)
+    return Jet11Element(RatFun.zero(s.base), z, z, eta)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import ShapeMismatch
-from .field import FieldSpec, RatFun
+from .field import FieldSpec, RatFun, int_content
 
 Matrix = list
 
@@ -273,15 +273,8 @@ def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
 
 
 def _divide_content(row: dict[int, int]) -> None:
-    """Divide an integer row by the gcd of its entries, in place.  The gcd
-    is a loop that stops at the first 1, not math.gcd(*values), whose
-    argument tuples of every length would fill the interpreter's tuple
-    free lists."""
-    g = 0
-    for x in row.values():
-        g = math.gcd(g, x)
-        if g == 1:
-            return
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = int_content(row.values())
     if g > 1:
         for k in row:
             row[k] //= g

@@ -11,7 +11,7 @@ parameter-derivative blocks in the first block column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .conn import (
@@ -30,8 +30,7 @@ from .field import RatFun
 Matrix = list
 
 
-@dataclass
-class ProlongedModule:
+class ProlongedModule(NamedTuple):
     core: DiffModule
     incl: Matrix  # 0/1, core.rank x rank·q: the parameter blocks (q copies of the parent)
     proj: Matrix  # 0/1, rank x core.rank: the quotient onto the first block
@@ -86,20 +85,17 @@ def prolong_module(m: DiffModule) -> ProlongedModule:
 def prolong_morphism(t: ModMorphism) -> ModMorphism:
     """Prolong a module morphism: diagonal copies of T with −∂t(T) blocks
     in the first block column; functorial in T."""
-    verdict = morphism_check([list(r) for r in t.matrix], t.src, t.dst)
+    verdict = morphism_check(t.matrix, t.src, t.dst)
     if not verdict.ok:
         raise MorphismInvalid("matrix does not intertwine the connections")
-    big = _prolong_matrix(t.src.ps, [list(r) for r in t.matrix])
-    src = _prolonged_core(t.src)
-    dst = _prolonged_core(t.dst)
-    return ModMorphism(src, dst, tuple(tuple(r) for r in big))
+    big = _prolong_matrix(t.src.ps, t.matrix)
+    return ModMorphism(_prolonged_core(t.src), _prolonged_core(t.dst), big)
 
 
 # --- second prolongation -----------------------------------------------------------
 
 
-@dataclass
-class SecondProlongation:
+class SecondProlongation(NamedTuple):
     """The swap-invariant part of the twice-prolonged module."""
 
     invariant: DiffModule
@@ -146,8 +142,7 @@ def at2_module(m: DiffModule) -> SecondProlongation:
 # --- Baer sums of block extensions ---------------------------------------------------
 
 
-@dataclass
-class BlockExtension:
+class BlockExtension(NamedTuple):
     """An extension of a quotient by a sub in split-compatible block shape:
     connection matrices [[A_quot, 0], [X, A_sub]]."""
 
@@ -218,15 +213,13 @@ def check_tensor_compat(m: DiffModule, n: DiffModule) -> bool:
 # --- closure generation ---------------------------------------------------------------
 
 
-@dataclass
-class ClosureItem:
+class ClosureItem(NamedTuple):
     label: str
     module: DiffModule
     prolong_depth: int
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(NamedTuple):
     items: list
     truncated_by_rank: list
     truncated_by_items: bool

@@ -90,7 +90,7 @@ def identity_diff_morphism(s) -> DiffMorphism:
     """The identity of a differential structure: every variable to itself,
     the identity on 1-forms."""
     images = {v: RatFun.variable(s.base, v) for v in s.base.variables}
-    return DiffMorphism(s, s, images, tuple(tuple(r) for r in linalg.identity(s.base, s.dim)))
+    return DiffMorphism(s, s, images, linalg.identity(s.base, s.dim))
 
 
 def parameter_sub(m: DiffModule) -> DiffModule:

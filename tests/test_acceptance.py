@@ -46,7 +46,6 @@ from paramjet.jet import (
     jet2_sym_value,
     jet2_canonical_lift,
 )
-from paramjet.jet import _mat_add, _mat_scale, _mat_sub
 from paramjet.prolong import at2_module, check_tensor_compat, prolong_module, prolong_morphism
 
 from conftest import (
@@ -163,7 +162,7 @@ def test_criterion_4_jet_law_suite():
         def member(a, w0, w1, s00, s01, s11):
             w = OmegaElement((w0, w1))
             base = jet2_canonical_lift(w, s)
-            return Jet2Element(a, w, _mat_add(base.eta, ((s00, s01), (s01, s11))))
+            return Jet2Element(a, w, linalg.mat_add(base.eta, [[s00, s01], [s01, s11]]))
 
         members = []
         it = iter(elements)
@@ -180,11 +179,11 @@ def test_criterion_4_jet_law_suite():
             i1 = Jet2Element(RatFun.zero(spec), m1.omega, m1.eta)
             i2 = Jet2Element(RatFun.zero(spec), m2.omega, m2.eta)
             a = m1.a if not m1.a.is_zero() else parse_ratfun(spec, "x+2")
-            assert jet2_gamma(jet2_mul(jet2_l(a, s), i1, s), s) == _mat_scale(
+            assert jet2_gamma(jet2_mul(jet2_l(a, s), i1, s), s) == linalg.mat_scale(
                 a * a, jet2_gamma(i1, s)
             )
-            lhs = _mat_sub(
-                _mat_sub(jet2_gamma(i1.add(i2), s), jet2_gamma(i1, s)),
+            lhs = linalg.mat_sub(
+                linalg.mat_sub(jet2_gamma(i1.add(i2), s), jet2_gamma(i1, s)),
                 jet2_gamma(i2, s),
             )
             assert lhs == jet2_sym_value(jet2_mul(i1, i2, s))
@@ -272,22 +271,22 @@ def test_criterion_7_prolongation_theorems(xt, x12t, p2q2):
             c[0][1] = parse_ratfun(spec, "3")
             t12 = linalg.mat_mul(linalg.inverse(g2), g1)
             t23 = linalg.mat_mul(linalg.inverse(g3), linalg.mat_mul(c, g2))
-            f12 = ModMorphism(m1, m2, tuple(tuple(r) for r in t12))
-            f23 = ModMorphism(m2, m3, tuple(tuple(r) for r in t23))
+            f12 = ModMorphism(m1, m2, t12)
+            f23 = ModMorphism(m2, m3, t23)
             p12, p23 = prolong_morphism(f12), prolong_morphism(f23)
-            assert morphism_check([list(r) for r in p12.matrix], p12.src, p12.dst).ok
-            eye = ModMorphism(m1, m1, tuple(tuple(r) for r in linalg.identity(spec, 2)))
+            assert morphism_check(p12.matrix, p12.src, p12.dst).ok
+            eye = ModMorphism(m1, m1, linalg.identity(spec, 2))
             assert linalg.mat_eq(
-                [list(r) for r in prolong_morphism(eye).matrix],
+                prolong_morphism(eye).matrix,
                 linalg.identity(spec, 4 if ps.parameter_count == 1 else 6),
             )
             comp = ModMorphism(
-                m1, m3, tuple(tuple(r) for r in linalg.mat_mul(t23, t12))
+                m1, m3, linalg.mat_mul(t23, t12)
             )
             assert linalg.mat_eq(
-                [list(r) for r in prolong_morphism(comp).matrix],
+                prolong_morphism(comp).matrix,
                 linalg.mat_mul(
-                    [list(r) for r in p23.matrix], [list(r) for r in p12.matrix]
+                    p23.matrix, p12.matrix
                 ),
             )
         # tensor compatibility on 25 pairs

@@ -103,7 +103,7 @@ def test_round_trip_of_emitted_modules(tmp_path, xt):
     ]
     m = DiffModule(ps, 1, ([[parse_ratfun(spec, "t/x")]],))
     expected = prolong_module(m).core.conn[0]
-    assert reingested == [list(r) for r in expected]
+    assert reingested == expected
 
 
 def test_session_requires_definitions_before_use():
@@ -489,3 +489,32 @@ def test_baer_check_builds_no_prolonged_module(monkeypatch):
     records, code = run_session(session, None)
     assert calls == [] and code == 0
     assert records[0]["verdict"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "text, block, line",
+    [
+        ("field x t\nstructure\n  principal dx = 1, 0\n  constants t\n", "structure", 2),
+        (XT_HEAD[: -len("end\n")], "module", 7),
+        (XT_HEAD[: -len("  end\nend\n")], "matrix", 8),
+        (XT_HEAD + "ringmorphism phi : main -> main\n  image x = x\n  image t = t\n", "ringmorphism", 12),
+    ],
+    ids=["structure", "module", "matrix", "ringmorphism"],
+)
+def test_unterminated_block_is_parse_error(tmp_path, capsys, text, block, line):
+    assert run_text(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"parse error: unterminated {block} block (line {line})"]
+
+
+def test_human_report(tmp_path, capsys):
+    f = tmp_path / "s.session"
+    f.write_text(XT_HEAD + "command check-integrability M\ncommand prolong P = M\n")
+    report = ["[0] check-integrability M: flat", "[1] prolong P = M: ok"]
+    assert main(["run", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == report
+    assert [r["record"] for r in records_of(out.encode())] == ["header", "certificate", "certificate"]
+    assert main(["run", str(f), "--out", str(tmp_path / "s.jsonl")]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == report and err == ""

@@ -271,8 +271,8 @@ def test_morphism_composition(example39):
         # the 1-form matrix of shift times the pushed one of m
         images = {v: shift.apply(img) for v, img in m.gen_images.items()}
         pushed = [[shift.apply(x) for x in row] for row in m.omega_matrix]
-        omega = linalg.mat_mul([list(r) for r in shift.omega_matrix], pushed)
-        composite = DiffMorphism(src, dst, images, tuple(tuple(r) for r in omega))
+        omega = linalg.mat_mul(shift.omega_matrix, pushed)
+        composite = DiffMorphism(src, dst, images, omega)
         assert check_morphism(composite).ok
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no engine module imports a name it never uses, and no
-good fixture is left out of the pinned certificate digests."""
+"""Source hygiene: no engine module imports a name it never uses or the
+``dataclasses`` module, and no good fixture is left out of the pinned
+certificate digests."""
 
 import ast
 import pathlib
@@ -33,6 +34,24 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Records are NamedTuples or __slots__ classes: importing dataclasses
+    (and the inspect module it pulls in) and building each class would add
+    to the start-up of every paramjet process."""
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
 
 
 def test_every_good_fixture_is_pinned():

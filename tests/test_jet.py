@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from paramjet import linalg
 from paramjet.diffstruct import (
     OmegaElement,
     build_structure,
@@ -35,7 +36,7 @@ from paramjet.jet import (
     jet11_mul,
     jet11_to_jet2,
 )
-from paramjet.jet import _deriv_matrix, _mat_add, _mat_scale, _mat_sub, _outer, _zero_matrix
+from paramjet.jet import _deriv_matrix, _outer
 
 from conftest import rand_ratfun
 
@@ -60,8 +61,8 @@ def rand_member(s, rng) -> Jet2Element:
     w = OmegaElement((rand_ratfun(SPEC, rng, max_deg=1), rand_ratfun(SPEC, rng, max_deg=1)))
     base = jet2_canonical_lift(w, s)
     s01 = rand_ratfun(SPEC, rng, max_deg=1)
-    sym = ((rand_ratfun(SPEC, rng, max_deg=1), s01), (s01, rand_ratfun(SPEC, rng, max_deg=1)))
-    return Jet2Element(a, w, _mat_add(base.eta, sym))
+    sym = [[rand_ratfun(SPEC, rng, max_deg=1), s01], [s01, rand_ratfun(SPEC, rng, max_deg=1)]]
+    return Jet2Element(a, w, linalg.mat_add(base.eta, sym))
 
 
 def test_jet1_examples(s):
@@ -113,8 +114,8 @@ def test_left_scaling_structure(s):
         prod = jet2_mul(jet2_l(a, s), m, s)
         assert prod.a == a * m.a
         assert prod.omega.coeffs == m.omega.scale(a).coeffs
-        expected_eta = _mat_add(
-            _mat_scale(a, m.eta), _outer(deRham_d0(a, s), m.omega)
+        expected_eta = linalg.mat_add(
+            linalg.mat_scale(a, m.eta), _outer(deRham_d0(a, s), m.omega)
         )
         assert prod.eta == expected_eta
 
@@ -140,7 +141,7 @@ def test_membership_closed_under_module_ops(s):
 
 def test_membership_rejects_wrong_antisymmetric_part(s):
     w = OmegaElement((rf("x*t"), rf("0")))
-    bad = Jet2Element(rf("0"), w, _zero_matrix(s))
+    bad = Jet2Element(rf("0"), w, linalg.zeros(s.base, s.dim, s.dim))
     # d(xt dx) has a nonzero (1,2) component, but eta is symmetric here
     assert not jet2_is_member(bad, s)
     with pytest.raises(MembershipViolated):
@@ -182,12 +183,12 @@ def test_proj1_kernel_is_symmetric_square(s):
 
 def test_gamma_examples(s):
     x = rf("x")
-    gx = Jet2Element(rf("0"), deRham_d0(x, s), _zero_matrix(s))
+    gx = Jet2Element(rf("0"), deRham_d0(x, s), linalg.zeros(s.base, s.dim, s.dim))
     g = jet2_gamma(gx, s)
     assert g[0][0] == rf("1")
     assert all(g[i][j].is_zero() for i in range(2) for j in range(2) if (i, j) != (0, 0))
     doubled = jet2_mul(jet2_l(rf("2"), s), gx, s)
-    assert jet2_gamma(doubled, s) == _mat_scale(rf("4"), g)
+    assert jet2_gamma(doubled, s) == linalg.mat_scale(rf("4"), g)
     with pytest.raises(NotInAugmentationIdeal):
         jet2_gamma(jet2_r(x, s), s)
 
@@ -202,10 +203,10 @@ def test_gamma_laws_random(s):
         # γ(ax) = a² γ(x) through the left scalar structure
         a = rand_ratfun(SPEC, rng, max_deg=1)
         scaled = jet2_mul(jet2_l(a, s), m1, s)
-        assert jet2_gamma(scaled, s) == _mat_scale(a * a, jet2_gamma(m1, s))
+        assert jet2_gamma(scaled, s) == linalg.mat_scale(a * a, jet2_gamma(m1, s))
         # γ(x+y) − γ(x) − γ(y) = xy, the product read as a tensor element
-        lhs = _mat_sub(
-            _mat_sub(jet2_gamma(m1.add(m2), s), jet2_gamma(m1, s)), jet2_gamma(m2, s)
+        lhs = linalg.mat_sub(
+            linalg.mat_sub(jet2_gamma(m1.add(m2), s), jet2_gamma(m1, s)), jet2_gamma(m2, s)
         )
         assert lhs == jet2_sym_value(jet2_mul(m1, m2, s))
 
@@ -249,7 +250,7 @@ def read_back_defect(x: Jet11Element, s):
     through dω: the formula the canonical-form one replaced."""
     if not x.omega_left.sub(x.omega_right).is_zero():
         return None
-    eta = _mat_sub(_deriv_matrix(x.omega_left, s), x.eta)
+    eta = linalg.mat_sub(_deriv_matrix(x.omega_left, s), x.eta)
     return jet2_membership_defect(Jet2Element(x.a, x.omega_left, eta), s)
 
 
@@ -270,8 +271,8 @@ def test_jet11_membership_defect_matches_read_back_oracle(structure, request):
         member = jet2_Delta(rand_member(s, rng), s)
         product = jet11_mul(member, jet2_Delta(rand_member(s, rng), s))
         w = member.omega_left
-        noise = tuple(tuple(rand_ratfun(SPEC, rng, max_deg=1) for _ in range(2)) for _ in range(2))
-        perturbed = Jet11Element(member.a, w, w, _mat_add(member.eta, noise))
+        noise = [[rand_ratfun(SPEC, rng, max_deg=1) for _ in range(2)] for _ in range(2)]
+        perturbed = Jet11Element(member.a, w, w, linalg.mat_add(member.eta, noise))
         slots_differ = Jet11Element(member.a, w, w.add(omega_unit(SPEC, 2, 0)), member.eta)
         for x in (member, product, perturbed, slots_differ):
             assert jet11_membership_defect(x, s) == read_back_defect(x, s)

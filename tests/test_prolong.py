@@ -109,10 +109,10 @@ def test_exact_sequence_invariants(p2q2):
 def test_prolong_morphism_identity_and_constants(xt):
     spec, ps = xt
     m = xt_module(xt)
-    eye = ModMorphism(m, m, ((rf(spec, "1"),),))
+    eye = ModMorphism(m, m, [[rf(spec, "1")]])
     p = prolong_morphism(eye)
-    assert linalg.mat_eq([list(r) for r in p.matrix], linalg.identity(spec, 2))
-    two = ModMorphism(m, m, ((rf(spec, "2"),),))
+    assert linalg.mat_eq(p.matrix, linalg.identity(spec, 2))
+    two = ModMorphism(m, m, [[rf(spec, "2")]])
     p2 = prolong_morphism(two)
     assert p2.matrix[1][0].is_zero()
     assert p2.matrix[0][0] == rf(spec, "2")
@@ -134,28 +134,28 @@ def test_prolong_morphism_functorial(p2q2):
         t23 = linalg.mat_mul(linalg.inverse(g3), linalg.mat_mul(c2, g2))
         assert morphism_check(t12, m1, m2).ok
         assert morphism_check(t23, m2, m3).ok
-        f12 = ModMorphism(m1, m2, tuple(tuple(r) for r in t12))
-        f23 = ModMorphism(m2, m3, tuple(tuple(r) for r in t23))
+        f12 = ModMorphism(m1, m2, t12)
+        f23 = ModMorphism(m2, m3, t23)
         p12 = prolong_morphism(f12)
         p23 = prolong_morphism(f23)
-        assert morphism_check([list(r) for r in p12.matrix], p12.src, p12.dst).ok
+        assert morphism_check(p12.matrix, p12.src, p12.dst).ok
         composite = ModMorphism(
-            m1, m3, tuple(tuple(r) for r in linalg.mat_mul(t23, t12))
+            m1, m3, linalg.mat_mul(t23, t12)
         )
         pc = prolong_morphism(composite)
         assert linalg.mat_eq(
-            [list(r) for r in pc.matrix],
-            linalg.mat_mul([list(r) for r in p23.matrix], [list(r) for r in p12.matrix]),
+            pc.matrix,
+            linalg.mat_mul(p23.matrix, p12.matrix),
         )
         # prolongation of an isomorphism is an isomorphism
-        inv = linalg.inverse([list(r) for r in p12.matrix])
+        inv = linalg.inverse(p12.matrix)
         assert morphism_check(inv, p12.dst, p12.src).ok
 
 
 def test_prolong_morphism_rejects_non_morphism(xt):
     spec, ps = xt
     m = xt_module(xt)
-    bad = ModMorphism(m, m, ((rf(spec, "x"),),))
+    bad = ModMorphism(m, m, [[rf(spec, "x")]])
     with pytest.raises(MorphismInvalid):
         prolong_morphism(bad)
 
@@ -167,11 +167,11 @@ def test_naturality_square(p2q2):
     g2 = rand_unipotent(spec, ps, rng, 2)
     m1, m2 = gauge_module(ps, g1), gauge_module(ps, g2)
     t = linalg.mat_mul(linalg.inverse(g2), g1)
-    f = ModMorphism(m1, m2, tuple(tuple(r) for r in t))
+    f = ModMorphism(m1, m2, t)
     pf = prolong_morphism(f)
     p1, p2 = prolong_module(m1), prolong_module(m2)
     # proj ∘ prolong(T) = T ∘ proj
-    lhs = linalg.mat_mul(p2.proj, [list(r) for r in pf.matrix])
+    lhs = linalg.mat_mul(p2.proj, pf.matrix)
     rhs = linalg.mat_mul(t, p1.proj)
     assert linalg.mat_eq(lhs, rhs)
     # prolong(T) ∘ incl = incl ∘ (q diagonal copies of T)
@@ -183,7 +183,7 @@ def test_naturality_square(p2q2):
         ]
     )
     assert morphism_check(sub_t, parameter_sub(m1), parameter_sub(m2)).ok
-    lhs2 = linalg.mat_mul([list(r) for r in pf.matrix], p1.incl)
+    lhs2 = linalg.mat_mul(pf.matrix, p1.incl)
     rhs2 = linalg.mat_mul(p2.incl, sub_t)
     assert linalg.mat_eq(lhs2, rhs2)
 
