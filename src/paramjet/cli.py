@@ -455,7 +455,9 @@ def _check_morphism(session: Session, flags, name: str) -> dict:
     if verdict.kind == "d_compat_fail":
         witness = {"variable": verdict.variable, "form": _strs(verdict.witness_form.coeffs)}
         return {"verdict": "d-compat-fail", "witness": witness}
-    witness = {"dual_index": verdict.dual_index, "two_form": _strs(verdict.witness_two_form.coeffs)}
+    t = verdict.witness_two_form
+    upper = (t[i][j] for i in range(len(t)) for j in range(i + 1, len(t)))
+    witness = {"dual_index": verdict.dual_index, "two_form": _strs(upper)}
     return {"verdict": "integrability-fail", "witness": witness}
 
 

@@ -267,11 +267,9 @@ def phi2_membership(m: DiffModule) -> MembershipVerdict:
             defect = jet11_membership_defect(components[l], s)
             if defect is None:
                 raise AssertionError("lift left/right slots diverged (internal bug)")
-            if defect.is_zero():
-                continue
             for a in range(p):
                 for b in range(a + 1, p):
-                    if not defect.at(a, b).is_zero():
+                    if not defect[a][b].is_zero():
                         if first_fail is None or (a, b) < first_fail:
                             first_fail = (a, b)
     if first_fail is not None:

@@ -114,37 +114,6 @@ def omega_unit(spec: FieldSpec, d: int, i: int) -> OmegaElement:
     )
 
 
-class TwoForm(NamedTuple):
-    """An alternating 2-form; coefficients indexed by pairs i < j."""
-
-    dim: int
-    coeffs: tuple[RatFun, ...]  # lexicographic over (i, j), i < j
-
-    @staticmethod
-    def pair_index(dim: int, i: int, j: int) -> int:
-        if not 0 <= i < j < dim:
-            raise ValueError("need i < j")
-        return i * (2 * dim - i - 1) // 2 + (j - i - 1)
-
-    def at(self, i: int, j: int) -> RatFun:
-        spec = self.coeffs[0].spec if self.coeffs else None
-        if i == j:
-            return RatFun.zero(spec)
-        if i < j:
-            return self.coeffs[self.pair_index(self.dim, i, j)]
-        return -self.coeffs[self.pair_index(self.dim, j, i)]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def sub(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.dim, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def two_form_zero(spec: FieldSpec, d: int) -> TwoForm:
-    return TwoForm(d, tuple(RatFun.zero(spec) for _ in range(d * (d - 1) // 2)))
-
-
 class DiffStructure:
     """A derivation basis closed under bracket, with structure constants."""
 
@@ -223,24 +192,25 @@ def deRham_d0(a: RatFun, s: DiffStructure) -> OmegaElement:
     return OmegaElement(tuple(delta.apply(a) for delta in s.basis))
 
 
-def deRham_d1(omega: OmegaElement, s: DiffStructure) -> TwoForm:
-    """d of a 1-form, including the bracket correction term."""
+def deRham_d1(omega: OmegaElement, s: DiffStructure) -> linalg.Matrix:
+    """d of a 1-form, including the bracket correction term, as the
+    antisymmetric d x d matrix of its values on pairs of basis elements."""
     d = s.dim
-    out = []
+    out = linalg.zeros(s.base, d, d)
     for i in range(d):
         for j in range(i + 1, d):
             term = s.basis[i].apply(omega.coeffs[j]) - s.basis[j].apply(omega.coeffs[i])
-            bracket_part = omega.pair(s.constants(i, j))
-            out.append(term - bracket_part)
-    return TwoForm(d, tuple(out))
+            v = term - omega.pair(s.constants(i, j))
+            out[i][j] = v
+            out[j][i] = -v
+    return out
 
 
 def lie_derivative(index: int, omega: OmegaElement, s: DiffStructure) -> OmegaElement:
     """Lie derivative along the basis derivation with the given index."""
     d_pair = deRham_d0(omega.coeffs[index], s)
-    dw = deRham_d1(omega, s)
-    contraction = OmegaElement(tuple(dw.at(index, j) for j in range(s.dim)))
-    return d_pair.add(contraction)
+    contraction = deRham_d1(omega, s)[index]
+    return d_pair.add(OmegaElement(tuple(contraction)))
 
 
 def lie_derivative_general(deriv: Derivation, omega: OmegaElement, s: DiffStructure) -> OmegaElement:
@@ -248,16 +218,9 @@ def lie_derivative_general(deriv: Derivation, omega: OmegaElement, s: DiffStruct
     coeffs, residual = _expand_in_basis(s.basis, deriv)
     if not residual.is_zero():
         raise ValueError("derivation is not in the span of the basis")
-    value = omega.pair(coeffs)
-    d_pair = deRham_d0(value, s)
+    d_pair = deRham_d0(omega.pair(coeffs), s)
     dw = deRham_d1(omega, s)
-    contraction = []
-    for j in range(s.dim):
-        acc = RatFun.zero(s.base)
-        for i in range(s.dim):
-            if not coeffs[i].is_zero():
-                acc = acc + coeffs[i] * dw.at(i, j)
-        contraction.append(acc)
+    contraction = linalg.mat_vec(linalg.transpose(dw), list(coeffs))
     return d_pair.add(OmegaElement(tuple(contraction)))
 
 
@@ -278,42 +241,20 @@ class DiffMorphism(NamedTuple):
     omega_matrix: list
 
     def apply(self, a: RatFun) -> RatFun:
+        if a.is_zero():
+            return RatFun.zero(self.target.base)
         return substitute(a, self.gen_images, self.target.base)
 
     def push_omega(self, omega: OmegaElement) -> OmegaElement:
-        cols = len(self.source.basis)
-        rows = len(self.target.basis)
-        out = []
-        for s in range(rows):
-            acc = RatFun.zero(self.target.base)
-            for i in range(cols):
-                c = omega.coeffs[i]
-                if not c.is_zero():
-                    acc = acc + self.omega_matrix[s][i] * self.apply(c)
-            out.append(acc)
-        return OmegaElement(tuple(out))
+        """W·φ(ω) for the omega matrix W."""
+        pushed = [self.apply(c) for c in omega.coeffs]
+        return OmegaElement(tuple(linalg.mat_vec(self.omega_matrix, pushed)))
 
-    def push_two_form(self, t: TwoForm) -> TwoForm:
-        rows = len(self.target.basis)
-        out = two_form_zero(self.target.base, rows)
-        coeffs = list(out.coeffs)
-        src = self.source.dim
-        for i in range(src):
-            for j in range(i + 1, src):
-                f = t.at(i, j)
-                if f.is_zero():
-                    continue
-                pf = self.apply(f)
-                for s in range(rows):
-                    for u in range(s + 1, rows):
-                        wedge = (
-                            self.omega_matrix[s][i] * self.omega_matrix[u][j]
-                            - self.omega_matrix[u][i] * self.omega_matrix[s][j]
-                        )
-                        if not wedge.is_zero():
-                            k = TwoForm.pair_index(rows, s, u)
-                            coeffs[k] = coeffs[k] + pf * wedge
-        return TwoForm(rows, tuple(coeffs))
+    def push_two_form(self, t: linalg.Matrix) -> linalg.Matrix:
+        """W·φ(T)·Wᵀ for the omega matrix W."""
+        w = self.omega_matrix
+        pushed = linalg.entrywise(self.apply, t)
+        return linalg.mat_mul(linalg.mat_mul(w, pushed), linalg.transpose(w))
 
 
 class MorphismVerdict(NamedTuple):
@@ -321,7 +262,7 @@ class MorphismVerdict(NamedTuple):
     variable: str | None = None
     dual_index: int | None = None
     witness_form: OmegaElement | None = None
-    witness_two_form: TwoForm | None = None
+    witness_two_form: linalg.Matrix | None = None
 
     @property
     def ok(self) -> bool:
@@ -343,8 +284,8 @@ def check_morphism(m: DiffMorphism) -> MorphismVerdict:
         omega_i = omega_unit(src.base, src.dim, i)
         lhs = deRham_d1(m.push_omega(omega_i), m.target)
         rhs = m.push_two_form(deRham_d1(omega_i, src))
-        diff = lhs.sub(rhs)
-        if not diff.is_zero():
+        diff = linalg.mat_sub(lhs, rhs)
+        if not linalg.is_zero_matrix(diff):
             return MorphismVerdict("integrability_fail", dual_index=i, witness_two_form=diff)
     return MorphismVerdict("ok")
 

@@ -169,6 +169,8 @@ class MultiPoly:
         return _reduced(self.spec, terms, da)
 
     def __neg__(self) -> "MultiPoly":
+        if not self.terms:
+            return self
         return MultiPoly(self.spec, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -668,6 +670,8 @@ class RatFun:
         return RatFun._coprime(poly_divexact(t, h), poly_divexact(d, h) * b1)
 
     def __neg__(self) -> "RatFun":
+        if not self.num.terms:
+            return self
         out = RatFun.__new__(RatFun)
         out.num = -self.num
         out.den = self.den

@@ -25,7 +25,6 @@ from . import linalg
 from .diffstruct import (
     DiffStructure,
     OmegaElement,
-    TwoForm,
     deRham_d0,
     deRham_d1,
     omega_unit,
@@ -105,32 +104,22 @@ def jet2_proj1(x: Jet2Element) -> Jet1Element:
     return Jet1Element(x.a, x.omega)
 
 
-def jet2_membership_defect(x: Jet2Element, s: DiffStructure) -> TwoForm:
-    """Antisymmetric part of η minus dω; zero exactly on members."""
-    dw = deRham_d1(x.omega, s)
-    out = []
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            out.append(x.eta[i][j] - x.eta[j][i] - dw.at(i, j))
-    return TwoForm(s.dim, tuple(out))
+def jet2_membership_defect(x: Jet2Element, s: DiffStructure) -> Matrix:
+    """Antisymmetric part of η minus dω, (η − ηᵀ) − dω; zero exactly on
+    members."""
+    asym = linalg.mat_sub(x.eta, linalg.transpose(x.eta))
+    return linalg.mat_sub(asym, deRham_d1(x.omega, s))
 
 
 def jet2_is_member(x: Jet2Element, s: DiffStructure) -> bool:
-    return jet2_membership_defect(x, s).is_zero()
+    return linalg.is_zero_matrix(jet2_membership_defect(x, s))
 
 
 def jet2_canonical_lift(omega: OmegaElement, s: DiffStructure) -> Jet2Element:
-    """The member 1⊗ω + ω⊗1 − lift(dω), lifting dω antisymmetrically
+    """The member 1⊗ω + ω⊗1 − ½dω, lifting dω antisymmetrically
     (possible since 2 is invertible)."""
-    dw = deRham_d1(omega, s)
     half = RatFun.const(s.base, Fraction(1, 2))
-    eta = [[RatFun.zero(s.base) for _ in range(s.dim)] for _ in range(s.dim)]
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            v = half * dw.at(i, j)
-            eta[i][j] = v
-            eta[j][i] = -v
-    return Jet2Element(RatFun.zero(s.base), omega, eta)
+    return Jet2Element(RatFun.zero(s.base), omega, linalg.mat_scale(half, deRham_d1(omega, s)))
 
 
 def jet2_mul(x: Jet2Element, y: Jet2Element, s: DiffStructure) -> Jet2Element:
@@ -213,12 +202,12 @@ def jet11_to_jet2(x: Jet11Element, s: DiffStructure) -> Jet2Element:
     defect = jet11_membership_defect(x, s)
     if defect is None:
         raise MembershipViolated("left and right form slots differ")
-    if not defect.is_zero():
+    if not linalg.is_zero_matrix(defect):
         raise MembershipViolated("antisymmetric part does not match dω")
     return Jet2Element(x.a, x.omega_left, linalg.mat_sub(_deriv_matrix(x.omega_left, s), x.eta))
 
 
-def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> TwoForm | None:
+def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> Matrix | None:
     """Membership defect of a canonical-form element, or None when the two
     form slots already disagree.  Read back, η = D(ω) − x.eta, and the
     derivatives in D(ω) cancel against dω: the defect is ω(c_ij) − (x.eta
@@ -226,10 +215,10 @@ def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> TwoForm | None
     if not x.omega_left.sub(x.omega_right).is_zero():
         return None
     w, eta = x.omega_left, x.eta
-    return TwoForm(s.dim, tuple(
-        w.pair(s.constants(i, j)) - (eta[i][j] - eta[j][i])
-        for i in range(s.dim) for j in range(i + 1, s.dim)
-    ))
+    return [
+        [w.pair(s.constants(i, j)) - (eta[i][j] - eta[j][i]) for j in range(s.dim)]
+        for i in range(s.dim)
+    ]
 
 
 def jet11_scale_right(x: Jet11Element, c: RatFun, s: DiffStructure) -> Jet11Element:

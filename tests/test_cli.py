@@ -59,6 +59,28 @@ def test_ring_morphism_sessions(tmp_path):
     assert integ["verdict"] == "curved"
 
 
+def test_integrability_witness_lists_the_upper_triangle(tmp_path):
+    """The pushed dz-form y dx + x dw is not closed: its d has entries
+    (0, 1) = −1, (0, 2) = 1 and (1, 2) = 0, written in that order."""
+    session = tmp_path / "witness.session"
+    session.write_text(
+        "field x y w\n"
+        "structure\n  principal dx = 1, 0, 0\n  principal dy = 0, 1, 0\n"
+        "  principal dw = 0, 0, 1\n  constants\nend\n"
+        "structure ring3\n  field x y z\n  principal dx = 1, 0, 0\n"
+        "  principal dy = 0, 1, 0\n  principal zdz = 0, 0, z\n  constants\nend\n"
+        "ringmorphism phi : ring3 -> main\n  image x = x\n  image y = y\n  image z = 0\n"
+        "  omega\n    1, 0, y\n    0, 1, 0\n    0, 0, x\n  end\nend\n"
+        "command check-morphism phi\n"
+    )
+    out = tmp_path / "witness.jsonl"
+    assert main(["run", str(session), "--out", str(out), "--quiet"]) == 4
+    morph = next(r for r in records_of(out.read_bytes()) if r.get("command") == "check-morphism")
+    assert morph["verdict"] == "integrability-fail"
+    assert morph["witness"]["dual_index"] == 2
+    assert morph["witness"]["two_form"] == ["(-1)/(1)", "(1)/(1)", "(0)/(1)"]
+
+
 def test_malformed_session_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, "malformed.session")
     assert code == 2

@@ -118,13 +118,13 @@ def test_d1_examples(s39):
         spec, [coordinate_derivation(spec, "x"), coordinate_derivation(spec, "y")]
     )
     # d of the third dual basis element of Example 3.9's structure vanishes
-    assert deRham_d1(omega_unit(SPEC3, 3, 2), s39).is_zero()
+    assert linalg.is_zero_matrix(deRham_d1(omega_unit(SPEC3, 3, 2), s39))
     # d∘d = 0
     a = parse_ratfun(spec, "x^2*y")
-    assert deRham_d1(deRham_d0(a, s), s).is_zero()
+    assert linalg.is_zero_matrix(deRham_d1(deRham_d0(a, s), s))
     # d(x ω2) has coefficient 1 at the (1,2) slot
     w = OmegaElement((parse_ratfun(spec, "0"), parse_ratfun(spec, "x")))
-    assert deRham_d1(w, s).coeffs == (parse_ratfun(spec, "1"),)
+    assert deRham_d1(w, s)[0][1] == parse_ratfun(spec, "1")
 
 
 def test_dd_zero_including_nonconstant_brackets(commuting_xt, s39, noncommuting_x):
@@ -132,7 +132,7 @@ def test_dd_zero_including_nonconstant_brackets(commuting_xt, s39, noncommuting_
     for s, spec in ((commuting_xt, SPECXT), (s39, SPEC3), (noncommuting_x, SPECXT)):
         for _ in range(30):
             a = rand_ratfun(spec, rng)
-            assert deRham_d1(deRham_d0(a, s), s).is_zero()
+            assert linalg.is_zero_matrix(deRham_d1(deRham_d0(a, s), s))
 
 
 def test_dd_fails_with_corrupted_constants(noncommuting_x):
@@ -144,7 +144,7 @@ def test_dd_fails_with_corrupted_constants(noncommuting_x):
         {(0, 1): (rxt("0"), rxt("0"))},
     )
     a = rxt("x^2")
-    assert not deRham_d1(deRham_d0(a, corrupted), corrupted).is_zero()
+    assert not linalg.is_zero_matrix(deRham_d1(deRham_d0(a, corrupted), corrupted))
 
 
 def test_jacobi_identity(noncommuting_x):
@@ -216,8 +216,34 @@ def test_check_morphism_examples(example39):
     assert check_morphism(morphism39(src, dst, "y", "x")).ok
     v = check_morphism(morphism39(src, dst, "y", "0"))
     assert v.kind == "integrability_fail"
-    assert v.witness_two_form.coeffs == (parse_ratfun(dst.base, "-1"),)
+    assert v.witness_two_form[0][1] == parse_ratfun(dst.base, "-1")
     assert check_morphism(identity_diff_morphism(src)).ok
+
+
+def test_pushed_two_form_is_w_t_wt(noncommuting_x):
+    """Over {∂x, x·∂x + ∂t}, [δ0, δ1] = δ0, so dω⁰ is −1 at (0, 1); with
+    identity images and W = [[1, x], [0, 2]] the pushed 2-form is
+    W·T·Wᵀ = [[0, −2], [2, 0]]."""
+    from paramjet.diffstruct import DiffMorphism
+
+    s = noncommuting_x
+    assert check_morphism(identity_diff_morphism(s)).ok
+    t = deRham_d1(omega_unit(SPECXT, 2, 0), s)
+    assert t[0][1] == rxt("-1")
+    images = {v: RatFun.variable(SPECXT, v) for v in SPECXT.variables}
+    w = [[rxt("1"), rxt("x")], [rxt("0"), rxt("2")]]
+    pushed = DiffMorphism(s, s, images, w).push_two_form(t)
+    assert pushed == [[rxt("0"), rxt("-2")], [rxt("2"), rxt("0")]]
+
+
+def test_lie_derivatives_on_a_one_dimensional_structure():
+    """{∂x} over Q(x, t): dω is the 1 x 1 zero matrix, so both Lie
+    derivatives reduce to d of the pairing."""
+    s = build_structure(SPECXT, [coordinate_derivation(SPECXT, "x")])
+    w = OmegaElement((rxt("x*t"),))
+    assert lie_derivative(0, w, s) == OmegaElement((rxt("t"),))
+    t_dx = coordinate_derivation(SPECXT, "x").scale(rxt("t"))
+    assert lie_derivative_general(t_dx, w, s) == OmegaElement((rxt("t^2"),))
 
 
 def test_check_morphism_detects_d_compat_failure(example39):

@@ -42,6 +42,11 @@ def test_arith_examples():
     assert rf("t/x") * rf("x/t") == rf("1")
 
 
+def test_negated_zero_is_the_interned_zero():
+    assert -RatFun.zero(SPEC) is RatFun.zero(SPEC)
+    assert -MultiPoly.zero(SPEC) is MultiPoly.zero(SPEC)
+
+
 def test_div_by_zero():
     with pytest.raises(DivisionByZero):
         rf("x") / rf("0")
