@@ -18,7 +18,7 @@ from . import linalg
 from .diffstruct import (
     DiffMorphism,
     ParamStructure,
-    check_morphism,
+    d_compat_failure,
 )
 from .errors import MorphismInvalid, NotFlat, SemanticError, StructureMismatch
 from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, poly_gcd
@@ -200,9 +200,9 @@ def extend_scalars(morphism: DiffMorphism, module: DiffModule, target: ParamStru
         raise MorphismInvalid("morphism source is not the module's principal structure")
     if morphism.target != target.principal_structure:
         raise MorphismInvalid("morphism target is not the target principal structure")
-    verdict = check_morphism(morphism)
-    if verdict.kind == "d_compat_fail":
-        raise MorphismInvalid(f"morphism is not d-compatible at {verdict.variable!r}")
+    failure = d_compat_failure(morphism)
+    if failure is not None:
+        raise MorphismInvalid(f"morphism is not d-compatible at {failure.variable!r}")
     pushed = [linalg.entrywise(morphism.apply, a) for a in module.conn]
     conn = []
     for s in range(target.principal_count):

@@ -269,10 +269,10 @@ class MorphismVerdict(NamedTuple):
         return self.kind == "ok"
 
 
-def check_morphism(m: DiffMorphism) -> MorphismVerdict:
-    """Check d-compatibility on the source variables and the integrability
-    condition on the source dual basis; sufficiency on generators follows
-    from the Leibniz rule and linearity."""
+def d_compat_failure(m: DiffMorphism) -> MorphismVerdict | None:
+    """The first source variable v with d(φ(v)) ≠ W·φ(dv), as a
+    ``d_compat_fail`` verdict, or None when the morphism is d-compatible;
+    by the Leibniz rule the generators suffice."""
     src = m.source
     for v in src.base.variables:
         lhs = deRham_d0(m.apply(RatFun.variable(src.base, v)), m.target)
@@ -280,6 +280,17 @@ def check_morphism(m: DiffMorphism) -> MorphismVerdict:
         diff = lhs.sub(rhs)
         if not diff.is_zero():
             return MorphismVerdict("d_compat_fail", variable=v, witness_form=diff)
+    return None
+
+
+def check_morphism(m: DiffMorphism) -> MorphismVerdict:
+    """Check d-compatibility on the source variables and the integrability
+    condition on the source dual basis; sufficiency on generators follows
+    from the Leibniz rule and linearity."""
+    failure = d_compat_failure(m)
+    if failure is not None:
+        return failure
+    src = m.source
     for i in range(src.dim):
         omega_i = omega_unit(src.base, src.dim, i)
         lhs = deRham_d1(m.push_omega(omega_i), m.target)

@@ -16,7 +16,11 @@ with different denominators takes the gcd of the denominators and then one
 against the common factor only (Henrici; Knuth, TAOCP 2, 4.5.1), and a
 partial derivative cancels only against the part of the denominator free
 of the variable.  ``poly_gcd`` proves coprimality from a modular image
-before it falls back to the pseudo-remainder sequence.
+before it falls back to the pseudo-remainder sequence.  The parts of the
+quotient rule and of the sum that depend on the denominators alone (the
+gcd of d and its derivative, the gcd of two denominators, and the
+cofactors) are memoized per ``FieldSpec``, so a denominator is split once
+per variable, or once per pair, in the life of its field.
 
 All values are immutable; operations are pure functions.
 """
@@ -42,9 +46,15 @@ class FieldSpec:
     """An ordered list of variable names; fixes indexing for the session.
 
     It also holds the field's zero and one, built once: values are
-    immutable, so every caller can share them."""
+    immutable, so every caller can share them.  For the same reason it
+    holds the memos of the denominator-only splits, keyed by denominator
+    polynomials: the quotient rule's (variable index, d) -> split of d
+    against its derivative, and the sum's (b, d) -> split of b and d by
+    their gcd.  Exponent tuples mean different things in different fields,
+    so a memo belongs to its field and lives as long as it does."""
 
-    __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one")
+    __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one",
+                 "_quotient_memo", "_sum_memo")
 
     def __init__(self, variables: Iterable[str]):
         names = tuple(variables)
@@ -58,6 +68,8 @@ class FieldSpec:
         self._poly_one = MultiPoly(self, {(0,) * len(names): 1})
         self._zero = RatFun._coprime(self._poly_zero, self._poly_one)
         self._one = RatFun._coprime(self._poly_one, self._poly_one)
+        self._quotient_memo: dict = {}
+        self._sum_memo: dict = {}
 
     def index(self, name: str) -> int:
         try:
@@ -244,6 +256,9 @@ class MultiPoly:
             and self.den == other.den
             and self.terms == other.terms
         )
+
+    def __hash__(self) -> int:
+        return hash((self.den, frozenset(self.terms.items())))
 
     def render(self) -> str:
         if not self.terms:
@@ -656,13 +671,16 @@ class RatFun:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
             return RatFun(a + c, b)
-        g = poly_gcd(b, d)
+        memo = b.spec._sum_memo
+        split = memo.get((b, d))
+        if split is None:
+            g = poly_gcd(b, d)
+            split = memo[(b, d)] = (g, poly_divexact(b, g), poly_divexact(d, g))
+        g, b1, d1 = split
         if g.is_one():
             # a prime factor of b divides neither a nor d, so not a*d + c*b;
             # likewise for d
             return RatFun._coprime(a * d + c * b, b * d)
-        b1 = poly_divexact(b, g)
-        d1 = poly_divexact(d, g)
         t = a * d1 + c * b1
         # b1 and d1 are coprime, so as above no factor of b1 or d1 divides
         # t: t and the denominator g*b1*d1 share the factors of h only
@@ -737,7 +755,9 @@ def partial_derivative(x: RatFun, v: str | int) -> RatFun:
     not n: it does not divide n'e - n f.  The only common factors left are
     those of the content of d in the variable, its factors free of the
     variable, so one gcd against that content cancels them, and none is
-    taken when the content is constant."""
+    taken when the content is constant.  Everything but n' and the final
+    cancellation depends on d and the variable only, and is memoized on the
+    field."""
     i = x.spec.index(v) if isinstance(v, str) else v
     if not (0 <= i < len(x.spec)):
         raise UnknownVariable(f"variable index {i} out of range")
@@ -746,11 +766,15 @@ def partial_derivative(x: RatFun, v: str | int) -> RatFun:
     dd = d.derivative(i)
     if dd.is_zero():
         return RatFun(dn, d)
-    h = poly_gcd(d, dd)
-    e = poly_divexact(d, h)
-    num = dn * e - n * poly_divexact(dd, h)
-    den = h * e * e
-    content = _coeff_content(_as_coeffs(d, i))
+    memo = x.spec._quotient_memo
+    split = memo.get((i, d))
+    if split is None:
+        h = poly_gcd(d, dd)
+        e = poly_divexact(d, h)
+        split = memo[(i, d)] = (e, poly_divexact(dd, h), h * e * e,
+                                _coeff_content(_as_coeffs(d, i)))
+    e, f, den, content = split
+    num = dn * e - n * f
     if not content.is_const():
         g = poly_gcd(num, content)
         num = poly_divexact(num, g)

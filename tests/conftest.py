@@ -79,10 +79,10 @@ def morphism39(src, dst, f: str, g: str) -> DiffMorphism:
     spec = dst.base
     r = lambda s: parse_ratfun(spec, s)
     images = {"x": r("x"), "y": r("y"), "z": r("0")}
-    omega = (
-        (r("1"), r("0"), r(f)),
-        (r("0"), r("1"), r(g)),
-    )
+    omega = [
+        [r("1"), r("0"), r(f)],
+        [r("0"), r("1"), r(g)],
+    ]
     return DiffMorphism(src, dst, images, omega)
 
 

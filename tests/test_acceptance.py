@@ -405,3 +405,29 @@ def test_criterion_11_rational_gauge_at2(tmp_path):
         ("check-integrability", "flat"),
     ]
     assert records[1]["derived"]["rank"] == 6
+
+
+def test_criterion_12_rank18_flatness(tmp_path):
+    """at2 of the rational gauge's at2, rank 18, and its flatness: the
+    quotient rule and the sums meet the same few denominators again and
+    again, so each is split once per field."""
+    from paramjet.cli import main
+
+    text = (FIXTURES / "rational_gauge_at2.session").read_text(encoding="utf-8")
+    head = text[: text.index("command")]
+    session = tmp_path / "rank18.session"
+    session.write_text(
+        head + "command at2 R2 = R\ncommand at2 R3 = R2\ncommand check-integrability R3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rank18.jsonl"
+    with Budget(12, 4):
+        code = main(["run", str(session), "--out", str(out), "--quiet"])
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [(r["command"], r["verdict"]) for r in records] == [
+        ("at2", "ok"),
+        ("at2", "ok"),
+        ("check-integrability", "flat"),
+    ]
+    assert records[1]["derived"]["rank"] == 18

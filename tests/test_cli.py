@@ -540,3 +540,51 @@ def test_human_report(tmp_path, capsys):
     assert main(["run", str(f), "--out", str(tmp_path / "s.jsonl")]) == 0
     out, err = capsys.readouterr()
     assert out.splitlines() == report and err == ""
+
+
+POLYNOMIAL_GAUGE = (
+    "field x1 x2 t\n"
+    "structure\n  principal d1 = 1, 0, 0\n  principal d2 = 0, 1, 0\n"
+    "  parameter dt = 0, 0, 1\n  constants t\nend\n"
+    # A_i = -U^-1 d_i(U) for U = [[1, x1*x2+t], [0, 1]]
+    "module G rank 2\n  matrix d1\n    0, -x2\n    0, 0\n  end\n"
+    "  matrix d2\n    0, -x1\n    0, 0\n  end\nend\n"
+    "command check-integrability G\ncommand tensor GG = G G\ncommand dual GD = G\n"
+    "command prolong PG = G\ncommand at2 SG = G\ncommand check-integrability SG\n"
+    "command baer-check G G\ncommand closure G\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(FIXTURES / "xt_prolong.session").read_text(encoding="utf-8"), POLYNOMIAL_GAUGE],
+    ids=["xt_prolong", "polynomial_gauge"],
+)
+def test_sessions_without_split_denominators_leave_the_memos_empty(tmp_path, monkeypatch, text):
+    """The x^t fixture and a polynomial gauge session take no gcd of a
+    denominator with its derivative or with another denominator, so the
+    memos of those splits stay empty: such sessions pay no hashing for
+    them."""
+    import paramjet.cli as cli
+
+    lookups = []
+
+    class Watched(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    specs = []
+    make = cli.FieldSpec
+
+    def recorded(names):
+        spec = make(names)
+        spec._quotient_memo, spec._sum_memo = Watched(), Watched()
+        specs.append(spec)
+        return spec
+
+    monkeypatch.setattr(cli, "FieldSpec", recorded)
+    assert run_text(tmp_path, text, "--degree-bound", "1", "--depth", "1") == 0
+    assert specs and lookups == []
+    for spec in specs:
+        assert spec._quotient_memo == {} and spec._sum_memo == {}

@@ -189,10 +189,42 @@ def test_extend_scalars_rejects_d_incompatible(example39, fg_setup):
         m.source,
         m.target,
         m.gen_images,
-        ((rf(spec2, "x"), m.omega_matrix[0][1], m.omega_matrix[0][2]), m.omega_matrix[1]),
+        [[rf(spec2, "x"), m.omega_matrix[0][1], m.omega_matrix[0][2]], m.omega_matrix[1]],
     )
     with pytest.raises(MorphismInvalid):
         extend_scalars(bad, module, ps2)
+
+
+def test_extend_scalars_checks_d_compatibility_only(example39, fg_setup, monkeypatch):
+    """The transport enforces d-compatibility alone, so it never pushes a
+    2-form forward: an integrability failure still transports (to a curved
+    module) and a d-incompatible morphism is still refused."""
+    from paramjet.diffstruct import DiffMorphism
+
+    src, dst = example39
+    spec2, ps2, _ = fg_setup
+    src_ps = build_param_structure(src.base, list(src.basis), [], [])
+    module = DiffModule(
+        src_ps,
+        1,
+        ([[rf(src.base, "0")]], [[rf(src.base, "0")]], [[rf(src.base, "-1")]]),
+    )
+    calls = []
+    push = DiffMorphism.push_two_form
+
+    def counted(self, t):
+        calls.append(t)
+        return push(self, t)
+
+    monkeypatch.setattr(DiffMorphism, "push_two_form", counted)
+    assert check_integrability(extend_scalars(morphism39(src, dst, "y", "x"), module, ps2)).flat
+    curved = extend_scalars(morphism39(src, dst, "y", "0"), module, ps2)
+    assert not check_integrability(curved).flat
+    m = morphism39(src, dst, "y", "x")
+    bad = m._replace(omega_matrix=[[rf(spec2, "x")] + m.omega_matrix[0][1:], m.omega_matrix[1]])
+    with pytest.raises(MorphismInvalid):
+        extend_scalars(bad, module, ps2)
+    assert calls == []
 
 
 def test_phi2_membership_oracle_examples(fg_setup, x12t):

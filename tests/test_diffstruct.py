@@ -253,8 +253,8 @@ def test_check_morphism_detects_d_compat_failure(example39):
         m.source,
         m.target,
         m.gen_images,
-        ((m.omega_matrix[0][0], m.omega_matrix[0][1], m.omega_matrix[0][2]),
-         (parse_ratfun(dst.base, "x"), m.omega_matrix[1][1], m.omega_matrix[1][2])),
+        [[m.omega_matrix[0][0], m.omega_matrix[0][1], m.omega_matrix[0][2]],
+         [parse_ratfun(dst.base, "x"), m.omega_matrix[1][1], m.omega_matrix[1][2]]],
     )
     v = check_morphism(bad)
     assert v.kind == "d_compat_fail"
@@ -279,8 +279,8 @@ def test_morphism_composition(example39):
             dst,
             {"x": parse_ratfun(spec2, "x"), "y": parse_ratfun(spec2, "y"),
              "z": parse_ratfun(spec2, "0")},
-            ((parse_ratfun(spec2, "1"), parse_ratfun(spec2, "0"), f),
-             (parse_ratfun(spec2, "0"), parse_ratfun(spec2, "1"), g)),
+            [[parse_ratfun(spec2, "1"), parse_ratfun(spec2, "0"), f],
+             [parse_ratfun(spec2, "0"), parse_ratfun(spec2, "1"), g]],
         )
         assert check_morphism(m).ok
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -289,8 +289,8 @@ def test_morphism_composition(example39):
             dst,
             {"x": parse_ratfun(spec2, f"x+{a}" if a >= 0 else f"x-{-a}"),
              "y": parse_ratfun(spec2, f"y+{b}" if b >= 0 else f"y-{-b}")},
-            ((parse_ratfun(spec2, "1"), parse_ratfun(spec2, "0")),
-             (parse_ratfun(spec2, "0"), parse_ratfun(spec2, "1"))),
+            [[parse_ratfun(spec2, "1"), parse_ratfun(spec2, "0")],
+             [parse_ratfun(spec2, "0"), parse_ratfun(spec2, "1")]],
         )
         assert check_morphism(shift).ok
         # the composite a -> shift(m(a)): images pushed through shift, and

@@ -334,3 +334,59 @@ def test_gcd_falls_back_on_a_denominator_divisible_by_p():
     assert poly_gcd(f, g).is_one()
     q = RatFun(f, g)
     assert q.num * g == f * q.den
+
+
+# --- the per-field memos of the denominator splits ------------------------------
+
+
+def test_quotient_rule_splits_a_denominator_once(monkeypatch):
+    spec = FieldSpec(["x", "t"])
+    first = rf("(x+t)^10/(x-t)^7", spec)
+    second = rf("(x+2*t)/(x-t)^7", spec)
+    expected = rf("(-6*x-15*t)/(x-t)^8", spec)
+    d = second.den
+    calls = []
+    gcd = field.poly_gcd
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(field, "poly_gcd", counted)
+    partial_derivative(first, "x")
+    assert any(d in args for args in calls)
+    calls.clear()
+    assert partial_derivative(second, "x") == expected
+    assert not any(d in args for args in calls)
+
+
+def test_split_memos_belong_to_their_field():
+    """The same exponent tuples, (x - t)^3 and (x - y)^3: each field keeps
+    its own split and each derivative stays in its own field."""
+    xt, xy = FieldSpec(["x", "t"]), FieldSpec(["x", "y"])
+    a = partial_derivative(rf("1/(x-t)^3", xt), "x")
+    b = partial_derivative(rf("1/(x-y)^3", xy), "x")
+    assert a == rf("-3/(x-t)^4", xt) and a.spec is xt
+    assert b == rf("-3/(x-y)^4", xy) and b.spec is xy
+    assert list(xt._quotient_memo) == [(0, rf("(x-t)^3", xt).num)]
+    assert list(xy._quotient_memo) == [(0, rf("(x-y)^3", xy).num)]
+
+
+def test_quotient_rule_memo_is_per_variable():
+    spec = FieldSpec(["x", "t"])
+    q = rf("(x+t)/(x-t)^3", spec)
+    assert partial_derivative(q, "x") == rf("(-2*x-4*t)/(x-t)^4", spec)
+    assert partial_derivative(q, "t") == rf("(4*x+2*t)/(x-t)^4", spec)
+    assert partial_derivative(q, "x") == rf("(-2*x-4*t)/(x-t)^4", spec)
+
+
+def test_sum_with_a_memoized_split_commutes():
+    spec = FieldSpec(["x", "t"])
+    p = rf("(x+1)/((x-t)^2*(x+t))", spec)
+    q = rf("t/((x-t)*(x+2))", spec)
+    # RatFun() cancels the full gcd: a route that takes no split
+    expected = RatFun(p.num * q.den + q.num * p.den, p.den * q.den)
+    assert p + q == expected
+    assert q + p == expected
+    assert p + q == expected
+    assert (p + q) - q == p
