@@ -186,7 +186,7 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
         raise ParseError("structure needs a field", line=lineno)
     try:
         def mk(coeffs):
-            return Derivation(spec, tuple(parse_ratfun(spec, c.strip()) for c in coeffs))
+            return Derivation(spec, [parse_ratfun(spec, c.strip()) for c in coeffs])
 
         ps = build_param_structure(
             spec,
@@ -295,6 +295,11 @@ def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str]
             raise ParseError(f"unknown ringmorphism item {tokens[0]!r}", line=ln)
     if omega is None:
         raise ParseError("ringmorphism needs an omega block", line=lineno)
+    for struct in (src, dst):
+        if session.structures[struct].principal_structure is None:
+            raise SemanticError(
+                f"ring morphism {name!r}: structure {struct!r} has no principal derivations"
+            )
     p_src = source.principal_structure
     p_dst = target.principal_structure
     if linalg.shape(omega) != (p_dst.dim, p_src.dim):
@@ -453,7 +458,7 @@ def _check_morphism(session: Session, flags, name: str) -> dict:
     if verdict.ok:
         return {"verdict": "ok"}
     if verdict.kind == "d_compat_fail":
-        witness = {"variable": verdict.variable, "form": _strs(verdict.witness_form.coeffs)}
+        witness = {"variable": verdict.variable, "form": _strs(verdict.witness_form)}
         return {"verdict": "d-compat-fail", "witness": witness}
     t = verdict.witness_two_form
     upper = (t[i][j] for i in range(len(t)) for j in range(i + 1, len(t)))
@@ -520,7 +525,7 @@ def _jet_eval(session: Session, flags, f: RatFun, g: RatFun) -> dict:
         "verdict": "ok" if prod == jet2_r(f * g, s) else "fail",
         "r2_product": {
             "scalar": str(prod.a),
-            "form": _strs(prod.omega.coeffs),
+            "form": _strs(prod.omega),
             "tensor": _render_matrix(prod.eta),
         },
     }

@@ -8,7 +8,9 @@ used by the module and prolongation layers.
 
 Derivations are represented extrinsically by their coefficient vectors
 over the coordinate partials, so the action on the field determines the
-derivation.
+derivation.  Like every vector of the engine, a coefficient vector, a row
+of structure constants and a 1-form (its coordinates in the dual basis)
+are plain lists of ``RatFun``, the row type of ``linalg``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class Derivation:
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[RatFun, ...]):
+    def __init__(self, spec: FieldSpec, coeffs: list[RatFun]):
         if len(coeffs) != len(spec):
             raise ValueError("coefficient vector length mismatch")
         self.spec = spec
@@ -55,63 +57,21 @@ class Derivation:
         return all(c.is_zero() for c in self.coeffs)
 
     def add(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Derivation(self.spec, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, c: RatFun) -> "Derivation":
-        return Derivation(self.spec, tuple(c * a for a in self.coeffs))
+        return Derivation(self.spec, [c * a for a in self.coeffs])
 
 
 def coordinate_derivation(spec: FieldSpec, name: str) -> Derivation:
-    i = spec.index(name)
-    return Derivation(
-        spec,
-        tuple(RatFun.one(spec) if j == i else RatFun.zero(spec) for j in range(len(spec))),
-    )
+    return Derivation(spec, linalg.identity(spec, len(spec))[spec.index(name)])
 
 
 def bracket(a: Derivation, b: Derivation) -> Derivation:
     """Lie bracket [a, b] = a∘b - b∘a, in coefficient form."""
     if a.spec != b.spec:
         raise ValueError("derivations over different fields")
-    return Derivation(
-        a.spec,
-        tuple(a.apply(cb) - b.apply(ca) for ca, cb in zip(a.coeffs, b.coeffs)),
-    )
-
-
-class OmegaElement(NamedTuple):
-    """A 1-form as a coefficient vector over the dual basis of a structure."""
-
-    coeffs: tuple[RatFun, ...]
-
-    def pair(self, basis_coeffs: tuple[RatFun, ...]) -> RatFun:
-        spec = self.coeffs[0].spec
-        out = RatFun.zero(spec)
-        for c, b in zip(self.coeffs, basis_coeffs):
-            out = out + c * b
-        return out
-
-    def add(self, other: "OmegaElement") -> "OmegaElement":
-        return OmegaElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def sub(self, other: "OmegaElement") -> "OmegaElement":
-        return OmegaElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: RatFun) -> "OmegaElement":
-        return OmegaElement(tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-
-def omega_zero(spec: FieldSpec, d: int) -> OmegaElement:
-    return OmegaElement(tuple(RatFun.zero(spec) for _ in range(d)))
-
-
-def omega_unit(spec: FieldSpec, d: int, i: int) -> OmegaElement:
-    return OmegaElement(
-        tuple(RatFun.one(spec) if j == i else RatFun.zero(spec) for j in range(d))
-    )
+    return Derivation(a.spec, [a.apply(cb) - b.apply(ca) for ca, cb in zip(a.coeffs, b.coeffs)])
 
 
 class DiffStructure:
@@ -122,19 +82,19 @@ class DiffStructure:
     def __init__(self, base, basis, structure_constants):
         self.base = base
         self.basis = basis
-        self.structure_constants = structure_constants  # dict[(i,j) i<j] -> tuple
+        self.structure_constants = structure_constants  # dict[(i,j) i<j] -> list
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def constants(self, i: int, j: int) -> tuple[RatFun, ...]:
+    def constants(self, i: int, j: int) -> list[RatFun]:
         """Coefficients of [δi, δj] in the basis, for any i, j."""
         if i == j:
-            return tuple(RatFun.zero(self.base) for _ in range(self.dim))
+            return [RatFun.zero(self.base)] * self.dim
         if i < j:
             return self.structure_constants[(i, j)]
-        return tuple(-c for c in self.structure_constants[(j, i)])
+        return [-c for c in self.structure_constants[(j, i)]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -148,9 +108,8 @@ def _expand_in_basis(basis: tuple[Derivation, ...], target: Derivation):
     """Solve sum_q c_q * basis_q = target; returns (coeffs, residual Derivation)."""
     spec = target.spec
     a = [[b.coeffs[n] for b in basis] for n in range(len(spec))]
-    rhs = list(target.coeffs)
-    coeffs, residual = linalg.solve_or_residual(a, rhs)
-    return tuple(coeffs), Derivation(spec, tuple(residual))
+    coeffs, residual = linalg.solve_or_residual(a, target.coeffs)
+    return coeffs, Derivation(spec, residual)
 
 
 def _independent_basis(base: FieldSpec, basis) -> tuple[Derivation, ...]:
@@ -161,15 +120,14 @@ def _independent_basis(base: FieldSpec, basis) -> tuple[Derivation, ...]:
     for b in basis:
         if b.spec != base:
             raise ValueError("derivation over the wrong field")
-    coeff_matrix = [list(b.coeffs) for b in basis]
-    if linalg.rank(coeff_matrix) != len(basis):
+    if linalg.rank([b.coeffs for b in basis]) != len(basis):
         raise NotIndependent("derivation basis is linearly dependent over the field")
     return basis
 
 
 def _commuting_structure(base: FieldSpec, basis: tuple[Derivation, ...]) -> DiffStructure:
     """The structure of a basis whose brackets are known to vanish."""
-    zero = tuple(RatFun.zero(base) for _ in basis)
+    zero = [RatFun.zero(base)] * len(basis)
     return DiffStructure(base, basis, {(i, j): zero for j in range(len(basis)) for i in range(j)})
 
 
@@ -187,41 +145,40 @@ def build_structure(base: FieldSpec, basis) -> DiffStructure:
     return DiffStructure(base, basis, constants)
 
 
-def deRham_d0(a: RatFun, s: DiffStructure) -> OmegaElement:
+def deRham_d0(a: RatFun, s: DiffStructure) -> list[RatFun]:
     """The differential of a scalar: (d a)(δ) = δ(a), in dual-basis coordinates."""
-    return OmegaElement(tuple(delta.apply(a) for delta in s.basis))
+    return [delta.apply(a) for delta in s.basis]
 
 
-def deRham_d1(omega: OmegaElement, s: DiffStructure) -> linalg.Matrix:
+def deRham_d1(omega: list[RatFun], s: DiffStructure) -> linalg.Matrix:
     """d of a 1-form, including the bracket correction term, as the
     antisymmetric d x d matrix of its values on pairs of basis elements."""
     d = s.dim
     out = linalg.zeros(s.base, d, d)
     for i in range(d):
         for j in range(i + 1, d):
-            term = s.basis[i].apply(omega.coeffs[j]) - s.basis[j].apply(omega.coeffs[i])
-            v = term - omega.pair(s.constants(i, j))
+            term = s.basis[i].apply(omega[j]) - s.basis[j].apply(omega[i])
+            v = term - linalg.mat_vec([omega], s.constants(i, j))[0]
             out[i][j] = v
             out[j][i] = -v
     return out
 
 
-def lie_derivative(index: int, omega: OmegaElement, s: DiffStructure) -> OmegaElement:
+def lie_derivative(index: int, omega: list[RatFun], s: DiffStructure) -> list[RatFun]:
     """Lie derivative along the basis derivation with the given index."""
-    d_pair = deRham_d0(omega.coeffs[index], s)
+    d_pair = deRham_d0(omega[index], s)
     contraction = deRham_d1(omega, s)[index]
-    return d_pair.add(OmegaElement(tuple(contraction)))
+    return [a + b for a, b in zip(d_pair, contraction)]
 
 
-def lie_derivative_general(deriv: Derivation, omega: OmegaElement, s: DiffStructure) -> OmegaElement:
+def lie_derivative_general(deriv: Derivation, omega: list[RatFun], s: DiffStructure) -> list[RatFun]:
     """Lie derivative along an arbitrary derivation in the span of the basis."""
     coeffs, residual = _expand_in_basis(s.basis, deriv)
     if not residual.is_zero():
         raise ValueError("derivation is not in the span of the basis")
-    d_pair = deRham_d0(omega.pair(coeffs), s)
-    dw = deRham_d1(omega, s)
-    contraction = linalg.mat_vec(linalg.transpose(dw), list(coeffs))
-    return d_pair.add(OmegaElement(tuple(contraction)))
+    d_pair = deRham_d0(linalg.mat_vec([omega], coeffs)[0], s)
+    contraction = linalg.mat_vec(linalg.transpose(deRham_d1(omega, s)), coeffs)
+    return [a + b for a, b in zip(d_pair, contraction)]
 
 
 # --- morphisms ----------------------------------------------------------------
@@ -245,10 +202,9 @@ class DiffMorphism(NamedTuple):
             return RatFun.zero(self.target.base)
         return substitute(a, self.gen_images, self.target.base)
 
-    def push_omega(self, omega: OmegaElement) -> OmegaElement:
+    def push_omega(self, omega: list[RatFun]) -> list[RatFun]:
         """W·φ(ω) for the omega matrix W."""
-        pushed = [self.apply(c) for c in omega.coeffs]
-        return OmegaElement(tuple(linalg.mat_vec(self.omega_matrix, pushed)))
+        return linalg.mat_vec(self.omega_matrix, [self.apply(c) for c in omega])
 
     def push_two_form(self, t: linalg.Matrix) -> linalg.Matrix:
         """W·φ(T)·Wᵀ for the omega matrix W."""
@@ -261,7 +217,7 @@ class MorphismVerdict(NamedTuple):
     kind: str  # "ok" | "d_compat_fail" | "integrability_fail"
     variable: str | None = None
     dual_index: int | None = None
-    witness_form: OmegaElement | None = None
+    witness_form: list[RatFun] | None = None
     witness_two_form: linalg.Matrix | None = None
 
     @property
@@ -277,8 +233,8 @@ def d_compat_failure(m: DiffMorphism) -> MorphismVerdict | None:
     for v in src.base.variables:
         lhs = deRham_d0(m.apply(RatFun.variable(src.base, v)), m.target)
         rhs = m.push_omega(deRham_d0(RatFun.variable(src.base, v), src))
-        diff = lhs.sub(rhs)
-        if not diff.is_zero():
+        if lhs != rhs:
+            diff = [a - b for a, b in zip(lhs, rhs)]
             return MorphismVerdict("d_compat_fail", variable=v, witness_form=diff)
     return None
 
@@ -291,8 +247,7 @@ def check_morphism(m: DiffMorphism) -> MorphismVerdict:
     if failure is not None:
         return failure
     src = m.source
-    for i in range(src.dim):
-        omega_i = omega_unit(src.base, src.dim, i)
+    for i, omega_i in enumerate(linalg.identity(src.base, src.dim)):
         lhs = deRham_d1(m.push_omega(omega_i), m.target)
         rhs = m.push_two_form(deRham_d1(omega_i, src))
         diff = linalg.mat_sub(lhs, rhs)

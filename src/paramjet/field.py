@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DenominatorVanishes, DivisionByZero, ParseError, UnknownVariable
+from .errors import DenominatorVanishes, DivisionByZero, ParamjetError, ParseError, UnknownVariable
 
 Exponents = tuple[int, ...]
 
@@ -266,23 +267,27 @@ class MultiPoly:
         if self.is_one():
             return "1"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
-            if self.den != 1:
-                c = Fraction(c, self.den)
-            factors = []
-            for name, k in zip(self.spec.variables, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "*".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            else:
-                parts.append(f"{c}*{mono}")
+        try:
+            for e in sorted(self.terms, key=_grlex, reverse=True):
+                c = self.terms[e]
+                if self.den != 1:
+                    c = Fraction(c, self.den)
+                factors = []
+                for name, k in zip(self.spec.variables, e):
+                    if k == 1:
+                        factors.append(name)
+                    elif k > 1:
+                        factors.append(f"{name}^{k}")
+                mono = "*".join(factors)
+                if not mono:
+                    parts.append(str(c))
+                elif c == 1:
+                    parts.append(mono)
+                else:
+                    parts.append(f"{c}*{mono}")
+        except ValueError:  # str() of an integer past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ParamjetError(f"coefficient over {limit} digits, the int-to-str limit") from None
         out = parts[0]
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
@@ -864,8 +869,12 @@ class _Tokens:
 # open parentheses in one expression; each costs four Python frames, so the
 # deepest allowed expression stays well inside the default recursion limit
 MAX_NESTING = 100
-# largest exponent of ^; powers are exact, so the cost grows with the power
+# largest exponent of ^, and of the exponent times the degree of its base;
+# powers are exact, so the cost grows with the degree of the power
 MAX_EXPONENT = 256
+# largest exponent of ^ times the bit length of the base's largest integer:
+# the bits of a 4300-digit integer, CPython's default int-to-str limit
+MAX_POWER_BITS = 14_284
 
 
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
@@ -919,10 +928,13 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             if kind != "int":
                 raise ParseError("exponent must be an integer", position=pos)
             power = integer(value, pos)
-            if power > MAX_EXPONENT:
+            num, den = base.num, base.den
+            degree = max(num.total_degree(), den.total_degree())
+            bits = max(abs(c).bit_length() for p in (num, den) for c in (p.den, *p.terms.values()))
+            if max(power, power * degree) > MAX_EXPONENT or power * bits > MAX_POWER_BITS:
                 raise ParseError("exponent too large", position=pos)
             # powers of coprime polynomials stay coprime
-            base = RatFun._coprime(base.num.pow(power), base.den.pow(power))
+            base = RatFun._coprime(num.pow(power), den.pow(power))
         return base if sign == 1 else -base
 
     def atom() -> RatFun:

@@ -22,27 +22,20 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .diffstruct import (
-    DiffStructure,
-    OmegaElement,
-    deRham_d0,
-    deRham_d1,
-    omega_unit,
-    omega_zero,
-)
+from .diffstruct import DiffStructure, deRham_d0, deRham_d1
 from .errors import MembershipViolated, NotInAugmentationIdeal
 from .field import RatFun
 
 Matrix = list  # d x d, as in linalg
 
 
-def _outer(u: OmegaElement, v: OmegaElement) -> Matrix:
-    return [[x * y for y in v.coeffs] for x in u.coeffs]
+def _outer(u: list[RatFun], v: list[RatFun]) -> Matrix:
+    return [[x * y for y in v] for x in u]
 
 
-def _deriv_matrix(omega: OmegaElement, s: DiffStructure) -> Matrix:
+def _deriv_matrix(omega: list[RatFun], s: DiffStructure) -> Matrix:
     """Matrix with entry (i, j) = δi(ωj-coefficient)."""
-    return [[d.apply(c) for c in omega.coeffs] for d in s.basis]
+    return [[d.apply(c) for c in omega] for d in s.basis]
 
 
 # --- level 1 -------------------------------------------------------------------
@@ -50,16 +43,16 @@ def _deriv_matrix(omega: OmegaElement, s: DiffStructure) -> Matrix:
 
 class Jet1Element(NamedTuple):
     a: RatFun
-    omega: OmegaElement
+    omega: list[RatFun]
 
 
 def jet1_mul(x: Jet1Element, y: Jet1Element) -> Jet1Element:
     """(a + ω)(b + η) = ab + aη + bω; the form-by-form product vanishes."""
-    return Jet1Element(x.a * y.a, y.omega.scale(x.a).add(x.omega.scale(y.a)))
+    return Jet1Element(x.a * y.a, [x.a * u + y.a * v for u, v in zip(y.omega, x.omega)])
 
 
 def jet1_l(a: RatFun, s: DiffStructure) -> Jet1Element:
-    return Jet1Element(a, omega_zero(s.base, s.dim))
+    return Jet1Element(a, [RatFun.zero(s.base)] * s.dim)
 
 
 def jet1_r(a: RatFun, s: DiffStructure) -> Jet1Element:
@@ -77,17 +70,19 @@ class Jet2Element(NamedTuple):
     """The element a⊗1 + 1⊗ω + ω⊗1 − η with η = sum η[i][j]·ωi⊗ωj."""
 
     a: RatFun
-    omega: OmegaElement
+    omega: list[RatFun]
     eta: Matrix
 
     def add(self, other: "Jet2Element") -> "Jet2Element":
         return Jet2Element(
-            self.a + other.a, self.omega.add(other.omega), linalg.mat_add(self.eta, other.eta)
+            self.a + other.a,
+            [u + v for u, v in zip(self.omega, other.omega)],
+            linalg.mat_add(self.eta, other.eta),
         )
 
 
 def jet2_l(a: RatFun, s: DiffStructure) -> Jet2Element:
-    return Jet2Element(a, omega_zero(s.base, s.dim), linalg.zeros(s.base, s.dim, s.dim))
+    return Jet2Element(a, [RatFun.zero(s.base)] * s.dim, linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet2_r(a: RatFun, s: DiffStructure) -> Jet2Element:
@@ -115,7 +110,7 @@ def jet2_is_member(x: Jet2Element, s: DiffStructure) -> bool:
     return linalg.is_zero_matrix(jet2_membership_defect(x, s))
 
 
-def jet2_canonical_lift(omega: OmegaElement, s: DiffStructure) -> Jet2Element:
+def jet2_canonical_lift(omega: list[RatFun], s: DiffStructure) -> Jet2Element:
     """The member 1⊗ω + ω⊗1 − ½dω, lifting dω antisymmetrically
     (possible since 2 is invertible)."""
     half = RatFun.const(s.base, Fraction(1, 2))
@@ -141,7 +136,7 @@ def jet2_gamma(x: Jet2Element, s: DiffStructure) -> Matrix:
 def jet2_sym_value(x: Jet2Element) -> Matrix:
     """The element of Ω⊗Ω represented by a Jet2Element with a = ω = 0
     (it equals −η)."""
-    if not x.a.is_zero() or not x.omega.is_zero():
+    if not x.a.is_zero() or not linalg.is_zero_matrix([x.omega]):
         raise ValueError("element is not in the symmetric-square part")
     return linalg.mat_neg(x.eta)
 
@@ -156,29 +151,29 @@ class Jet11Element(NamedTuple):
     """
 
     a: RatFun
-    omega_left: OmegaElement
-    omega_right: OmegaElement
+    omega_left: list[RatFun]
+    omega_right: list[RatFun]
     eta: Matrix
 
     def add(self, other: "Jet11Element") -> "Jet11Element":
         return Jet11Element(
             self.a + other.a,
-            self.omega_left.add(other.omega_left),
-            self.omega_right.add(other.omega_right),
+            [u + v for u, v in zip(self.omega_left, other.omega_left)],
+            [u + v for u, v in zip(self.omega_right, other.omega_right)],
             linalg.mat_add(self.eta, other.eta),
         )
 
 
 def jet11_zero(s: DiffStructure) -> Jet11Element:
-    z = omega_zero(s.base, s.dim)
+    z = [RatFun.zero(s.base)] * s.dim
     return Jet11Element(RatFun.zero(s.base), z, z, linalg.zeros(s.base, s.dim, s.dim))
 
 
 def jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
     """Componentwise product; both mixed slots multiply into the ω⊗ω block."""
     a = x.a * y.a
-    omega_left = y.omega_left.scale(x.a).add(x.omega_left.scale(y.a))
-    omega_right = y.omega_right.scale(x.a).add(x.omega_right.scale(y.a))
+    omega_left = [x.a * u + y.a * v for u, v in zip(y.omega_left, x.omega_left)]
+    omega_right = [x.a * u + y.a * v for u, v in zip(y.omega_right, x.omega_right)]
     eta = linalg.mat_add(linalg.mat_scale(x.a, y.eta), linalg.mat_scale(y.a, x.eta))
     eta = linalg.mat_add(eta, _outer(x.omega_left, y.omega_right))
     eta = linalg.mat_add(eta, _outer(y.omega_left, x.omega_right))
@@ -212,12 +207,13 @@ def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> Matrix | None:
     form slots already disagree.  Read back, η = D(ω) − x.eta, and the
     derivatives in D(ω) cancel against dω: the defect is ω(c_ij) − (x.eta
     antisymmetrised), with no derivative taken."""
-    if not x.omega_left.sub(x.omega_right).is_zero():
+    if x.omega_left != x.omega_right:
         return None
     w, eta = x.omega_left, x.eta
+    d = s.dim
     return [
-        [w.pair(s.constants(i, j)) - (eta[i][j] - eta[j][i]) for j in range(s.dim)]
-        for i in range(s.dim)
+        [linalg.mat_vec([w], s.constants(i, j))[0] - (eta[i][j] - eta[j][i]) for j in range(d)]
+        for i in range(d)
     ]
 
 
@@ -228,26 +224,18 @@ def jet11_scale_right(x: Jet11Element, c: RatFun, s: DiffStructure) -> Jet11Elem
 
 
 def jet11_unit(s: DiffStructure) -> Jet11Element:
-    z = omega_zero(s.base, s.dim)
-    return Jet11Element(RatFun.one(s.base), z, z, linalg.zeros(s.base, s.dim, s.dim))
+    return jet11_zero(s)._replace(a=RatFun.one(s.base))
 
 
 def jet11_omega_left(i: int, s: DiffStructure) -> Jet11Element:
-    z = omega_zero(s.base, s.dim)
-    return Jet11Element(
-        RatFun.zero(s.base), omega_unit(s.base, s.dim, i), z, linalg.zeros(s.base, s.dim, s.dim)
-    )
+    return jet11_zero(s)._replace(omega_left=linalg.identity(s.base, s.dim)[i])
 
 
 def jet11_omega_right(j: int, s: DiffStructure) -> Jet11Element:
-    z = omega_zero(s.base, s.dim)
-    return Jet11Element(
-        RatFun.zero(s.base), z, omega_unit(s.base, s.dim, j), linalg.zeros(s.base, s.dim, s.dim)
-    )
+    return jet11_zero(s)._replace(omega_right=linalg.identity(s.base, s.dim)[j])
 
 
 def jet11_omega_pair(i: int, j: int, s: DiffStructure) -> Jet11Element:
-    z = omega_zero(s.base, s.dim)
-    eta = linalg.zeros(s.base, s.dim, s.dim)
-    eta[i][j] = RatFun.one(s.base)
-    return Jet11Element(RatFun.zero(s.base), z, z, eta)
+    x = jet11_zero(s)
+    x.eta[i][j] = RatFun.one(s.base)
+    return x

@@ -133,7 +133,7 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def _eliminate(a: Matrix) -> tuple[Matrix, list[int]]:
     """Row echelon form with first-nonzero pivoting; returns (rows, pivot cols)."""
-    rows = [list(r) for r in a]
+    rows = list(a)  # rows are replaced, never changed in place
     m, n = shape(rows)
     pivots = []
     r = 0
@@ -174,7 +174,7 @@ def solve_or_residual(a: Matrix, b: list) -> tuple[list, list]:
     solvable.
     """
     m, n = shape(a)
-    aug = [list(ra) + [bv] for ra, bv in zip(a, b)]
+    aug = [ra + [bv] for ra, bv in zip(a, b)]
     rows, pivots = _eliminate(aug)
     spec = b[0].spec if b else a[0][0].spec
     x = [RatFun.zero(spec) for _ in range(n)]
@@ -191,7 +191,7 @@ def inverse(a: Matrix) -> Matrix:
     if m != n:
         raise ShapeMismatch("only square matrices invert")
     spec = a[0][0].spec
-    aug = [list(ra) + list(ri) for ra, ri in zip(a, identity(spec, n))]
+    aug = [ra + ri for ra, ri in zip(a, identity(spec, n))]
     rows, pivots = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,6 +80,22 @@ def test_integrability_witness_lists_the_upper_triangle(tmp_path):
     assert morph["verdict"] == "integrability-fail"
     assert morph["witness"]["dual_index"] == 2
     assert morph["witness"]["two_form"] == ["(-1)/(1)", "(1)/(1)", "(0)/(1)"]
+
+
+def test_d_compat_witness_lists_the_form(tmp_path):
+    """W sends dx to dx + x dy, but d(φ(x)) = dx: the first variable fails
+    d-compatibility with the difference 0 dx − x dy."""
+    text = (FIXTURES / "ring_morphism_ok.session").read_text()
+    text = text.replace("0, 1, x\n", "x, 1, x\n").split("module E")[0]
+    session = tmp_path / "dcompat.session"
+    session.write_text(text + "command check-morphism phi\n")
+    out = tmp_path / "dcompat.jsonl"
+    assert main(["run", str(session), "--out", str(out), "--quiet"]) == 4
+    morph = out.read_bytes().splitlines()[1]
+    assert morph == (
+        b'{"args":["phi"],"command":"check-morphism","index":0,"record":"certificate",'
+        b'"verdict":"d-compat-fail","witness":{"form":["(0)/(1)","(-1*x)/(1)"],"variable":"x"}}'
+    )
 
 
 def test_malformed_session_exit_code(tmp_path):
@@ -427,6 +444,9 @@ def test_deep_nesting_is_parse_error(tmp_path, capsys, text, prefix):
 
 
 HUGE_POWER = f"(x+t)^{MAX_EXPONENT + 1}"
+# the cap bounds the exponent times the degree and times the bit length of
+# the base, so nesting does not get round it
+NESTED_POWERS = ["((x+t)^256)^256", f"(x+{'9' * 4000})^256", "(((2^256)^256)^256)^256"]
 
 
 @pytest.mark.parametrize(
@@ -434,14 +454,48 @@ HUGE_POWER = f"(x+t)^{MAX_EXPONENT + 1}"
     [
         (XT_HEAD.replace("t/x", HUGE_POWER), HUGE_POWER),
         (XT_HEAD + f"command constants-check {HUGE_POWER}\n", "command"),
+        *((XT_HEAD + f"command constants-check {p}\n", "command") for p in NESTED_POWERS),
     ],
-    ids=["matrix-row", "constants-check"],
+    ids=["matrix-row", "constants-check", "degree", "coefficient", "constant-tower"],
 )
 def test_large_exponent_is_parse_error(tmp_path, capsys, text, prefix):
+    start = time.perf_counter()
     assert run_text(tmp_path, text) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "exponent too large" in err[0], err
     assert err[0].endswith(f"(line {_line_of(text, prefix)})"), err
+
+
+def test_coefficient_past_the_digit_limit_is_semantic_error(tmp_path, capsys):
+    """9^3000 · 9^3000 has about 6000 digits, past CPython's int-to-str limit:
+    the run stops before any certificate is written."""
+    big = "9" * 3000
+    text = XT_HEAD.replace("t/x", f"{big}*{big}*x") + "command dual D = M\n"
+    assert run_text(tmp_path, text) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("semantic error: "), err
+    assert err[0].endswith("coefficient over 4300 digits, the int-to-str limit"), err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+PRINCIPAL_LESS = "structure flat\n  field t\n  parameter dt = 1\n  constants t\nend\n"
+
+
+@pytest.mark.parametrize(
+    "arrow, omega", [("flat -> main", "1"), ("main -> flat", "1, 0")], ids=["source", "target"]
+)
+def test_ring_morphism_needs_principal_derivations(tmp_path, capsys, arrow, omega):
+    text = (
+        XT_HEAD.split("module")[0] + PRINCIPAL_LESS
+        + f"ringmorphism phi : {arrow}\n  image t = t\n  image x = t\n"
+        + f"  omega\n    {omega}\n  end\nend\ncommand check-morphism phi\n"
+    )
+    assert run_text(tmp_path, text) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "semantic error: ring morphism 'phi': structure 'flat' has no principal derivations"
+    ]
 
 
 @pytest.mark.parametrize(

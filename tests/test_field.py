@@ -8,6 +8,7 @@ from paramjet import field
 from paramjet.errors import DenominatorVanishes, DivisionByZero, ParseError, UnknownVariable
 from paramjet.field import (
     MAX_EXPONENT,
+    MAX_POWER_BITS,
     FieldSpec,
     MultiPoly,
     RatFun,
@@ -290,8 +291,16 @@ def test_power_matches_repeated_product():
 
 def test_exponent_cap():
     assert rf(f"x^{MAX_EXPONENT}") == RatFun.from_poly(rf("x").num.pow(MAX_EXPONENT))
+    assert rf(f"(x+t)^{MAX_EXPONENT}") == RatFun.from_poly(rf("x+t").num.pow(MAX_EXPONENT))
     with pytest.raises(ParseError, match="exponent too large"):
         rf(f"(x+t)^{MAX_EXPONENT + 1}")
+    # the base's degree and its integers' bit lengths count against the cap
+    for text in (f"(x*t)^{MAX_EXPONENT // 2 + 1}", f"(x+{2 ** 60})^{MAX_POWER_BITS // 61 + 1}"):
+        with pytest.raises(ParseError, match="exponent too large"):
+            rf(text)
+    assert rf(f"(x*t)^{MAX_EXPONENT // 2}") == rf(f"x^{MAX_EXPONENT // 2}*t^{MAX_EXPONENT // 2}")
+    n = MAX_POWER_BITS // 61  # 2^60 has 61 bits
+    assert rf(f"{2 ** 60}^{n}") == RatFun.const(SPEC, 2 ** (60 * n))
 
 
 # --- the coprimality proof's fallbacks ---------------------------------------------
