@@ -21,7 +21,7 @@ from .diffstruct import (
     d_compat_failure,
 )
 from .errors import MorphismInvalid, NotFlat, SemanticError, StructureMismatch
-from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, poly_gcd
+from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, reciprocal_lcm
 from .jet import (
     jet11_membership_defect,
     jet11_omega_left,
@@ -285,19 +285,6 @@ def constants_check(a: RatFun, ps: ParamStructure) -> bool:
     return all(d.apply(a).is_zero() for d in ps.principal)
 
 
-def _poly_lcm(polys: list[MultiPoly], spec: FieldSpec) -> MultiPoly:
-    acc = MultiPoly.one(spec)
-    for p in polys:
-        if p.is_one():
-            continue
-        g = poly_gcd(acc, p)
-        acc = poly_divexact(acc * p, g)
-    lc = acc.leading()[1]
-    if lc != 1:
-        acc = acc.scale(1 / lc)
-    return acc
-
-
 def _monomials_up_to(nvars: int, degree: int):
     out = [()]
     for _ in range(nvars):
@@ -327,8 +314,8 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     spec = m.spec
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    dens = [entry.den for a in m.conn for row in a for entry in row]
-    d_poly = _poly_lcm(dens, spec)
+    inv_d = reciprocal_lcm((entry for a in m.conn for row in a for entry in row), spec)
+    d_poly = inv_d.den
     num_bound = degree_bound * (1 + max(d_poly.total_degree(), 0))
     nmono = math.comb(num_bound + len(spec), len(spec))
     if m.rank * nmono > MAX_UNKNOWNS:
@@ -336,7 +323,8 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
             f"horizontal search at degree bound {degree_bound} has {m.rank * nmono} "
             f"unknowns, more than {MAX_UNKNOWNS}"
         )
-    denom = d_poly.pow(degree_bound)
+    inv_denom = inv_d ** degree_bound
+    denom = inv_denom.den
     monomials = _monomials_up_to(len(spec), num_bound)
 
     # Row (i, l', x^f) is the x^f coefficient of component l' of principal
@@ -363,13 +351,12 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                         rows[r][unknown] = x
 
     basis = linalg.fraction_nullspace(rows, m.rank * nmono)
-    den_rf = RatFun.from_poly(denom)
     out = []
     for sol in basis:
         vec = []
         for l in range(m.rank):
             terms = [(e, c) for k, e in enumerate(monomials) if (c := sol[l * nmono + k])]
-            vec.append(RatFun.from_poly(MultiPoly.from_terms(spec, terms)) / den_rf)
+            vec.append(RatFun.from_poly(MultiPoly.from_terms(spec, terms)) * inv_denom)
         out.append(vec)
     return out
 
@@ -388,8 +375,8 @@ def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly):
     spec = m.spec
     a = m.conn[i]
     coeffs = m.ps.principal[i].coeffs
-    d_i = _poly_lcm([entry.den for row in a for entry in row], spec)
-    c_den = _poly_lcm([c.den for c in coeffs], spec)
+    d_i = reciprocal_lcm((entry for row in a for entry in row), spec).den
+    c_den = reciprocal_lcm(coeffs, spec).den
     c_num = [c.num * poly_divexact(c_den, c.den) for c in coeffs]
     d_i_denom = d_i * denom
     derivative = [(n, d_i_denom * c) for n, c in enumerate(c_num) if not c.is_zero()]

@@ -10,17 +10,19 @@ interchange form.  Products, sums, exact division and the gcd run on
 Python ints; ``Fraction`` appears only at the edges (parsing constants,
 ``leading``, ``coefficients`` and ``render``).
 
-Arithmetic keeps that form without taking gcds of the full result: a
-product or quotient cancels only the cross gcds of its operands, a sum
-with different denominators takes the gcd of the denominators and then one
-against the common factor only (Henrici; Knuth, TAOCP 2, 4.5.1), and a
-partial derivative cancels only against the part of the denominator free
-of the variable.  ``poly_gcd`` proves coprimality from a modular image
-before it falls back to the pseudo-remainder sequence.  The parts of the
-quotient rule and of the sum that depend on the denominators alone (the
-gcd of d and its derivative, the gcd of two denominators, and the
-cofactors) are memoized per ``FieldSpec``, so a denominator is split once
-per variable, or once per pair, in the life of its field.
+Every denominator is also kept factored, as an exponent vector over a
+coprime base that belongs to its ``FieldSpec`` (factor refinement; Bach,
+Driscoll & Shallit, J. Algorithms 15, 1993).  The lcm and gcd of two
+denominators are then a max and a min of exponents, and gcds are taken
+only between a numerator and single base elements: a product cancels
+each numerator against the elements of the other denominator, a sum
+against the elements whose exponents agree in both (Henrici; Knuth,
+TAOCP 2, 4.5.1), and the quotient rule takes no gcd with d or d' at all.
+Only a polynomial that becomes a denominator, by ``/``, ``inverse``,
+``substitute`` or ``RatFun(num, den)``, is factored with general gcds,
+once per polynomial in the life of its field.  ``poly_gcd`` proves
+coprimality from a modular image before it falls back to the
+pseudo-remainder sequence.
 
 All values are immutable; operations are pure functions.
 """
@@ -47,15 +49,20 @@ class FieldSpec:
     """An ordered list of variable names; fixes indexing for the session.
 
     It also holds the field's zero and one, built once: values are
-    immutable, so every caller can share them.  For the same reason it
-    holds the memos of the denominator-only splits, keyed by denominator
-    polynomials: the quotient rule's (variable index, d) -> split of d
-    against its derivative, and the sum's (b, d) -> split of b and d by
-    their gcd.  Exponent tuples mean different things in different fields,
-    so a memo belongs to its field and lives as long as it does."""
+    immutable, so every caller can share them.  And it holds the coprime
+    base of the field's denominators: an append-only list of monic,
+    squarefree, pairwise coprime polynomials, over which every denominator
+    of the field is an exponent vector.  A base element that shares only a
+    proper factor with a new polynomial is split into two new elements;
+    the split is recorded, and vectors that name the old element are read
+    over its pieces when next used.  Beside the base are its memos: the
+    denominators by exponent vector, the exponent vectors by factored
+    polynomial and the partial derivatives of the base elements.  Exponent
+    vectors mean nothing outside the base they index, so the base belongs
+    to its field and lives as long as it does."""
 
     __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one",
-                 "_quotient_memo", "_sum_memo")
+                 "_base", "_splits", "_dens", "_facs", "_derivs")
 
     def __init__(self, variables: Iterable[str]):
         names = tuple(variables)
@@ -67,10 +74,13 @@ class FieldSpec:
         self._index = {v: i for i, v in enumerate(names)}
         self._poly_zero = MultiPoly(self, {})
         self._poly_one = MultiPoly(self, {(0,) * len(names): 1})
-        self._zero = RatFun._coprime(self._poly_zero, self._poly_one)
-        self._one = RatFun._coprime(self._poly_one, self._poly_one)
-        self._quotient_memo: dict = {}
-        self._sum_memo: dict = {}
+        self._base: list[MultiPoly] = []
+        self._splits: dict[int, tuple[int, int]] = {}
+        self._dens: dict[tuple, MultiPoly] = {(): self._poly_one}
+        self._facs: dict[MultiPoly, tuple] = {}
+        self._derivs: dict[tuple[int, int], MultiPoly] = {}
+        self._zero = RatFun._over(self, self._poly_zero, ())
+        self._one = RatFun._over(self, self._poly_one, ())
 
     def index(self, name: str) -> int:
         try:
@@ -326,8 +336,9 @@ def _reduced(spec: FieldSpec, terms: dict, den: int) -> MultiPoly:
 # --- gcd machinery ----------------------------------------------------------
 #
 # The gcd over Q[v1..vN] is computed by a content/primitive-part recursion:
-# the main variable is always the last variable occurring in either operand,
-# so the elimination order is fixed by the FieldSpec order.  The result is
+# the main variable is the one of least degree in the two operands, the last
+# in the FieldSpec order on a tie, which keeps the remainder sequence and the
+# recursion into the contents short.  The result is
 # normalized to integer coefficients with content 1 and positive leading
 # (graded lex) coefficient.
 #
@@ -351,8 +362,15 @@ def _rat_normalize(p: MultiPoly) -> MultiPoly:
 
 
 def _main_variable(f: MultiPoly, g: MultiPoly) -> int | None:
-    used = f.variables_used() | g.variables_used()
-    return max(used) if used else None
+    """The variable of least degree in f and g, the last of those on a tie:
+    the pseudo-remainder sequence in it is the shortest."""
+    degree: dict[int, int] = {}
+    for p in (f, g):
+        for e in p.terms:
+            for i, k in enumerate(e):
+                if k > degree.get(i, 0):
+                    degree[i] = k
+    return min(degree, key=lambda i: (degree[i], -i)) if degree else None
 
 
 def _as_coeffs(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
@@ -447,9 +465,9 @@ def _zp_coprime(f: list[int], g: list[int]) -> bool:
 
 
 def _images_coprime(F: dict, G: dict) -> bool:
-    """A proof that two primitive polynomials, given by their coefficients
-    in the main variable v, are coprime; False means no proof, not a
-    common factor.
+    """A proof that two polynomials, F primitive, given by their
+    coefficients in the main variable v, are coprime; False means no
+    proof, not a common factor.
 
     Let phi: Q[others][v] -> Z_p[v] reduce mod p at the fixed point.  It
     is defined on F and G, since no coefficient denominator vanishes mod
@@ -460,7 +478,7 @@ def _images_coprime(F: dict, G: dict) -> bool:
     phi(H) divides both images up to units.  lc(H) divides lc(F), whose
     image is nonzero, so deg phi(H) = deg_v H.  An image gcd of 1 thus
     forces deg_v H = 0, and a common factor free of v would divide the
-    content of a primitive polynomial: H is 1."""
+    content of F, which is 1: H is 1."""
     f = _zp_image(F)
     if f is None:
         return False
@@ -592,50 +610,210 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.spec, out)._scaled(g.den, f.den * k)
 
 
-def _monic(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """num/den rescaled so that den has graded-lex leading coefficient 1:
-    the leading integer term of den over den.den is divided out."""
-    lc = den.terms[max(den.terms, key=_grlex)]
-    if lc == 1 and den.den == 1:
-        return num, den
-    return num._scaled(den.den, lc), MultiPoly(den.spec, den.terms)._scaled(1, lc)
+# --- the coprime base of the denominators -------------------------------------
+#
+# An exponent vector is a tuple of sorted pairs (k, e), e > 0, standing for
+# prod base[k]^e over the base of its FieldSpec (see FieldSpec and the
+# module docstring).
+
+
+def _base_element(spec: FieldSpec, p: MultiPoly) -> MultiPoly:
+    """p divided by its graded-lex leading coefficient, as a polynomial of
+    spec's own object."""
+    return MultiPoly(spec, p.terms, p.den)._scaled(p.den, p.terms[max(p.terms, key=_grlex)])
+
+
+def _fac(exps: dict) -> tuple:
+    return tuple(sorted((k, e) for k, e in exps.items() if e))
+
+
+def _live(spec: FieldSpec, fac: tuple) -> tuple:
+    """fac with every split base element replaced by its pieces."""
+    splits = spec._splits
+    if not splits or not any(k in splits for k, _ in fac):
+        return fac
+    exps = {}
+    todo = list(fac)
+    while todo:
+        k, e = todo.pop()
+        pieces = splits.get(k)
+        if pieces is None:
+            exps[k] = e
+        else:
+            todo.extend((j, e) for j in pieces)
+    return _fac(exps)
+
+
+def _fac_in(spec: FieldSpec, x: "RatFun") -> tuple:
+    """The live exponent vector of x's denominator over the base of spec:
+    x's own, or, for x of an equal field held by another FieldSpec object,
+    its denominator factored anew."""
+    if x.num.spec is spec:
+        return _live(spec, x.fac)
+    return _factor(spec, x.den) if x.fac else ()
+
+
+def _den_of(spec: FieldSpec, fac: tuple) -> MultiPoly:
+    """The monic polynomial prod base[k]^e, built once per exponent vector
+    from the cached powers."""
+    dens = spec._dens
+    d = dens.get(fac)
+    if d is None:
+        if len(fac) == 1:
+            ((k, e),) = fac
+            d = spec._base[k].pow(e)
+        else:
+            d = spec._poly_one
+            for ke in fac:
+                d = d * _den_of(spec, (ke,))
+        dens[fac] = d
+    return d
+
+
+def _split(spec: FieldSpec, k: int, g: MultiPoly) -> tuple[int, int]:
+    """Split base element k into g, a proper factor of it, and the
+    cofactor; returns the indices of the two pieces."""
+    base = spec._base
+    j = len(base)
+    base.append(_base_element(spec, g))
+    base.append(_base_element(spec, poly_divexact(base[k], g)))
+    spec._splits[k] = (j, j + 1)
+    return j, j + 1
+
+
+def _cancel(spec: FieldSpec, num: MultiPoly, exps: dict, ks) -> MultiPoly:
+    """num with its common factors with den(exps) divided out, for a num
+    that can share factors with the base elements ks only; exps[k] drops by
+    the times element k was divided out.  Each gcd is taken against one
+    base element; one that shares only a proper factor with num is split
+    first, and its pieces take its place in exps."""
+    base = spec._base
+    for k in ks:
+        e = exps.pop(k)
+        while e and not num.is_const():
+            f = base[k]
+            g = poly_gcd(num, f)
+            if g.is_one():
+                break
+            if g.total_degree() < f.total_degree():
+                k, rest = _split(spec, k, g)
+                exps[rest] = e
+                f = base[k]
+            num = poly_divexact(num, f)
+            e -= 1
+            while e:  # further powers of f, by trial division
+                try:
+                    num = poly_divexact(num, f)
+                except ArithmeticError:
+                    break
+                e -= 1
+        exps[k] = e
+    return num
+
+
+def _squarefree(p: MultiPoly) -> list[tuple[MultiPoly, int]]:
+    """Pairs (q, m) of squarefree, pairwise coprime, nonconstant q with
+    p = c·prod q^m for a constant c.  The content of p in its main
+    variable v is decomposed recursively and the primitive part w by Yun's
+    algorithm in v, which holds because every factor of w involves v, so
+    no factor divides its own derivative.  A modular image proves most w
+    squarefree at once: w is primitive, so a gcd with its derivative of
+    degree 0 in v is a constant (see _images_coprime)."""
+    v = _main_variable(p, p)
+    content = _coeff_content(_as_coeffs(p, v))
+    out = [] if content.is_const() else _squarefree(content)
+    w = poly_divexact(p, content)
+    y = w.derivative(v)
+    if _images_coprime(_as_coeffs(w, v), _as_coeffs(y, v)):
+        return out + [(w, 1)]
+    g = poly_gcd(w, y)
+    w, y = poly_divexact(w, g), poly_divexact(y, g)
+    m = 1
+    while not w.is_const():
+        z = y - w.derivative(v)
+        g = poly_gcd(w, z)
+        if not g.is_const():
+            out.append((g, m))
+        w, y = poly_divexact(w, g), poly_divexact(z, g)
+        m += 1
+    return out
+
+
+def _factor(spec: FieldSpec, p: MultiPoly) -> tuple:
+    """The exponent vector of the monic associate of a nonconstant p,
+    refining the base to take it: the one step that takes general gcds,
+    once per polynomial in the life of the field.  Every live element is
+    divided out of p as often as it divides, and the squarefree parts of
+    the rest, coprime to the whole base, join it."""
+    fac = spec._facs.get(p)
+    if fac is None:
+        base, cap = spec._base, p.total_degree()
+        exps = {k: cap for k in range(len(base)) if k not in spec._splits}
+        rest = _cancel(spec, p, exps, list(exps))
+        exps = {k: cap - e for k, e in exps.items()}
+        if not rest.is_const():
+            for q, m in _squarefree(rest):
+                exps[len(base)] = m
+                base.append(_base_element(spec, q))
+        fac = spec._facs[p] = _fac(exps)
+    return _live(spec, fac)
+
+
+def _base_derivative(spec: FieldSpec, k: int, i: int) -> MultiPoly | None:
+    """The partial derivative in variable i of base element k, memoized; a
+    base element that involves the variable is made primitive in it first:
+    when it has a content, it is split off and None is returned."""
+    key = (k, i)
+    d = spec._derivs.get(key)
+    if d is None:
+        f = spec._base[k]
+        d = f.derivative(i)
+        if d.terms:
+            content = _coeff_content(_as_coeffs(f, i))
+            if not content.is_const():
+                _split(spec, k, content)
+                return None
+        spec._derivs[key] = d
+    return d
 
 
 class RatFun:
-    """A rational function in canonical form: gcd(num, den) = 1, den monic."""
+    """A rational function in canonical form: gcd(num, den) = 1, den monic.
+    ``fac`` is the exponent vector of den over the field's coprime base."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "fac")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
             raise DivisionByZero("zero denominator")
+        spec = num.spec
+        fac = ()
         if num.is_zero():
-            num = MultiPoly.zero(num.spec)
-            den = MultiPoly.one(num.spec)
+            num = spec._poly_zero
         elif den.is_const():
             num = num._scaled(den.den, next(iter(den.terms.values())))
-            den = MultiPoly.one(num.spec)
         else:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-            num, den = _monic(num, den)
+            fac = _factor(spec, den)
+            num = num._scaled(den.den, den.terms[max(den.terms, key=_grlex)])
+            exps = dict(fac)
+            num = _cancel(spec, num, exps, list(exps))
+            fac = _fac(exps)
         self.num = num
-        self.den = den
+        self.den = _den_of(spec, fac)
+        self.fac = fac
 
     @classmethod
-    def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RatFun":
-        """num/den for a nonzero den already known coprime to num: the one
-        route that takes no gcd, so each caller states why they are coprime."""
+    def _over(cls, spec: FieldSpec, num: MultiPoly, fac: tuple) -> "RatFun":
+        """num / den(fac) for num already coprime to it: the one route that
+        takes no gcd, so each caller states why they are coprime."""
         out = cls.__new__(cls)
-        if num.is_zero():
-            num = MultiPoly.zero(num.spec)
-            den = MultiPoly.one(num.spec)
-        else:
-            num, den = _monic(num, den)
+        if not num.terms:
+            num, fac = spec._poly_zero, ()
+        elif num.spec is not spec:
+            num = MultiPoly(spec, num.terms, num.den)
         out.num = num
-        out.den = den
+        out.den = _den_of(spec, fac)
+        out.fac = fac
         return out
 
     @property
@@ -669,28 +847,39 @@ class RatFun:
         return self.num.is_one() and self.den.is_one()
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        if self.is_zero():
+        a, c = self.num, other.num
+        if not a.terms:
             return other
-        if other.is_zero():
+        if not c.terms:
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if b == d:
-            return RatFun(a + c, b)
-        memo = b.spec._sum_memo
-        split = memo.get((b, d))
-        if split is None:
-            g = poly_gcd(b, d)
-            split = memo[(b, d)] = (g, poly_divexact(b, g), poly_divexact(d, g))
-        g, b1, d1 = split
-        if g.is_one():
-            # a prime factor of b divides neither a nor d, so not a*d + c*b;
-            # likewise for d
-            return RatFun._coprime(a * d + c * b, b * d)
-        t = a * d1 + c * b1
-        # b1 and d1 are coprime, so as above no factor of b1 or d1 divides
-        # t: t and the denominator g*b1*d1 share the factors of h only
-        h = poly_gcd(t, g)
-        return RatFun._coprime(poly_divexact(t, h), poly_divexact(d, h) * b1)
+        spec = a.spec
+        if not self.fac and not other.fac:
+            return RatFun._over(spec, a + c, ())
+        fb, fd = _live(spec, self.fac), _fac_in(spec, other)
+        if fb == fd:
+            exps = dict(fb)
+            shared = list(exps)
+            t = a + c
+        else:
+            # with g = gcd(b, d) = b/b1 = d/d1 the sum is (a d1 + c b1)/(g b1 d1)
+            b, d = dict(fb), dict(fd)
+            exps = dict(b)
+            b1, d1 = dict(b), dict(d)
+            shared = []
+            for k, e in d.items():
+                if k in b:
+                    low = min(e, b[k])
+                    b1[k] -= low
+                    d1[k] -= low
+                    if e == b[k]:
+                        shared.append(k)
+                if e > b.get(k, 0):
+                    exps[k] = e
+            t = a * _den_of(spec, _fac(d1)) + c * _den_of(spec, _fac(b1))
+        # a prime factor of base element k with unequal exponents in b and d
+        # divides exactly one of the two products a d1 and c b1, so not t:
+        # t can share factors only with the elements of equal exponent
+        return RatFun._over(spec, _cancel(spec, t, exps, shared), _fac(exps))
 
     def __neg__(self) -> "RatFun":
         if not self.num.terms:
@@ -698,6 +887,7 @@ class RatFun:
         out = RatFun.__new__(RatFun)
         out.num = -self.num
         out.den = self.den
+        out.fac = self.fac
         return out
 
     def __sub__(self, other: "RatFun") -> "RatFun":
@@ -710,28 +900,53 @@ class RatFun:
             return other
         if other.is_one():
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if b.is_one() and d.is_one():
-            return RatFun._coprime(a * c, b)
-        # gcd(a, b) = gcd(c, d) = 1: after the cross gcds are cancelled no
-        # factor of the numerator is left in the denominator
-        g1 = poly_gcd(a, d)
-        g2 = poly_gcd(c, b)
-        return RatFun._coprime(
-            poly_divexact(a, g1) * poly_divexact(c, g2),
-            poly_divexact(b, g2) * poly_divexact(d, g1),
-        )
+        a, c = self.num, other.num
+        spec = a.spec
+        if not self.fac and not other.fac:
+            return RatFun._over(spec, a * c, ())
+        b, d = dict(_live(spec, self.fac)), dict(_fac_in(spec, other))
+        # gcd(a, b) = gcd(c, d) = 1: a can share factors only with the
+        # elements of d that are not in b, and c with those of b not in d
+        a = _cancel(spec, a, d, [k for k in d if k not in b])
+        c = _cancel(spec, c, b, [k for k in b if k not in d])
+        for k, e in d.items():
+            b[k] = b.get(k, 0) + e
+        return RatFun._over(spec, a * c, _fac(b))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        if other.is_one():
+        if other.is_one() or self.is_zero():
             return self
-        # other = c/d is canonical, so d/c is coprime as it stands
-        return self * RatFun._coprime(other.den, other.num)
+        a, c = self.num, other.num
+        spec = a.spec
+        # (a/b) / (c/d) = (a d) / (b c): c enters the base here
+        exps = dict(_factor(spec, c)) if not c.is_const() else {}
+        b, d = dict(_live(spec, self.fac)), dict(_fac_in(spec, other))
+        # gcd(a, b) = gcd(c, d) = 1: d and b share min(b, d) exactly, and a
+        # can share factors only with the elements of c that are not in b
+        a = _cancel(spec, a, exps, [k for k in exps if k not in b])
+        for k, e in d.items():
+            if k in b:
+                low = min(e, b[k])
+                b[k] -= low
+                d[k] = e - low
+        for k, e in b.items():
+            exps[k] = exps.get(k, 0) + e
+        num = (a * _den_of(spec, _fac(d)))._scaled(c.den, c.terms[max(c.terms, key=_grlex)])
+        return RatFun._over(spec, num, _fac(exps))
 
     def inverse(self) -> "RatFun":
         return RatFun.one(self.spec) / self
+
+    def __pow__(self, n: int) -> "RatFun":
+        """A power with a nonnegative integer exponent; powers of coprime
+        polynomials stay coprime."""
+        spec = self.spec
+        if not n:
+            return spec._one
+        fac = _live(spec, self.fac)
+        return RatFun._over(spec, self.num.pow(n), tuple((k, e * n) for k, e in fac))
 
     def __eq__(self, other) -> bool:
         return (
@@ -747,44 +962,56 @@ class RatFun:
         return f"RatFun({self})"
 
 
+def reciprocal_lcm(values: Iterable[RatFun], spec: FieldSpec) -> RatFun:
+    """1/L for the monic lcm L of the denominators of values: the max of
+    their exponent vectors."""
+    exps: dict = {}
+    for x in values:
+        for k, e in _fac_in(spec, x):
+            if e > exps.get(k, 0):
+                exps[k] = e
+    return RatFun._over(spec, spec._poly_one, _fac(exps))
+
+
 # --- spec-level operations ---------------------------------------------------
 
 
 def partial_derivative(x: RatFun, v: str | int) -> RatFun:
-    """Coordinate partial derivative, by the quotient rule with the small
-    gcd: with h = gcd(d, d'), e = d/h and f = d'/h,
-    (n/d)' = (n'e - n f) / (h e^2).
+    """Coordinate partial derivative, by the quotient rule over the base:
+    for n/d with d = prod f_k^e_k, let F be the product of the f_k that
+    involve the variable and G = sum e_k f_k' F / f_k over them; then
+    (n/d)' = (n' F - n G) / (d F).
 
-    A prime p involving the variable with p^k exactly dividing d divides
-    h exactly k-1 times (characteristic 0), so it divides e but not f, and
-    not n: it does not divide n'e - n f.  The only common factors left are
-    those of the content of d in the variable, its factors free of the
-    variable, so one gcd against that content cancels them, and none is
-    taken when the content is constant.  Everything but n' and the final
-    cancellation depends on d and the variable only, and is memoized on the
-    field."""
+    Each f_k that involves the variable is made primitive in it, so every
+    prime factor p of it involves the variable and does not divide f_k'
+    (f_k is squarefree, characteristic 0).  Modulo p the numerator is
+    -n e_k f_k' F / f_k, and p divides none of those factors: the numerator
+    can share factors only with the elements free of the variable, and the
+    gcds are taken against those alone."""
     i = x.spec.index(v) if isinstance(v, str) else v
     if not (0 <= i < len(x.spec)):
         raise UnknownVariable(f"variable index {i} out of range")
-    n, d = x.num, x.den
+    spec = x.spec
+    n = x.num
     dn = n.derivative(i)
-    dd = d.derivative(i)
-    if dd.is_zero():
-        return RatFun(dn, d)
-    memo = x.spec._quotient_memo
-    split = memo.get((i, d))
-    if split is None:
-        h = poly_gcd(d, dd)
-        e = poly_divexact(d, h)
-        split = memo[(i, d)] = (e, poly_divexact(dd, h), h * e * e,
-                                _coeff_content(_as_coeffs(d, i)))
-    e, f, den, content = split
-    num = dn * e - n * f
-    if not content.is_const():
-        g = poly_gcd(num, content)
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-    return RatFun._coprime(num, den)
+    if not x.fac:
+        return RatFun._over(spec, dn, ())
+    while True:  # until no element splits off a content
+        exps = dict(_live(spec, x.fac))
+        derivs = {k: _base_derivative(spec, k, i) for k in exps}
+        if all(d is not None for d in derivs.values()):
+            break
+    moving = [k for k, dk in derivs.items() if dk.terms]
+    if moving:
+        g = MultiPoly.zero(spec)
+        for k in moving:
+            others = _den_of(spec, tuple((j, 1) for j in moving if j != k))
+            g = g + (derivs[k] * others)._scaled(exps[k], 1)
+        dn = dn * _den_of(spec, tuple((k, 1) for k in moving)) - n * g
+        for k in moving:
+            exps[k] += 1
+    num = _cancel(spec, dn, exps, [k for k in derivs if not derivs[k].terms])
+    return RatFun._over(spec, num, _fac(exps))
 
 
 def _eval_poly(p: MultiPoly, images: Sequence[RatFun], target: FieldSpec) -> RatFun:
@@ -875,6 +1102,28 @@ MAX_EXPONENT = 256
 # largest exponent of ^ times the bit length of the base's largest integer:
 # the bits of a 4300-digit integer, CPython's default int-to-str limit
 MAX_POWER_BITS = 14_284
+# largest bound on the term count of a power (see _power_too_large): the
+# largest powers it allows of bases in up to four variables parse in under
+# 0.4 s on a shared 2-vCPU host, and (x+t+1)^256, 33,153 terms, is refused
+MAX_POWER_TERMS = 3000
+
+
+def _power_too_large(base: RatFun, n: int) -> bool:
+    """Whether base^n is out of reach: its exponent, degree, integer bits or
+    term count over the caps.  The n-th power of a polynomial of T terms
+    in v variables and total degree d has at most C(n+T-1, T-1) terms, and
+    at most C(nd+v, v), the monomials of degree nd or less."""
+    polys = (base.num, base.den)
+    degree = max(p.total_degree() for p in polys)
+    if max(n, n * degree) > MAX_EXPONENT:
+        return True
+    if n * max(abs(c).bit_length() for p in polys for c in (p.den, *p.terms.values())) > MAX_POWER_BITS:
+        return True
+    for p in polys:
+        t, v = len(p.terms), len(p.variables_used())
+        if t and min(math.comb(n + t - 1, t - 1), math.comb(n * p.total_degree() + v, v)) > MAX_POWER_TERMS:
+            return True
+    return False
 
 
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
@@ -906,14 +1155,14 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             tok = toks.peek()
             if tok and tok[0] in "*/":
                 toks.next()
-                rhs = factor()
-                if tok[0] == "/" and rhs.is_zero():
-                    raise ParseError("division by zero", position=tok[2])
-                out = out * rhs if tok[0] == "*" else out / rhs
+                out = out * factor(tok[2] if tok[0] == "/" else None)
             else:
                 return out
 
-    def factor() -> RatFun:
+    def factor(divisor_at: int | None = None) -> RatFun:
+        """A signed power.  A divisor b^n, the one after a '/' at position
+        divisor_at, comes back as (1/b)^n: the factors of b enter the base,
+        not those of b^n."""
         sign = 1
         tok = toks.peek()
         while tok and tok[0] == "-":
@@ -921,6 +1170,7 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             sign = -sign
             tok = toks.peek()
         base = atom()
+        power = 1
         tok = toks.peek()
         if tok and tok[0] == "^":
             toks.next()
@@ -928,13 +1178,15 @@ def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
             if kind != "int":
                 raise ParseError("exponent must be an integer", position=pos)
             power = integer(value, pos)
-            num, den = base.num, base.den
-            degree = max(num.total_degree(), den.total_degree())
-            bits = max(abs(c).bit_length() for p in (num, den) for c in (p.den, *p.terms.values()))
-            if max(power, power * degree) > MAX_EXPONENT or power * bits > MAX_POWER_BITS:
+            if _power_too_large(base, power):
                 raise ParseError("exponent too large", position=pos)
-            # powers of coprime polynomials stay coprime
-            base = RatFun._coprime(num.pow(power), den.pow(power))
+        if divisor_at is not None:
+            if not base.is_zero():
+                base = base.inverse()
+            elif power:
+                raise ParseError("division by zero", position=divisor_at)
+        if power != 1:
+            base = base ** power
         return base if sign == 1 else -base
 
     def atom() -> RatFun:

@@ -119,11 +119,13 @@ def jet2_canonical_lift(omega: list[RatFun], s: DiffStructure) -> Jet2Element:
 
 def jet2_mul(x: Jet2Element, y: Jet2Element, s: DiffStructure) -> Jet2Element:
     """Product in the 2-jet ring, computed in the canonical form of
-    P1 ⊗ P1 and read back."""
-    if not jet2_is_member(x, s) or not jet2_is_member(y, s):
+    P1 ⊗ P1 and read back.  Each operand is differentiated once: the
+    membership defect of x is that of its image Δ(x), whose η-block
+    D(ω) − η gives (η − ηᵀ) − (D − Dᵀ − ⟨ω, c_ij⟩) = (η − ηᵀ) − dω."""
+    dx, dy = jet2_Delta(x, s), jet2_Delta(y, s)
+    if not all(linalg.is_zero_matrix(jet11_membership_defect(d, s)) for d in (dx, dy)):
         raise MembershipViolated("operand is not a 2-jet element")
-    prod = jet11_mul(jet2_Delta(x, s), jet2_Delta(y, s))
-    return jet11_to_jet2(prod, s)
+    return jet11_to_jet2(jet11_mul(dx, dy), s)
 
 
 def jet2_gamma(x: Jet2Element, s: DiffStructure) -> Matrix:

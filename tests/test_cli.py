@@ -447,6 +447,8 @@ HUGE_POWER = f"(x+t)^{MAX_EXPONENT + 1}"
 # the cap bounds the exponent times the degree and times the bit length of
 # the base, so nesting does not get round it
 NESTED_POWERS = ["((x+t)^256)^256", f"(x+{'9' * 4000})^256", "(((2^256)^256)^256)^256"]
+# and the term count of the power, which grows as n^v/v! for v variables
+MANY_TERMS = "(x+t+1)^256"
 
 
 @pytest.mark.parametrize(
@@ -454,9 +456,10 @@ NESTED_POWERS = ["((x+t)^256)^256", f"(x+{'9' * 4000})^256", "(((2^256)^256)^256
     [
         (XT_HEAD.replace("t/x", HUGE_POWER), HUGE_POWER),
         (XT_HEAD + f"command constants-check {HUGE_POWER}\n", "command"),
-        *((XT_HEAD + f"command constants-check {p}\n", "command") for p in NESTED_POWERS),
+        *((XT_HEAD + f"command constants-check {p}\n", "command")
+          for p in (*NESTED_POWERS, MANY_TERMS)),
     ],
-    ids=["matrix-row", "constants-check", "degree", "coefficient", "constant-tower"],
+    ids=["matrix-row", "constants-check", "degree", "coefficient", "constant-tower", "terms"],
 )
 def test_large_exponent_is_parse_error(tmp_path, capsys, text, prefix):
     start = time.perf_counter()
@@ -610,35 +613,50 @@ POLYNOMIAL_GAUGE = (
 
 
 @pytest.mark.parametrize(
-    "text",
-    [(FIXTURES / "xt_prolong.session").read_text(encoding="utf-8"), POLYNOMIAL_GAUGE],
+    "text, bases",
+    [
+        ((FIXTURES / "xt_prolong.session").read_text(encoding="utf-8"), [["x"]]),
+        (POLYNOMIAL_GAUGE, [[]]),
+    ],
     ids=["xt_prolong", "polynomial_gauge"],
 )
-def test_sessions_without_split_denominators_leave_the_memos_empty(tmp_path, monkeypatch, text):
-    """The x^t fixture and a polynomial gauge session take no gcd of a
-    denominator with its derivative or with another denominator, so the
-    memos of those splits stay empty: such sessions pay no hashing for
-    them."""
+def test_session_bases_hold_only_their_denominator_factors(tmp_path, monkeypatch, text, bases):
+    """The coprime base of a field takes the factors of its denominators
+    and nothing else: the polynomial gauge session never touches it, and
+    the x^t fixture puts x in it once and never splits it."""
     import paramjet.cli as cli
-
-    lookups = []
-
-    class Watched(dict):
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
 
     specs = []
     make = cli.FieldSpec
 
     def recorded(names):
         spec = make(names)
-        spec._quotient_memo, spec._sum_memo = Watched(), Watched()
         specs.append(spec)
         return spec
 
     monkeypatch.setattr(cli, "FieldSpec", recorded)
     assert run_text(tmp_path, text, "--degree-bound", "1", "--depth", "1") == 0
-    assert specs and lookups == []
-    for spec in specs:
-        assert spec._quotient_memo == {} and spec._sum_memo == {}
+    assert [[p.render() for p in spec._base] for spec in specs] == bases
+    assert all(not spec._splits for spec in specs)
+
+
+def test_jet_eval_takes_no_gcd_with_a_power_of_the_denominator(tmp_path, monkeypatch):
+    """The denominator (x - t)^7 is factored over the base from x - t, and
+    every later gcd is taken against that base element alone."""
+    import paramjet.field as field
+
+    spec = field.FieldSpec(["x", "t"])
+    powers = {field.parse_ratfun(spec, f"(x-t)^{k}").num for k in range(2, 40)}
+    operands = []
+    gcd = field.poly_gcd
+
+    def watched(f, g):
+        operands.extend((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(field, "poly_gcd", watched)
+    text = XT_HEAD + "command jet-eval (x+t)^10/(x-t)^7 1/2*x\n"
+    assert run_text(tmp_path, text) == 0
+    assert operands
+    monic = [p.scale(1 / p.leading()[1]) for p in operands if not p.is_zero()]
+    assert not any(p in powers for p in monic)

@@ -21,8 +21,8 @@ from paramjet.conn import (
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, StructureMismatch
-from paramjet.conn import _monomials_up_to, _poly_lcm
-from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, poly_divexact
+from paramjet.conn import _monomials_up_to
+from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, poly_divexact, poly_gcd
 
 from conftest import (
     fraction_gauss_jordan,
@@ -397,6 +397,15 @@ def test_horizontal_hypergeometric_bound_3(xt, a, nullity):
     (dx,) = ps.principal
     for v in found:
         assert [dx.apply(e) for e in v] == linalg.mat_vec(m.conn[0], list(v))
+
+
+def _poly_lcm(polys: list[MultiPoly], spec: FieldSpec) -> MultiPoly:
+    """The monic lcm by pairwise gcds, independent of the exponent
+    vectors the engine keeps."""
+    acc = MultiPoly.one(spec)
+    for p in polys:
+        acc = poly_divexact(acc * p, poly_gcd(acc, p))
+    return acc.scale(1 / acc.leading()[1])
 
 
 def horizontal_oracle(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from paramjet.errors import DenominatorVanishes, DivisionByZero, ParseError, Unk
 from paramjet.field import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
+    MAX_POWER_TERMS,
     FieldSpec,
     MultiPoly,
     RatFun,
@@ -303,6 +305,18 @@ def test_exponent_cap():
     assert rf(f"{2 ** 60}^{n}") == RatFun.const(SPEC, 2 ** (60 * n))
 
 
+def test_power_term_cap():
+    """(x+t+1)^n has C(n+2, 2) terms: the largest n under the cap parses,
+    the next does not; a binomial's n + 1 terms never come near it."""
+    n = max(k for k in range(MAX_EXPONENT + 1) if math.comb(k + 2, 2) <= MAX_POWER_TERMS)
+    assert rf(f"(x+t+1)^{n}") == RatFun.from_poly(rf("x+t+1").num.pow(n))
+    with pytest.raises(ParseError, match="exponent too large"):
+        rf(f"(x+t+1)^{n + 1}")
+    with pytest.raises(ParseError, match="exponent too large"):
+        rf(f"1/(x+t+1)^{n + 1}")
+    assert len(rf(f"(x-t)^{MAX_EXPONENT}").num.terms) == MAX_EXPONENT + 1
+
+
 # --- the coprimality proof's fallbacks ---------------------------------------------
 
 
@@ -327,6 +341,10 @@ def _images_coprime(f, g):
         ("(t+x)*(t+1)", f"(t+{_point_value(0)})*(t+1)", "t+1", SPEC),
         (f"z+x+y-{_point_value(1)}", f"z+{_point_value(0)}", "1", SPEC3),
         ("(z+x)*(z-y)", f"(z+{_point_value(0)})*(z-y)", "y-z", SPEC3),
+        # as the first two kinds, with t also the main variable poly_gcd
+        # picks, the one of least degree
+        (f"(x-{_point_value(0)})*t+x^2", "t+x", "1", SPEC),
+        ("(t+x^2)*(t+1)", f"(t+{_point_value(0) ** 2})*(t+1)", "t+1", SPEC),
     ],
 )
 def test_gcd_falls_back_when_the_point_proves_nothing(f, g, expected, spec):
@@ -345,15 +363,10 @@ def test_gcd_falls_back_on_a_denominator_divisible_by_p():
     assert q.num * g == f * q.den
 
 
-# --- the per-field memos of the denominator splits ------------------------------
+# --- the per-field coprime base of the denominators -----------------------------
 
 
-def test_quotient_rule_splits_a_denominator_once(monkeypatch):
-    spec = FieldSpec(["x", "t"])
-    first = rf("(x+t)^10/(x-t)^7", spec)
-    second = rf("(x+2*t)/(x-t)^7", spec)
-    expected = rf("(-6*x-15*t)/(x-t)^8", spec)
-    d = second.den
+def _counting_gcd(monkeypatch):
     calls = []
     gcd = field.poly_gcd
 
@@ -362,23 +375,41 @@ def test_quotient_rule_splits_a_denominator_once(monkeypatch):
         return gcd(f, g)
 
     monkeypatch.setattr(field, "poly_gcd", counted)
-    partial_derivative(first, "x")
-    assert any(d in args for args in calls)
-    calls.clear()
-    assert partial_derivative(second, "x") == expected
-    assert not any(d in args for args in calls)
+    return calls
 
 
-def test_split_memos_belong_to_their_field():
+def test_quotient_rule_splits_a_denominator_once(monkeypatch):
+    """(x - t)^7 is factored once, when it is parsed; the quotient rule
+    then takes no gcd at all, since the one base element involves x."""
+    spec = FieldSpec(["x", "t"])
+    first = rf("(x+t)^10/(x-t)^7", spec)
+    second = rf("(x+2*t)/(x-t)^7", spec)
+    expected = [rf("(3*x-17*t)*(x+t)^9/(x-t)^8", spec), rf("(-6*x-15*t)/(x-t)^8", spec)]
+    calls = _counting_gcd(monkeypatch)
+    assert [partial_derivative(q, "x") for q in (first, second)] == expected
+    assert calls == []
+    assert spec._base == [rf("x-t", spec).num]
+    assert expected[1].fac == ((0, 8),)
+
+
+def test_coprime_base_belongs_to_its_field():
     """The same exponent tuples, (x - t)^3 and (x - y)^3: each field keeps
-    its own split and each derivative stays in its own field."""
+    its own base and each derivative stays in its own field.  An operand
+    from an equal field held by another object is read over the base of
+    the left operand's field."""
     xt, xy = FieldSpec(["x", "t"]), FieldSpec(["x", "y"])
     a = partial_derivative(rf("1/(x-t)^3", xt), "x")
     b = partial_derivative(rf("1/(x-y)^3", xy), "x")
     assert a == rf("-3/(x-t)^4", xt) and a.spec is xt
     assert b == rf("-3/(x-y)^4", xy) and b.spec is xy
-    assert list(xt._quotient_memo) == [(0, rf("(x-t)^3", xt).num)]
-    assert list(xy._quotient_memo) == [(0, rf("(x-y)^3", xy).num)]
+    assert xt._base == [rf("x-t", xt).num]
+    assert xy._base == [rf("x-y", xy).num]
+    other = FieldSpec(["x", "t"])
+    c = rf("1/(x+t)", other)
+    assert other._base == [rf("x+t", other).num]
+    total = a + c
+    assert total.spec is xt and total.fac == ((0, 4), (1, 1))
+    assert total - c == a and (a * c) / c == a and c + a == total
 
 
 def test_quotient_rule_memo_is_per_variable():
@@ -387,15 +418,58 @@ def test_quotient_rule_memo_is_per_variable():
     assert partial_derivative(q, "x") == rf("(-2*x-4*t)/(x-t)^4", spec)
     assert partial_derivative(q, "t") == rf("(4*x+2*t)/(x-t)^4", spec)
     assert partial_derivative(q, "x") == rf("(-2*x-4*t)/(x-t)^4", spec)
+    assert spec._derivs == {(0, 0): rf("1", spec).num, (0, 1): rf("-1", spec).num}
 
 
-def test_sum_with_a_memoized_split_commutes():
+def test_sum_with_shared_factors_commutes():
     spec = FieldSpec(["x", "t"])
     p = rf("(x+1)/((x-t)^2*(x+t))", spec)
     q = rf("t/((x-t)*(x+2))", spec)
-    # RatFun() cancels the full gcd: a route that takes no split
+    # RatFun() factors the product of the denominators afresh
     expected = RatFun(p.num * q.den + q.num * p.den, p.den * q.den)
     assert p + q == expected
     assert q + p == expected
     assert p + q == expected
     assert (p + q) - q == p
+
+
+def test_base_element_splits_when_a_proper_factor_turns_up():
+    """x^2 - t^2 joins the base whole; x - t then shares a proper factor
+    with it, so it splits into x - t and x + t, and the exponent vectors
+    that name it are read over the pieces."""
+    spec = FieldSpec(["x", "t"])
+    p = rf("1/(x^2-t^2)", spec)
+    assert spec._base == [rf("x^2-t^2", spec).num] and p.fac == ((0, 1),)
+    q = rf("x/(x-t)^2", spec)
+    assert spec._splits == {0: (1, 2)}
+    assert spec._base[1:] == [rf("x-t", spec).num, rf("x+t", spec).num]
+    assert q.fac == ((1, 2),)
+    total = p + q
+    assert total == rf("(x^2+x*t+x-t)/((x-t)^2*(x+t))", spec)
+    assert total.fac == ((1, 2), (2, 1))
+    assert p * rf("x-t", spec) == rf("1/(x+t)", spec)
+    assert partial_derivative(p, "t") == rf("2*t/(x^2-t^2)^2", spec)
+
+
+def test_a_split_can_come_from_a_numerator(monkeypatch):
+    """A numerator that shares only a proper factor with a base element
+    splits it: x - t cancels against the element x^2 - t^2."""
+    spec = FieldSpec(["x", "t"])
+    p = rf("1/(x^2-t^2)^2", spec)
+    calls = _counting_gcd(monkeypatch)
+    assert p * RatFun.from_poly(rf("(x-t)^3", spec).num) == rf("(x-t)/(x+t)^2", spec)
+    assert spec._splits == {0: (1, 2)}
+    assert all(f.total_degree() < 4 and g.total_degree() < 4 for f, g in calls)
+
+
+def test_content_of_a_base_element_splits_off_in_the_quotient_rule():
+    """(t + 1)(x^2 + t) is primitive in t, its main variable, so it joins
+    the base whole; in x it has the content t + 1, which differentiating in
+    x splits off, and the numerator cancels against that piece alone."""
+    spec = FieldSpec(["x", "t"])
+    q = rf("1/((t+1)*(x^2+t))", spec)
+    assert spec._base == [rf("(t+1)*(x^2+t)", spec).num]
+    assert partial_derivative(q, "x") == rf("-2*x/((t+1)*(x^2+t)^2)", spec)
+    assert spec._splits == {0: (1, 2)}
+    assert spec._base[1:] == [rf("t+1", spec).num, rf("x^2+t", spec).num]
+    assert partial_derivative(rf("(x^2*t+x^2+1)/(t+1)", spec), "x") == rf("2*x", spec)

@@ -5,6 +5,7 @@ random triples over Q(x, t), powers of coprime polynomials included; and
 substitute against sympy's simultaneous replacement, cancelled in sympy's
 fraction field."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -128,3 +129,53 @@ def test_substitute_against_sympy():
         assert same(substitute(a, images, TARGET), expected)
         compared += 1
     assert compared >= 100 and vanished > 0
+
+
+# shared denominator factors, linear and quadratic: x^2 - t^2 and x^2 - 1
+# come first so that x - t, x + t, x - 1 and x + 1 split them later, and
+# (t + 1)(x^2 + 2t) is primitive in t, its main variable, but has the
+# content t + 1 in x, which a derivative in x splits off if t + 1 or
+# x^2 + 2t does not come first
+SHARED = [
+    "x^2-t^2", "x^2-1", "(t+1)*(x^2+2*t)",
+    "x-t", "x+t", "x-1", "x+1", "t+1", "x^2+2*t", "x+t^2", "2*x-3*t+1",
+]
+
+
+def test_factored_arithmetic_against_sympy():
+    """300 random triples whose denominators are products of powers of the
+    shared factors, over one field whose coprime base grows and splits as
+    they arrive: +, *, / and the partial derivatives against sympy's cancel
+    and diff."""
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(1405)
+    shared = [parse_ratfun(spec, f).num for f in SHARED]
+
+    def element() -> RatFun:
+        num = rand_poly(spec, rng, max_deg=2, terms=2)
+        if rng.random() < 0.3:  # a numerator with a shared factor, to cancel
+            num = num * rng.choice(shared)
+        den = MultiPoly.one(spec)
+        for _ in range(rng.randint(0, 3)):
+            den = den * rng.choice(shared).pow(rng.randint(1, 2))
+        return RatFun(num, den)
+
+    # the first three join the base whole, to be split by what follows
+    first = [RatFun(MultiPoly.one(spec), f) for f in shared[:3]]
+    assert spec._base == shared[:3]
+    for a, b, c in itertools.chain([first], ((element(), element(), element()) for _ in range(300))):
+        an, ad, bn, bd, cn, cd = map(to_sympy, (a.num, a.den, b.num, b.den, c.num, c.den))
+        assert same(a + b, canonical(an * bd + bn * ad, ad * bd))
+        assert same(a - c, canonical(an * cd - cn * ad, ad * cd))
+        assert same(a * c, canonical(an * cn, ad * cd))
+        if not b.is_zero():
+            assert same(a / b, canonical(an * bd, ad * bn))
+        for v in (0, 1):
+            expected = canonical(cn.diff(GENS[v]) * cd - cn * cd.diff(GENS[v]), cd * cd)
+            assert same(partial_derivative(c, v), expected)
+    # the base is coprime and squarefree, and it did split
+    assert len(spec._splits) >= 3
+    live = [f for k, f in enumerate(spec._base) if k not in spec._splits]
+    for i, f in enumerate(live):
+        assert poly_gcd(f, f.derivative(0)).is_one() or poly_gcd(f, f.derivative(1)).is_one()
+        assert all(poly_gcd(f, g).is_one() for g in live[i + 1:])

@@ -282,11 +282,19 @@ def test_jet11_membership_defect_matches_read_back_oracle(structure, request):
 
 
 def test_jet2_mul_takes_d_of_its_operands_only(s, monkeypatch):
+    """Each operand's form is differentiated once, for its membership check
+    and its image in P1 ⊗ P1 alike, and the product's form once, to read
+    it back; no dω is built on top of those derivative matrices."""
     import paramjet.jet as jet
 
-    calls = []
-    real = jet.deRham_d1
-    monkeypatch.setattr(jet, "deRham_d1", lambda omega, st: calls.append(omega) or real(omega, st))
+    d1_calls, deriv_calls = [], []
+    real_d1, real_deriv = jet.deRham_d1, jet._deriv_matrix
+    monkeypatch.setattr(jet, "deRham_d1", lambda omega, st: d1_calls.append(omega) or real_d1(omega, st))
+    monkeypatch.setattr(
+        jet, "_deriv_matrix", lambda omega, st: deriv_calls.append(omega) or real_deriv(omega, st))
     x, t = rf("x"), rf("t")
-    assert jet2_mul(jet2_r(x, s), jet2_r(t, s), s) == jet2_r(x * t, s)
-    assert len(calls) == 2  # one membership check per operand
+    a, b = jet2_r(x, s), jet2_r(t, s)
+    prod = jet2_mul(a, b, s)
+    assert prod == jet2_r(x * t, s)
+    assert d1_calls == []
+    assert deriv_calls == [a.omega, b.omega, prod.omega]
