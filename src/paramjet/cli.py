@@ -171,6 +171,10 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
                 spec = FieldSpec(rest.split())
             except ValueError as err:
                 raise ParseError(str(err), line=ln) from None
+            # a field equal to one already declared shares its FieldSpec, and
+            # with it one coprime base of denominators
+            known = [session.field, *(ps.base for ps in session.structures.values())]
+            spec = next((s for s in known if s == spec), spec)
         elif key in ("principal", "parameter"):
             if "=" not in rest:
                 raise ParseError(f"expected '{key} NAME = coeffs'", line=ln)

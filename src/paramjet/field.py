@@ -632,13 +632,13 @@ def _live(spec: FieldSpec, fac: tuple) -> tuple:
     splits = spec._splits
     if not splits or not any(k in splits for k, _ in fac):
         return fac
-    exps = {}
+    exps: dict = {}
     todo = list(fac)
     while todo:
         k, e = todo.pop()
         pieces = splits.get(k)
         if pieces is None:
-            exps[k] = e
+            exps[k] = exps.get(k, 0) + e
         else:
             todo.extend((j, e) for j in pieces)
     return _fac(exps)
@@ -647,7 +647,8 @@ def _live(spec: FieldSpec, fac: tuple) -> tuple:
 def _fac_in(spec: FieldSpec, x: "RatFun") -> tuple:
     """The live exponent vector of x's denominator over the base of spec:
     x's own, or, for x of an equal field held by another FieldSpec object,
-    its denominator factored anew."""
+    its denominator factored anew.  That factoring can split base elements
+    that other vectors name, so callers take it before they read those."""
     if x.num.spec is spec:
         return _live(spec, x.fac)
     return _factor(spec, x.den) if x.fac else ()
@@ -855,7 +856,8 @@ class RatFun:
         spec = a.spec
         if not self.fac and not other.fac:
             return RatFun._over(spec, a + c, ())
-        fb, fd = _live(spec, self.fac), _fac_in(spec, other)
+        fd = _fac_in(spec, other)
+        fb = _live(spec, self.fac)
         if fb == fd:
             exps = dict(fb)
             shared = list(exps)
@@ -904,7 +906,8 @@ class RatFun:
         spec = a.spec
         if not self.fac and not other.fac:
             return RatFun._over(spec, a * c, ())
-        b, d = dict(_live(spec, self.fac)), dict(_fac_in(spec, other))
+        d = dict(_fac_in(spec, other))
+        b = dict(_live(spec, self.fac))
         # gcd(a, b) = gcd(c, d) = 1: a can share factors only with the
         # elements of d that are not in b, and c with those of b not in d
         a = _cancel(spec, a, d, [k for k in d if k not in b])
@@ -921,8 +924,9 @@ class RatFun:
         a, c = self.num, other.num
         spec = a.spec
         # (a/b) / (c/d) = (a d) / (b c): c enters the base here
-        exps = dict(_factor(spec, c)) if not c.is_const() else {}
-        b, d = dict(_live(spec, self.fac)), dict(_fac_in(spec, other))
+        fc = _factor(spec, c) if not c.is_const() else ()
+        fd = _fac_in(spec, other)
+        exps, b, d = dict(_live(spec, fc)), dict(_live(spec, self.fac)), dict(_live(spec, fd))
         # gcd(a, b) = gcd(c, d) = 1: d and b share min(b, d) exactly, and a
         # can share factors only with the elements of c that are not in b
         a = _cancel(spec, a, exps, [k for k in exps if k not in b])
@@ -965,9 +969,10 @@ class RatFun:
 def reciprocal_lcm(values: Iterable[RatFun], spec: FieldSpec) -> RatFun:
     """1/L for the monic lcm L of the denominators of values: the max of
     their exponent vectors."""
+    facs = [_fac_in(spec, x) for x in values]  # all the factoring first
     exps: dict = {}
-    for x in values:
-        for k, e in _fac_in(spec, x):
+    for fac in facs:
+        for k, e in _live(spec, fac):
             if e > exps.get(k, 0):
                 exps[k] = e
     return RatFun._over(spec, spec._poly_one, _fac(exps))

@@ -326,6 +326,25 @@ def test_derived_module_is_built_once(monkeypatch):
     assert records[1]["verdict"] == "flat"
 
 
+def test_tensor_across_structures_that_declare_an_equal_field():
+    """A structure that declares the session's field shares its FieldSpec,
+    and the tensor of 1/(x^2 - t^2) over main with 1/(x - t) over S is
+    their canonical sum."""
+    session = parse_session(
+        "field x t\n"
+        "structure\n  principal dx = 1, 0\n  parameter dt = 0, 1\n  constants t\nend\n"
+        "structure S\n  field x t\n  principal dx = 1, 0\n  parameter dt = 0, 1\n"
+        "  constants t\nend\n"
+        "module M rank 1\n  matrix dx\n    1/(x^2-t^2)\n  end\nend\n"
+        "module N over S rank 1\n  matrix dx\n    1/(x-t)\n  end\nend\n"
+        "command tensor T = M N\n"
+    )
+    assert session.structures["S"].base is session.field
+    records, code = run_session(session, None)
+    assert code == 0
+    assert records[0]["derived"]["matrices"] == {"dx": [["(x+t+1)/(x^2-1*t^2)"]]}
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

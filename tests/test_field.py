@@ -17,6 +17,7 @@ from paramjet.field import (
     parse_ratfun,
     partial_derivative,
     poly_gcd,
+    reciprocal_lcm,
     substitute,
 )
 
@@ -326,8 +327,28 @@ def _point_value(j):
 
 
 def _images_coprime(f, g):
-    v = max(f.variables_used() | g.variables_used())
+    """Whether the image at the point proves f and g coprime, in the
+    variable poly_gcd takes for them."""
+    v = field._main_variable(f, g)
     return field._images_coprime(field._as_coeffs(f, v), field._as_coeffs(g, v))
+
+
+def _counting_prem(monkeypatch):
+    """The calls of the pseudo-remainder sequence, the gcd's fallback."""
+    calls = []
+    prem = field._prem
+
+    def counted(F, G, spec):
+        calls.append((F, G))
+        return prem(F, G, spec)
+
+    monkeypatch.setattr(field, "_prem", counted)
+    return calls
+
+
+# poly_gcd takes x for this pair, the variable of least degree, and there the
+# image proves it coprime: of the cases below, it checks the gcd value alone
+_PROVED_BY_THE_IMAGE = {f"(x-{_point_value(0)})*t^2+x"}
 
 
 @pytest.mark.parametrize(
@@ -347,18 +368,22 @@ def _images_coprime(f, g):
         ("(t+x^2)*(t+1)", f"(t+{_point_value(0) ** 2})*(t+1)", "t+1", SPEC),
     ],
 )
-def test_gcd_falls_back_when_the_point_proves_nothing(f, g, expected, spec):
+def test_gcd_falls_back_when_the_point_proves_nothing(monkeypatch, f, g, expected, spec):
+    falls_back = f not in _PROVED_BY_THE_IMAGE
     f, g = rf(f, spec).num, rf(g, spec).num
-    assert not _images_coprime(f, g)
+    prem = _counting_prem(monkeypatch)
     assert poly_gcd(f, g) == rf(expected, spec).num
     assert poly_gcd(g, f) == rf(expected, spec).num
+    assert bool(prem) == falls_back
 
 
-def test_gcd_falls_back_on_a_denominator_divisible_by_p():
+def test_gcd_falls_back_on_a_denominator_divisible_by_p(monkeypatch):
     f = rf(f"t+x/{field._P}").num
     g = rf("t-x").num
     assert not _images_coprime(f, g)
+    prem = _counting_prem(monkeypatch)
     assert poly_gcd(f, g).is_one()
+    assert prem
     q = RatFun(f, g)
     assert q.num * g == f * q.den
 
@@ -410,6 +435,51 @@ def test_coprime_base_belongs_to_its_field():
     total = a + c
     assert total.spec is xt and total.fac == ((0, 4), (1, 1))
     assert total - c == a and (a * c) / c == a and c + a == total
+
+
+def _split_by_a_foreign_operand():
+    """1/(x^2 - t^2) over a field whose base holds x^2 - t^2 whole, and
+    1/(x - t) of an equal field held by another object: reading x - t over
+    the first base splits its element."""
+    spec, other = FieldSpec(["x", "t"]), FieldSpec(["x", "t"])
+    p = rf("1/(x^2-t^2)", spec)
+    assert spec._base == [rf("x^2-t^2", spec).num] and not spec._splits
+    return spec, p, other
+
+
+@pytest.mark.parametrize(
+    "q, op, expected",
+    [
+        ("1/(x-t)", lambda p, q: p + q, "(x+t+1)/(x^2-t^2)"),
+        ("(x+t)/(x-t)", lambda p, q: p * q, "1/(x-t)^2"),
+        ("(x+1)/(x-t)", lambda p, q: p / q, "1/((x+t)*(x+1))"),
+        ("1/(x-t)", lambda p, q: reciprocal_lcm([p, q], p.spec), "1/(x^2-t^2)"),
+    ],
+    ids=["add", "mul", "div", "reciprocal_lcm"],
+)
+def test_a_foreign_operand_can_split_a_base_element(q, op, expected):
+    """The operand of the other object is factored before the vectors of
+    the first base are read, so no vector names both x^2 - t^2 and one of
+    its pieces, and the result is canonical."""
+    spec, p, other = _split_by_a_foreign_operand()
+    out = op(p, rf(q, other))
+    assert list(spec._splits) == [0]
+    live = [f for k, f in enumerate(spec._base) if k not in spec._splits]
+    assert all(poly_gcd(f, g).is_one() for i, f in enumerate(live) for g in live[:i])
+    assert out == rf(expected, spec)
+    assert out.spec is spec and all(k not in spec._splits for k, _ in out.fac)
+    assert out.den == field._den_of(spec, out.fac)
+
+
+def test_a_vector_over_an_element_and_its_piece_multiplies_out():
+    """A vector read over the pieces of a split adds the exponents that
+    land on one piece."""
+    spec, p, other = _split_by_a_foreign_operand()
+    p + rf("1/(x-t)", other)
+    assert spec._splits == {0: (1, 2)}
+    fac = ((0, 1), (1, 1))  # (x^2 - t^2)(x - t)
+    assert field._live(spec, fac) == ((1, 2), (2, 1))
+    assert field._den_of(spec, field._live(spec, fac)) == rf("(x^2-t^2)*(x-t)", spec).num
 
 
 def test_quotient_rule_memo_is_per_variable():
