@@ -48,6 +48,8 @@ class Derivation:
 
     def apply(self, a: RatFun) -> RatFun:
         out = RatFun.zero(self.spec)
+        if a.is_zero():
+            return out
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
                 out = out + c * partial_derivative(a, i)

@@ -24,7 +24,13 @@ once per polynomial in the life of its field.  ``poly_gcd`` proves
 coprimality from a modular image before it falls back to the
 pseudo-remainder sequence.
 
-All values are immutable; operations are pure functions.
+All values are immutable; operations are pure functions.  So a value
+may remember what it computed: each ``RatFun`` object memoizes its
+partial derivatives, by variable index, and its rendered text, and a memo
+hit returns what a recomputation would.  Connection matrices copy one
+entry object into many cells (the shared zero above all), and the
+prolongation, ``at2`` and certificate writers then differentiate and
+render the same objects again; the memos make that work once per object.
 """
 
 from __future__ import annotations
@@ -261,9 +267,9 @@ class MultiPoly:
         return used
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, MultiPoly)
-            and self.spec == other.spec
+            and (self.spec is other.spec or self.spec == other.spec)
             and self.den == other.den
             and self.terms == other.terms
         )
@@ -780,9 +786,18 @@ def _base_derivative(spec: FieldSpec, k: int, i: int) -> MultiPoly | None:
 
 class RatFun:
     """A rational function in canonical form: gcd(num, den) = 1, den monic.
-    ``fac`` is the exponent vector of den over the field's coprime base."""
+    ``fac`` is the exponent vector of den over the field's coprime base.
 
-    __slots__ = ("num", "den", "fac")
+    ``partials`` (a dict from variable index to the partial derivative,
+    filled by ``partial_derivative``) and ``text`` (the rendering, filled by
+    ``__str__``) are memos, None until first used.  The value never
+    changes, so they never go stale; they are keyed on the object, not the
+    value, since hashing a value costs a pass over its terms.  The slots
+    are set only in ``__init__`` and ``_over``, so each new value, ``-x``
+    too, starts with empty memos; a derivative lives as long as the value
+    it came from."""
+
+    __slots__ = ("num", "den", "fac", "partials", "text")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero():
@@ -802,6 +817,8 @@ class RatFun:
         self.num = num
         self.den = _den_of(spec, fac)
         self.fac = fac
+        self.partials = None
+        self.text = None
 
     @classmethod
     def _over(cls, spec: FieldSpec, num: MultiPoly, fac: tuple) -> "RatFun":
@@ -815,6 +832,8 @@ class RatFun:
         out.num = num
         out.den = _den_of(spec, fac)
         out.fac = fac
+        out.partials = None
+        out.text = None
         return out
 
     @property
@@ -886,11 +905,7 @@ class RatFun:
     def __neg__(self) -> "RatFun":
         if not self.num.terms:
             return self
-        out = RatFun.__new__(RatFun)
-        out.num = -self.num
-        out.den = self.den
-        out.fac = self.fac
-        return out
+        return RatFun._over(self.spec, -self.num, self.fac)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -953,14 +968,17 @@ class RatFun:
         return RatFun._over(spec, self.num.pow(n), tuple((k, e * n) for k, e in fac))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, RatFun)
             and self.num == other.num
             and self.den == other.den
         )
 
     def __str__(self) -> str:
-        return f"({self.num.render()})/({self.den.render()})"
+        text = self.text
+        if text is None:
+            text = self.text = f"({self.num.render()})/({self.den.render()})"
+        return text
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
@@ -982,9 +1000,26 @@ def reciprocal_lcm(values: Iterable[RatFun], spec: FieldSpec) -> RatFun:
 
 
 def partial_derivative(x: RatFun, v: str | int) -> RatFun:
-    """Coordinate partial derivative, by the quotient rule over the base:
-    for n/d with d = prod f_k^e_k, let F be the product of the f_k that
-    involve the variable and G = sum e_k f_k' F / f_k over them; then
+    """Coordinate partial derivative in the variable of name or index v,
+    memoized on x: the quotient rule runs once per value object and
+    variable (see RatFun)."""
+    spec = x.spec
+    i = spec.index(v) if isinstance(v, str) else v
+    if not (0 <= i < len(spec)):
+        raise UnknownVariable(f"variable index {i} out of range")
+    memo = x.partials
+    if memo is None:
+        memo = x.partials = {}
+    d = memo.get(i)
+    if d is None:
+        d = memo[i] = _quotient_rule(x, i)
+    return d
+
+
+def _quotient_rule(x: RatFun, i: int) -> RatFun:
+    """The partial derivative in variable i, by the quotient rule over the
+    base: for n/d with d = prod f_k^e_k, let F be the product of the f_k
+    that involve the variable and G = sum e_k f_k' F / f_k over them; then
     (n/d)' = (n' F - n G) / (d F).
 
     Each f_k that involves the variable is made primitive in it, so every
@@ -993,9 +1028,6 @@ def partial_derivative(x: RatFun, v: str | int) -> RatFun:
     -n e_k f_k' F / f_k, and p divides none of those factors: the numerator
     can share factors only with the elements free of the variable, and the
     gcds are taken against those alone."""
-    i = x.spec.index(v) if isinstance(v, str) else v
-    if not (0 <= i < len(x.spec)):
-        raise UnknownVariable(f"variable index {i} out of range")
     spec = x.spec
     n = x.num
     dn = n.derivative(i)

@@ -391,3 +391,21 @@ def test_param_structure_basis_errors_keep_their_messages():
         build_param_structure(spec, [coordinate_derivation(other, "y")], [], [])
     with pytest.raises(NotIndependent, match="^derivation basis is linearly dependent over the field$"):
         build_param_structure(spec, [dx, dx.scale(parse_ratfun(spec, "2"))], [], [])
+
+
+def test_apply_to_zero_differentiates_nothing(monkeypatch):
+    import paramjet.diffstruct as diffstruct
+
+    calls = []
+    real = diffstruct.partial_derivative
+
+    def counting(a, i):
+        calls.append(i)
+        return real(a, i)
+
+    monkeypatch.setattr(diffstruct, "partial_derivative", counting)
+    delta = Derivation(SPECXT, [rxt("x"), rxt("1/(x-t)")])
+    for zero in (RatFun.zero(SPECXT), rxt("x-x")):
+        assert delta.apply(zero) is RatFun.zero(SPECXT)
+    assert calls == []
+    assert delta.apply(rxt("x*t")) == rxt("x*t+x/(x-t)") and calls == [0, 1]

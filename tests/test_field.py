@@ -543,3 +543,69 @@ def test_content_of_a_base_element_splits_off_in_the_quotient_rule():
     assert spec._splits == {0: (1, 2)}
     assert spec._base[1:] == [rf("t+1", spec).num, rf("x^2+t", spec).num]
     assert partial_derivative(rf("(x^2*t+x^2+1)/(t+1)", spec), "x") == rf("2*x", spec)
+
+
+# --- the memos of a value ----------------------------------------------------------
+
+
+def _counting_quotient_rule(monkeypatch):
+    calls = []
+    inner = field._quotient_rule
+
+    def counted(x, i):
+        calls.append((x, i))
+        return inner(x, i)
+
+    monkeypatch.setattr(field, "_quotient_rule", counted)
+    return calls
+
+
+def test_a_value_runs_the_quotient_rule_once_per_variable(monkeypatch):
+    spec = FieldSpec(["x", "t"])
+    q = rf("(x+t)/(x-t)^3", spec)
+    calls = _counting_quotient_rule(monkeypatch)
+    dx = partial_derivative(q, "x")
+    assert partial_derivative(q, "x") is dx and partial_derivative(q, 0) is dx
+    assert calls == [(q, 0)]
+    dt = partial_derivative(q, "t")
+    assert calls == [(q, 0), (q, 1)]
+    assert dx == rf("(-2*x-4*t)/(x-t)^4", spec) and dt == rf("(4*x+2*t)/(x-t)^4", spec)
+    assert q.partials == {0: dx, 1: dt}
+
+
+def test_negation_takes_no_memo_from_its_operand():
+    spec = FieldSpec(["x", "t"])
+    q = rf("(x+t)/(x-t)^3", spec)
+    dx, text = partial_derivative(q, "x"), str(q)
+    n = -q
+    assert partial_derivative(n, "x") == -dx
+    assert str(n) == "(-1*x-1*t)/(x^3-3*x^2*t+3*x*t^2-1*t^3)"
+    assert str(q) == text == "(x+t)/(x^3-3*x^2*t+3*x*t^2-1*t^3)"
+    assert partial_derivative(q, "x") is dx
+
+
+def _render(x):
+    return f"({x.num.render()})/({x.den.render()})"
+
+
+def test_every_route_renders_and_differentiates_like_a_fresh_value():
+    """Values built by each constructor route start with empty memos: the
+    cached text is the render of the value, and each partial derivative
+    equals that of a structurally equal value parsed afresh."""
+    spec = FieldSpec(["x", "t"])
+    a = RatFun(rf("x+t", spec).num, rf("(x-t)^2", spec).num)
+    # the operand's memos are filled before the other routes build on it
+    str(a)
+    partial_derivative(a, "x")
+    routes = {
+        "__init__": a,
+        "_over": a + rf("1/(x-t)", spec),
+        "__neg__": -a,
+        "__pow__": a ** 3,
+        "partial_derivative": partial_derivative(a, "t"),
+    }
+    for route, x in routes.items():
+        assert str(x) == _render(x) and x.text == _render(x), route
+        fresh = parse_ratfun(FieldSpec(["x", "t"]), str(x))
+        for v in ("x", "t"):
+            assert str(partial_derivative(x, v)) == str(partial_derivative(fresh, v)), (route, v)

@@ -5,7 +5,9 @@ each step, and the primitive pseudo-remainder gcd.  Every result of the
 engine must also be canonical: int terms, no zeros, den > 0 and
 gcd(den, content) = 1.  The modular image of the coprimality proof, which
 now takes one inverse per coefficient polynomial, is checked against the
-image the Fraction terms gave, one inverse per term."""
+image the Fraction terms gave, one inverse per term.  The memos of a
+RatFun, its partial derivatives and its text, are checked against those
+of a copy parsed afresh from its text."""
 
 import math
 import random
@@ -18,8 +20,11 @@ from paramjet.field import (
     _POINT_BASE,
     FieldSpec,
     MultiPoly,
+    RatFun,
     _as_coeffs,
     _zp_image,
+    parse_ratfun,
+    partial_derivative,
     poly_divexact,
     poly_gcd,
 )
@@ -235,3 +240,26 @@ def test_multipoly_against_fraction_dict_oracle(spec):
             assert got.den == 1 and got.coefficients() == expected
             assert got.render() == o_render(expected, spec.variables)
     assert inexact > 50
+
+
+@pytest.mark.parametrize("spec", [SPEC2, SPEC3], ids=["Q(x,t)", "Q(x1,x2,t)"])
+def test_memos_match_a_fresh_copy(spec):
+    """A value's memoized partial derivatives and its cached text equal
+    those of a structurally equal value parsed afresh from its text."""
+    rng = random.Random(977 + len(spec))
+    n = len(spec)
+    for _ in range(40):
+        f, g = (rand_dict(rng, n, 3, rng.randint(1, 3)) for _ in range(2))
+        if not f or not g:  # zero is interned, and shares its memos
+            continue
+        x = RatFun(engine(spec, f), engine(spec, g))
+        for value in (x, -x):
+            first = [partial_derivative(value, i) for i in range(n)]
+            text = str(value)
+            fresh = parse_ratfun(spec, text)
+            assert fresh is not value and fresh.partials is None and fresh.text is None
+            assert str(value) == text == str(fresh)
+            memoized = [partial_derivative(value, i) for i in range(n)]
+            assert all(a is b for a, b in zip(memoized, first))
+            assert memoized == [partial_derivative(fresh, i) for i in range(n)]
+            assert [str(d) for d in memoized] == [str(partial_derivative(fresh, i)) for i in range(n)]

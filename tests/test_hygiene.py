@@ -1,7 +1,7 @@
 """Source hygiene: no engine module imports a name it never uses or the
 ``dataclasses`` module, no good fixture is left out of the pinned
-certificate digests, and every function the benchmark's span tracer wraps
-still exists."""
+certificate digests, every function the benchmark's span tracer wraps
+still exists, and no code but ``RatFun._over`` calls ``__new__``."""
 
 import ast
 import importlib
@@ -98,3 +98,28 @@ def test_span_target_exists(module, attribute):
     for part in path:
         owner = getattr(owner, part)
     assert name in vars(owner)
+
+
+def _new_calls(source: str) -> list[str]:
+    """The qualified names of the functions that call some ``__new__``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "__new__"):
+                    found.append(".".join(scope))
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_ratfun_new_is_called_only_in_over():
+    """Each RatFun slot, the memos included, is set in ``__init__`` and
+    ``_over`` alone, so no other route can copy a memo from an operand."""
+    calls = {path.name: _new_calls(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {"field.py": ["RatFun._over"]}
