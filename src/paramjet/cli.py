@@ -153,6 +153,18 @@ def _fresh_name(session: Session, name: str, lineno: int):
     session.names.add(name)
 
 
+def _field(session: Session, names: list[str], lineno: int) -> FieldSpec:
+    """The FieldSpec of a declared variable tuple.  A field is one object,
+    and the values of two never mix: a tuple declared before takes its
+    object, and with it its coprime base of denominators."""
+    try:
+        spec = FieldSpec(names)
+    except ValueError as err:
+        raise ParseError(str(err), line=lineno) from None
+    known = [session.field, *(ps.base for ps in session.structures.values())]
+    return next((s for s in known if s is not None and s.variables == spec.variables), spec)
+
+
 def _parse_structure_block(lines: Lines, session: Session, header: list[str], lineno: int):
     name = header[1] if len(header) > 1 else "main"
     _fresh_name(session, name, lineno)
@@ -167,14 +179,7 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
         if key == "field":
             if spec is not None:
                 raise ParseError("field is fixed for this structure", line=ln)
-            try:
-                spec = FieldSpec(rest.split())
-            except ValueError as err:
-                raise ParseError(str(err), line=ln) from None
-            # a field equal to one already declared shares its FieldSpec, and
-            # with it one coprime base of denominators
-            known = [session.field, *(ps.base for ps in session.structures.values())]
-            spec = next((s for s in known if s == spec), spec)
+            spec = _field(session, rest.split(), ln)
         elif key in ("principal", "parameter"):
             if "=" not in rest:
                 raise ParseError(f"expected '{key} NAME = coeffs'", line=ln)
@@ -326,10 +331,7 @@ def parse_session(text: str) -> Session:
         if head == "field":
             if session.field is not None:
                 raise ParseError("duplicate field declaration", line=lineno)
-            try:
-                session.field = FieldSpec(tokens[1:])
-            except ValueError as err:
-                raise ParseError(str(err), line=lineno) from None
+            session.field = _field(session, tokens[1:], lineno)
         elif head == "structure":
             if session.field is None and len(tokens) == 1:
                 raise ParseError("main structure needs a prior field line", line=lineno)
@@ -669,8 +671,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error in one line, without the usage block."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paramjet", description="exact engine for parameterized linear differential systems"
     )
     sub = parser.add_subparsers(dest="verb", required=True)

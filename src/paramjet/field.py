@@ -18,11 +18,11 @@ only between a numerator and single base elements: a product cancels
 each numerator against the elements of the other denominator, a sum
 against the elements whose exponents agree in both (Henrici; Knuth,
 TAOCP 2, 4.5.1), and the quotient rule takes no gcd with d or d' at all.
-Only a polynomial that becomes a denominator, by ``/``, ``inverse``,
-``substitute`` or ``RatFun(num, den)``, is factored with general gcds,
-once per polynomial in the life of its field.  ``poly_gcd`` proves
-coprimality from a modular image before it falls back to the
-pseudo-remainder sequence.
+Division is the product with the inverse.  Only a polynomial that
+becomes a denominator, by ``inverse``, ``substitute`` or ``RatFun(num,
+den)``, is factored with general gcds, once per polynomial in the life
+of its field.  ``poly_gcd`` proves coprimality from a modular image
+before it falls back to the pseudo-remainder sequence.
 
 All values are immutable; operations are pure functions.  So a value
 may remember what it computed: each ``RatFun`` object memoizes its
@@ -42,7 +42,8 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DenominatorVanishes, DivisionByZero, ParamjetError, ParseError, UnknownVariable
+from .errors import (DenominatorVanishes, DivisionByZero, ParamjetError, ParseError,
+                     StructureMismatch, UnknownVariable)
 
 Exponents = tuple[int, ...]
 
@@ -65,7 +66,9 @@ class FieldSpec:
     denominators by exponent vector, the exponent vectors by factored
     polynomial and the partial derivatives of the base elements.  Exponent
     vectors mean nothing outside the base they index, so the base belongs
-    to its field and lives as long as it does."""
+    to its field, which is one object: FieldSpecs are equal only when
+    identical and hash by identity, and an operation on the values of two
+    of them raises StructureMismatch."""
 
     __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one",
                  "_base", "_splits", "_dens", "_facs", "_derivs")
@@ -96,9 +99,6 @@ class FieldSpec:
 
     def __len__(self) -> int:
         return len(self.variables)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldSpec) and self.variables == other.variables
 
     def __repr__(self) -> str:
         return f"FieldSpec({', '.join(self.variables)})"
@@ -269,7 +269,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, MultiPoly)
-            and (self.spec is other.spec or self.spec == other.spec)
+            and self.spec is other.spec
             and self.den == other.den
             and self.terms == other.terms
         )
@@ -623,10 +623,9 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # module docstring).
 
 
-def _base_element(spec: FieldSpec, p: MultiPoly) -> MultiPoly:
-    """p divided by its graded-lex leading coefficient, as a polynomial of
-    spec's own object."""
-    return MultiPoly(spec, p.terms, p.den)._scaled(p.den, p.terms[max(p.terms, key=_grlex)])
+def _base_element(p: MultiPoly) -> MultiPoly:
+    """p divided by its graded-lex leading coefficient."""
+    return p._scaled(p.den, p.terms[max(p.terms, key=_grlex)])
 
 
 def _fac(exps: dict) -> tuple:
@@ -648,16 +647,6 @@ def _live(spec: FieldSpec, fac: tuple) -> tuple:
         else:
             todo.extend((j, e) for j in pieces)
     return _fac(exps)
-
-
-def _fac_in(spec: FieldSpec, x: "RatFun") -> tuple:
-    """The live exponent vector of x's denominator over the base of spec:
-    x's own, or, for x of an equal field held by another FieldSpec object,
-    its denominator factored anew.  That factoring can split base elements
-    that other vectors name, so callers take it before they read those."""
-    if x.num.spec is spec:
-        return _live(spec, x.fac)
-    return _factor(spec, x.den) if x.fac else ()
 
 
 def _den_of(spec: FieldSpec, fac: tuple) -> MultiPoly:
@@ -682,8 +671,8 @@ def _split(spec: FieldSpec, k: int, g: MultiPoly) -> tuple[int, int]:
     cofactor; returns the indices of the two pieces."""
     base = spec._base
     j = len(base)
-    base.append(_base_element(spec, g))
-    base.append(_base_element(spec, poly_divexact(base[k], g)))
+    base.append(_base_element(g))
+    base.append(_base_element(poly_divexact(base[k], g)))
     spec._splits[k] = (j, j + 1)
     return j, j + 1
 
@@ -761,7 +750,7 @@ def _factor(spec: FieldSpec, p: MultiPoly) -> tuple:
         if not rest.is_const():
             for q, m in _squarefree(rest):
                 exps[len(base)] = m
-                base.append(_base_element(spec, q))
+                base.append(_base_element(q))
         fac = spec._facs[p] = _fac(exps)
     return _live(spec, fac)
 
@@ -800,9 +789,11 @@ class RatFun:
     __slots__ = ("num", "den", "fac", "partials", "text")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
+        spec = num.spec
+        if den.spec is not spec:
+            raise StructureMismatch("values of different FieldSpec objects")
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        spec = num.spec
         fac = ()
         if num.is_zero():
             num = spec._poly_zero
@@ -827,8 +818,6 @@ class RatFun:
         out = cls.__new__(cls)
         if not num.terms:
             num, fac = spec._poly_zero, ()
-        elif num.spec is not spec:
-            num = MultiPoly(spec, num.terms, num.den)
         out.num = num
         out.den = _den_of(spec, fac)
         out.fac = fac
@@ -868,35 +857,30 @@ class RatFun:
 
     def __add__(self, other: "RatFun") -> "RatFun":
         a, c = self.num, other.num
+        spec = a.spec
+        if c.spec is not spec:
+            raise StructureMismatch("values of different FieldSpec objects")
         if not a.terms:
             return other
         if not c.terms:
             return self
-        spec = a.spec
         if not self.fac and not other.fac:
             return RatFun._over(spec, a + c, ())
-        fd = _fac_in(spec, other)
-        fb = _live(spec, self.fac)
-        if fb == fd:
-            exps = dict(fb)
-            shared = list(exps)
-            t = a + c
-        else:
-            # with g = gcd(b, d) = b/b1 = d/d1 the sum is (a d1 + c b1)/(g b1 d1)
-            b, d = dict(fb), dict(fd)
-            exps = dict(b)
-            b1, d1 = dict(b), dict(d)
-            shared = []
-            for k, e in d.items():
-                if k in b:
-                    low = min(e, b[k])
-                    b1[k] -= low
-                    d1[k] -= low
-                    if e == b[k]:
-                        shared.append(k)
-                if e > b.get(k, 0):
-                    exps[k] = e
-            t = a * _den_of(spec, _fac(d1)) + c * _den_of(spec, _fac(b1))
+        # with g = gcd(b, d) = b/b1 = d/d1 the sum is (a d1 + c b1)/(g b1 d1)
+        b, d = dict(_live(spec, self.fac)), dict(_live(spec, other.fac))
+        exps = dict(b)
+        b1, d1 = dict(b), dict(d)
+        shared = []
+        for k, e in d.items():
+            if k in b:
+                low = min(e, b[k])
+                b1[k] -= low
+                d1[k] -= low
+                if e == b[k]:
+                    shared.append(k)
+            if e > b.get(k, 0):
+                exps[k] = e
+        t = a * _den_of(spec, _fac(d1)) + c * _den_of(spec, _fac(b1))
         # a prime factor of base element k with unequal exponents in b and d
         # divides exactly one of the two products a d1 and c b1, so not t:
         # t can share factors only with the elements of equal exponent
@@ -911,18 +895,19 @@ class RatFun:
         return self + (-other)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
-        if self.is_zero() or other.is_zero():
-            return RatFun.zero(self.spec)
+        a, c = self.num, other.num
+        spec = a.spec
+        if c.spec is not spec:
+            raise StructureMismatch("values of different FieldSpec objects")
+        if not a.terms or not c.terms:
+            return spec._zero
         if self.is_one():
             return other
         if other.is_one():
             return self
-        a, c = self.num, other.num
-        spec = a.spec
         if not self.fac and not other.fac:
             return RatFun._over(spec, a * c, ())
-        d = dict(_fac_in(spec, other))
-        b = dict(_live(spec, self.fac))
+        b, d = dict(_live(spec, self.fac)), dict(_live(spec, other.fac))
         # gcd(a, b) = gcd(c, d) = 1: a can share factors only with the
         # elements of d that are not in b, and c with those of b not in d
         a = _cancel(spec, a, d, [k for k in d if k not in b])
@@ -932,31 +917,17 @@ class RatFun:
         return RatFun._over(spec, a * c, _fac(b))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        if other.is_one() or self.is_zero():
-            return self
-        a, c = self.num, other.num
-        spec = a.spec
-        # (a/b) / (c/d) = (a d) / (b c): c enters the base here
-        fc = _factor(spec, c) if not c.is_const() else ()
-        fd = _fac_in(spec, other)
-        exps, b, d = dict(_live(spec, fc)), dict(_live(spec, self.fac)), dict(_live(spec, fd))
-        # gcd(a, b) = gcd(c, d) = 1: d and b share min(b, d) exactly, and a
-        # can share factors only with the elements of c that are not in b
-        a = _cancel(spec, a, exps, [k for k in exps if k not in b])
-        for k, e in d.items():
-            if k in b:
-                low = min(e, b[k])
-                b[k] -= low
-                d[k] = e - low
-        for k, e in b.items():
-            exps[k] = exps.get(k, 0) + e
-        num = (a * _den_of(spec, _fac(d)))._scaled(c.den, c.terms[max(c.terms, key=_grlex)])
-        return RatFun._over(spec, num, _fac(exps))
+        return self * other.inverse()
 
     def inverse(self) -> "RatFun":
-        return RatFun.one(self.spec) / self
+        """d/c for self = c/d; division is the product with the inverse.
+        c enters the base, and d, coprime to c already, is scaled by
+        1/lc(c): no gcd is taken."""
+        c = self.num
+        if not c.terms:
+            raise DivisionByZero("division by zero rational function")
+        fac = _factor(c.spec, c) if not c.is_const() else ()
+        return RatFun._over(c.spec, self.den._scaled(c.den, c.terms[max(c.terms, key=_grlex)]), fac)
 
     def __pow__(self, n: int) -> "RatFun":
         """A power with a nonnegative integer exponent; powers of coprime
@@ -987,10 +958,11 @@ class RatFun:
 def reciprocal_lcm(values: Iterable[RatFun], spec: FieldSpec) -> RatFun:
     """1/L for the monic lcm L of the denominators of values: the max of
     their exponent vectors."""
-    facs = [_fac_in(spec, x) for x in values]  # all the factoring first
     exps: dict = {}
-    for fac in facs:
-        for k, e in _live(spec, fac):
+    for x in values:
+        if x.num.spec is not spec:
+            raise StructureMismatch("values of different FieldSpec objects")
+        for k, e in _live(spec, x.fac):
             if e > exps.get(k, 0):
                 exps[k] = e
     return RatFun._over(spec, spec._poly_one, _fac(exps))

@@ -148,9 +148,16 @@ def test_flatness_preserved_by_calculus(x12t):
             assert check_integrability(derived).flat
 
 
-def test_extend_scalars_examples(example39, fg_setup):
+def principal_target(dst):
+    """The field of dst and a parameterized structure over that same object
+    with dst's basis as its principal part: the target that a morphism
+    into dst extends scalars to."""
+    return dst.base, build_param_structure(dst.base, list(dst.basis), [], [])
+
+
+def test_extend_scalars_examples(example39):
     src, dst = example39
-    spec2, ps2, _ = fg_setup
+    spec2, ps2 = principal_target(dst)
     src_ps = build_param_structure(
         src.base, list(src.basis), [], []
     )
@@ -175,9 +182,9 @@ def test_extend_scalars_examples(example39, fg_setup):
     assert all(linalg.mat_eq(a, b) for a, b in zip(same.conn, module.conn))
 
 
-def test_extend_scalars_rejects_d_incompatible(example39, fg_setup):
+def test_extend_scalars_rejects_d_incompatible(example39):
     src, dst = example39
-    spec2, ps2, _ = fg_setup
+    spec2, ps2 = principal_target(dst)
     src_ps = build_param_structure(src.base, list(src.basis), [], [])
     module = DiffModule(
         src_ps,
@@ -191,18 +198,18 @@ def test_extend_scalars_rejects_d_incompatible(example39, fg_setup):
         m.gen_images,
         [[rf(spec2, "x"), m.omega_matrix[0][1], m.omega_matrix[0][2]], m.omega_matrix[1]],
     )
-    with pytest.raises(MorphismInvalid):
+    with pytest.raises(MorphismInvalid, match="not d-compatible"):
         extend_scalars(bad, module, ps2)
 
 
-def test_extend_scalars_checks_d_compatibility_only(example39, fg_setup, monkeypatch):
+def test_extend_scalars_checks_d_compatibility_only(example39, monkeypatch):
     """The transport enforces d-compatibility alone, so it never pushes a
     2-form forward: an integrability failure still transports (to a curved
     module) and a d-incompatible morphism is still refused."""
     from paramjet.diffstruct import DiffMorphism
 
     src, dst = example39
-    spec2, ps2, _ = fg_setup
+    spec2, ps2 = principal_target(dst)
     src_ps = build_param_structure(src.base, list(src.basis), [], [])
     module = DiffModule(
         src_ps,
@@ -222,7 +229,7 @@ def test_extend_scalars_checks_d_compatibility_only(example39, fg_setup, monkeyp
     assert not check_integrability(curved).flat
     m = morphism39(src, dst, "y", "x")
     bad = m._replace(omega_matrix=[[rf(spec2, "x")] + m.omega_matrix[0][1:], m.omega_matrix[1]])
-    with pytest.raises(MorphismInvalid):
+    with pytest.raises(MorphismInvalid, match="not d-compatible"):
         extend_scalars(bad, module, ps2)
     assert calls == []
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramjet import field
-from paramjet.errors import DenominatorVanishes, DivisionByZero, ParseError, UnknownVariable
+from paramjet.errors import (
+    DenominatorVanishes,
+    DivisionByZero,
+    ParseError,
+    StructureMismatch,
+    UnknownVariable,
+)
 from paramjet.field import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
@@ -38,6 +44,49 @@ def test_spec_validation():
         FieldSpec(["x", ""])
     with pytest.raises(UnknownVariable):
         SPEC.index("q")
+
+
+def test_a_field_is_one_object():
+    a, b = FieldSpec(["x", "t"]), FieldSpec(["x", "t"])
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert rf("x+t", a) != rf("x+t", b) and rf("x+t", a).num != rf("x+t", b).num
+
+
+MIXED_OPS = {
+    "add": lambda p, q: p + q,
+    "sub": lambda p, q: p - q,
+    "mul": lambda p, q: p * q,
+    "div": lambda p, q: p / q,
+    "reciprocal_lcm": lambda p, q: reciprocal_lcm([p, q], p.spec),
+    "constructor": lambda p, q: RatFun(p.num, q.den),
+}
+
+
+@pytest.mark.parametrize(
+    "name, left, right",
+    [
+        (name, left, right)
+        for left, right in [("x+t", "x-t"), ("1/(x+t)", "t/(x-t)"), ("0", "x-t"), ("1", "x/t")]
+        for name in MIXED_OPS
+    ]
+    + [(name, "x/(x+t)", "0") for name in MIXED_OPS if name != "div"],
+)
+def test_values_of_two_field_objects_do_not_mix(name, left, right):
+    """An operand of another FieldSpec object of the same variables is
+    refused before any zero, one or no-denominator shortcut."""
+    a, b = FieldSpec(["x", "t"]), FieldSpec(["x", "t"])
+    with pytest.raises(StructureMismatch):
+        MIXED_OPS[name](rf(left, a), rf(right, b))
+
+
+def test_inverse_scales_by_the_leading_coefficient():
+    """1/(c/d) is d/c with c made monic: d is scaled by 1/lc(c)."""
+    p = rf("(x-t)/(-3/2*x^2+t)")
+    assert p.inverse() == RatFun(p.den, p.num)
+    assert p.inverse().num == rf("-3/2*x^2+t").num and p.inverse().den == rf("x-t").num
+    assert rf("1/(-2*x+2*t)").inverse() == rf("-2*x+2*t")
+    assert rf("-2/3").inverse() == rf("-3/2")
+    assert rf("x") / rf("-2*x^2+2*t") == RatFun(rf("x").num, rf("-2*x^2+2*t").num)
 
 
 def test_arith_examples():
@@ -419,9 +468,9 @@ def test_quotient_rule_splits_a_denominator_once(monkeypatch):
 
 def test_coprime_base_belongs_to_its_field():
     """The same exponent tuples, (x - t)^3 and (x - y)^3: each field keeps
-    its own base and each derivative stays in its own field.  An operand
-    from an equal field held by another object is read over the base of
-    the left operand's field."""
+    its own base and each derivative stays in its own field.  A FieldSpec
+    of the same variables is another field: its base is its own, and its
+    values do not mix with those of the first."""
     xt, xy = FieldSpec(["x", "t"]), FieldSpec(["x", "y"])
     a = partial_derivative(rf("1/(x-t)^3", xt), "x")
     b = partial_derivative(rf("1/(x-y)^3", xy), "x")
@@ -432,19 +481,20 @@ def test_coprime_base_belongs_to_its_field():
     other = FieldSpec(["x", "t"])
     c = rf("1/(x+t)", other)
     assert other._base == [rf("x+t", other).num]
-    total = a + c
-    assert total.spec is xt and total.fac == ((0, 4), (1, 1))
-    assert total - c == a and (a * c) / c == a and c + a == total
+    for op in (lambda p, q: p + q, lambda p, q: p * q, lambda p, q: p / q):
+        with pytest.raises(StructureMismatch):
+            op(a, c)
+    assert xt._base == [rf("x-t", xt).num] and other._base == [rf("x+t", other).num]
 
 
-def _split_by_a_foreign_operand():
-    """1/(x^2 - t^2) over a field whose base holds x^2 - t^2 whole, and
-    1/(x - t) of an equal field held by another object: reading x - t over
-    the first base splits its element."""
-    spec, other = FieldSpec(["x", "t"]), FieldSpec(["x", "t"])
+def _over_an_element_that_splits():
+    """1/(x^2 - t^2) over a field whose base holds x^2 - t^2 whole: an
+    operand parsed over it later with a denominator x - t splits that
+    element, so p's vector names an element that is split."""
+    spec = FieldSpec(["x", "t"])
     p = rf("1/(x^2-t^2)", spec)
     assert spec._base == [rf("x^2-t^2", spec).num] and not spec._splits
-    return spec, p, other
+    return spec, p
 
 
 @pytest.mark.parametrize(
@@ -458,11 +508,11 @@ def _split_by_a_foreign_operand():
     ids=["add", "mul", "div", "reciprocal_lcm"],
 )
 def test_a_foreign_operand_can_split_a_base_element(q, op, expected):
-    """The operand of the other object is factored before the vectors of
-    the first base are read, so no vector names both x^2 - t^2 and one of
-    its pieces, and the result is canonical."""
-    spec, p, other = _split_by_a_foreign_operand()
-    out = op(p, rf(q, other))
+    """Parsing the operand splits the element that p's vector names; p's
+    vector is read over the pieces, so no vector names both x^2 - t^2 and
+    one of its pieces, and the result is canonical."""
+    spec, p = _over_an_element_that_splits()
+    out = op(p, rf(q, spec))
     assert list(spec._splits) == [0]
     live = [f for k, f in enumerate(spec._base) if k not in spec._splits]
     assert all(poly_gcd(f, g).is_one() for i, f in enumerate(live) for g in live[:i])
@@ -474,8 +524,8 @@ def test_a_foreign_operand_can_split_a_base_element(q, op, expected):
 def test_a_vector_over_an_element_and_its_piece_multiplies_out():
     """A vector read over the pieces of a split adds the exponents that
     land on one piece."""
-    spec, p, other = _split_by_a_foreign_operand()
-    p + rf("1/(x-t)", other)
+    spec, p = _over_an_element_that_splits()
+    p + rf("1/(x-t)", spec)
     assert spec._splits == {0: (1, 2)}
     fac = ((0, 1), (1, 1))  # (x^2 - t^2)(x - t)
     assert field._live(spec, fac) == ((1, 2), (2, 1))
