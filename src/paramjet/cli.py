@@ -33,9 +33,9 @@ Parsing checks each command against the table; running calls each handler
 once, in order.
 
 Exit codes: 0 all verdicts ok, 2 parse error (including a command with the
-wrong number of arguments and a literal division by zero), closed output or
-an unwritable --out path, 3 semantic error, 4 at least one verdict-bearing
-command failed.
+wrong number of arguments and a literal division by zero), standard output
+closed before all output was written or an unwritable --out path, 3
+semantic error, 4 at least one verdict-bearing command failed.
 """
 
 from __future__ import annotations
@@ -193,6 +193,9 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
             raise ParseError(f"unknown structure item {key!r}", line=ln)
     if spec is None:
         raise ParseError("structure needs a field", line=lineno)
+    deriv_names = [n for n, _ in principal] + [n for n, _ in parameter]
+    if len(set(deriv_names)) != len(deriv_names):
+        raise ParseError("derivation names must be distinct", line=lineno)
     try:
         def mk(coeffs):
             return Derivation(spec, [parse_ratfun(spec, c.strip()) for c in coeffs])
@@ -207,9 +210,6 @@ def _parse_structure_block(lines: Lines, session: Session, header: list[str], li
         raise ParseError(f"bad structure {name!r}: {err}", line=lineno) from None
     except ParamjetError as err:
         raise SemanticError(f"invalid structure {name!r}: {err}") from None
-    deriv_names = [n for n, _ in principal] + [n for n, _ in parameter]
-    if len(set(deriv_names)) != len(deriv_names):
-        raise ParseError("derivation names must be distinct", line=lineno)
     session.structures[name] = ps
     session.deriv_names[name] = deriv_names
 
@@ -635,28 +635,24 @@ def run(path: str, flags) -> int:
         "input_digest": f"sha256:{digest}",
         "command_count": len(session.commands),
     }
-    stream_records = [header] + records
-    if flags.out:
-        try:
+    try:
+        if flags.out:
             with open(flags.out, "w", encoding="utf-8") as fh:
-                _emit(stream_records, fh)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+                _emit([header] + records, fh)
+        else:
+            _emit([header] + records, sys.stdout)
         if not flags.quiet:
-            _human_report(records, sys.stdout)
-    else:
-        try:
-            _emit(stream_records, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed the pipe; point stdout at devnull so that the
-            # flush at interpreter exit does not raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("error: output closed before all certificates were written", file=sys.stderr)
-            return 2
-        if not flags.quiet:
-            _human_report(records, sys.stderr)
+            _human_report(records, sys.stdout if flags.out else sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before all output was written", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return verdict_code
 
 

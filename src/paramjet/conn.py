@@ -77,9 +77,6 @@ class IntegrabilityVerdict(NamedTuple):
     flat: bool
     witness: tuple | None = None  # (i, j, residual matrix)
 
-    def __bool__(self) -> bool:
-        return self.flat
-
 
 def curvature_residual(m: DiffModule, i: int, j: int) -> Matrix:
     """∂i(Aj) − ∂j(Ai) − [Ai, Aj].  The structure-constant term −Σq c_ij^q Aq
@@ -109,14 +106,14 @@ def require_flat(m: DiffModule):
     if m.flat:
         return
     verdict = check_integrability(m)
-    if not verdict:
+    if not verdict.flat:
         raise NotFlat(verdict.witness)
 
 
 # --- tensor calculus -------------------------------------------------------------
 
 
-def _same_structure(m: DiffModule, n: DiffModule):
+def require_same_structure(m: DiffModule, n: DiffModule):
     if m.ps != n.ps:
         raise StructureMismatch("modules over different parameterized structures")
 
@@ -125,7 +122,7 @@ def tensor(m: DiffModule, n: DiffModule) -> DiffModule:
     """Basis e_a⊗f_b ordered row-major over (left basis x right basis); the
     Leibniz rule ∂(e⊗f) = ∂e⊗f + e⊗∂f makes each matrix the Kronecker sum
     A⊗I + I⊗B."""
-    _same_structure(m, n)
+    require_same_structure(m, n)
     conn = tuple(linalg.kron_sum(a, b) for a, b in zip(m.conn, n.conn))
     return DiffModule(m.ps, m.rank * n.rank, conn)
 
@@ -142,7 +139,7 @@ def hom(m: DiffModule, n: DiffModule) -> DiffModule:
 
 
 def direct_sum(m: DiffModule, n: DiffModule) -> DiffModule:
-    _same_structure(m, n)
+    require_same_structure(m, n)
     conn = []
     for a, b in zip(m.conn, n.conn):
         za = linalg.zeros(m.spec, m.rank, n.rank)
@@ -173,7 +170,7 @@ class MorphismCheck(NamedTuple):
 
 def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
     """Intertwining test: ∂i(T) = Ai^dst·T − T·Ai^src for every principal i."""
-    _same_structure(m, n)
+    require_same_structure(m, n)
     if linalg.shape(t) != (n.rank, m.rank):
         raise StructureMismatch("morphism matrix must be dst.rank x src.rank")
     for i, d in enumerate(m.ps.principal):

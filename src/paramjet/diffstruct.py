@@ -76,15 +76,12 @@ def bracket(a: Derivation, b: Derivation) -> Derivation:
     return Derivation(a.spec, [a.apply(cb) - b.apply(ca) for ca, cb in zip(a.coeffs, b.coeffs)])
 
 
-class DiffStructure:
+class DiffStructure(NamedTuple):
     """A derivation basis closed under bracket, with structure constants."""
 
-    __slots__ = ("base", "basis", "structure_constants")
-
-    def __init__(self, base, basis, structure_constants):
-        self.base = base
-        self.basis = basis
-        self.structure_constants = structure_constants  # dict[(i,j) i<j] -> list
+    base: FieldSpec
+    basis: tuple[Derivation, ...]
+    structure_constants: dict  # (i, j), i < j -> list of RatFun
 
     @property
     def dim(self) -> int:
@@ -97,13 +94,6 @@ class DiffStructure:
         if i < j:
             return self.structure_constants[(i, j)]
         return [-c for c in self.structure_constants[(j, i)]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffStructure)
-            and self.base == other.base
-            and self.basis == other.basis
-        )
 
 
 def _expand_in_basis(basis: tuple[Derivation, ...], target: Derivation):

@@ -176,10 +176,10 @@ class MultiPoly:
         return e, Fraction(self.terms[e], self.den)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if other.spec is not self.spec:
+            raise StructureMismatch("values of different FieldSpec objects")
         if not self.terms:
             return other
-        if not other.terms:
-            return self
         da, db = self.den, other.den
         if da == db:
             terms = dict(self.terms)
@@ -206,6 +206,8 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        if other.spec is not self.spec:
+            raise StructureMismatch("values of different FieldSpec objects")
         if not self.terms or not other.terms:
             return self.spec._poly_zero
         if self.is_one():
@@ -471,20 +473,20 @@ def _zp_coprime(f: list[int], g: list[int]) -> bool:
 
 
 def _images_coprime(F: dict, G: dict) -> bool:
-    """A proof that two polynomials, F primitive, given by their
-    coefficients in the main variable v, are coprime; False means no
-    proof, not a common factor.
+    """A proof that the primitive parts of two polynomials, given by their
+    coefficients in the main variable v, are coprime, with no content
+    divided out; False means no proof, not a common factor.
 
     Let phi: Q[others][v] -> Z_p[v] reduce mod p at the fixed point.  It
     is defined on F and G, since no coefficient denominator vanishes mod
     p, and it keeps their degrees in v, since neither leading coefficient
-    does.  Let H be the primitive gcd.  By Gauss's lemma, clearing
-    denominators and integer contents (units mod p, as the images are
-    nonzero) gives integer polynomials that H divides in Z[others][v], so
-    phi(H) divides both images up to units.  lc(H) divides lc(F), whose
-    image is nonzero, so deg phi(H) = deg_v H.  An image gcd of 1 thus
-    forces deg_v H = 0, and a common factor free of v would divide the
-    content of F, which is 1: H is 1."""
+    does.  Let H be the primitive gcd of the primitive parts, a divisor of
+    F and G.  By Gauss's lemma, clearing denominators and integer contents
+    (units mod p, as the images are nonzero) gives integer polynomials
+    that H divides in Z[others][v], so phi(H) divides both images up to
+    units.  lc(H) divides lc(F), whose image is nonzero, so deg phi(H) =
+    deg_v H.  An image gcd of 1 thus forces deg_v H = 0, and a common
+    factor free of v would divide the content of a primitive part: H is 1."""
     f = _zp_image(F)
     if f is None:
         return False
@@ -516,6 +518,8 @@ def _prem(F: dict, G: dict, spec: FieldSpec) -> dict:
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Primitive gcd of two polynomials (up to the stated normalization)."""
+    if g.spec is not f.spec:
+        raise StructureMismatch("values of different FieldSpec objects")
     if f.is_zero():
         return _rat_normalize(g)
     if g.is_zero():
@@ -535,22 +539,16 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 m = e if m is None else tuple(min(a, b) for a, b in zip(m, e))
             mono = m if mono is None else tuple(min(a, b) for a, b in zip(mono, m))
         return MultiPoly(f.spec, {mono: 1})
-    if f.terms == g.terms:
-        return _rat_normalize(f)
     v = _main_variable(f, g)
     F = _as_coeffs(f, v)
     G = _as_coeffs(g, v)
-    if len(F) == 1 and 0 in F:
-        return _rat_normalize(poly_gcd(f, _coeff_content(G)))
-    if len(G) == 1 and 0 in G:
-        return _rat_normalize(poly_gcd(_coeff_content(F), g))
     cf = _coeff_content(F)
     cg = _coeff_content(G)
     c = poly_gcd(cf, cg)
+    if _images_coprime(F, G):
+        return c
     Fp = _coeffs_divexact(F, cf)
     Gp = _coeffs_divexact(G, cg)
-    if _images_coprime(Fp, Gp):
-        return c
     if max(Fp) < max(Gp):
         Fp, Gp = Gp, Fp
     while Gp:
@@ -579,6 +577,8 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     quotient, so an integer division with a remainder proves that g does
     not divide f.  The remainder is one dict changed in place, its leading
     terms taken from a heap keyed by the graded lex order."""
+    if g.spec is not f.spec:
+        raise StructureMismatch("values of different FieldSpec objects")
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if f.is_zero() or g.is_one():

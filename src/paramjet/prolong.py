@@ -21,10 +21,11 @@ from .conn import (
     dual,
     morphism_check,
     require_flat,
+    require_same_structure,
     tensor,
 )
 from .diffstruct import Derivation, ParamStructure
-from .errors import MorphismInvalid, ShapeMismatch, StructureMismatch
+from .errors import MorphismInvalid, ShapeMismatch
 from .field import RatFun
 
 Matrix = list
@@ -165,28 +166,20 @@ def trivial_extension(quot: DiffModule, sub: DiffModule) -> BlockExtension:
 
 
 def extension_of_prolongation(m: DiffModule) -> BlockExtension:
-    """The prolongation as an extension of M by q copies of M: the off block
-    of each principal matrix stacks the parameter blocks −∂t_j(A)."""
-    require_flat(m)
-    ps = m.ps
-    q = ps.parameter_count
-    zero = linalg.zeros(m.spec, m.rank, m.rank)
-    sub = DiffModule(ps, m.rank * q, tuple(
-        linalg.block([[a if r == c else zero for c in range(q)] for r in range(q)])
-        for a in m.conn
-    ))
-    off = tuple([row for t in ps.parameter for row in prolong_block(a, t)] for a in m.conn)
-    return BlockExtension(ps, m, sub, off)
+    """The prolongation as an extension of M by q copies of M, read off the
+    prolonged matrices: their rows from r = rank on, columns from r on, are
+    the sub block, and columns below r the off block, the stacked −∂t_j(A)."""
+    core = _prolonged_core(m)
+    r = m.rank
+    sub = DiffModule(m.ps, core.rank - r, tuple([row[r:] for row in a[r:]] for a in core.conn))
+    off = tuple([row[:r] for row in a[r:]] for a in core.conn)
+    return BlockExtension(m.ps, m, sub, off)
 
 
 def baer_sum(e1: BlockExtension, e2: BlockExtension) -> BlockExtension:
     """Addition of extensions with the same sub and quotient blocks; for
     split-compatible presentations the general kernel/image construction
     reduces to adding the off-diagonal blocks."""
-    if e1.ps != e2.ps:
-        raise ShapeMismatch("extensions over different structures")
-    if e1.quot.rank != e2.quot.rank or e1.sub.rank != e2.sub.rank:
-        raise ShapeMismatch("extension block shapes differ")
     if e1.quot != e2.quot or e1.sub != e2.sub:
         raise ShapeMismatch("extensions do not share sub and quotient data")
     off = tuple(linalg.mat_add(x, y) for x, y in zip(e1.off, e2.off))
@@ -197,8 +190,7 @@ def check_tensor_compat(m: DiffModule, n: DiffModule) -> bool:
     """Matrix form of the Baer-sum compatibility of prolongation with
     tensor products: every parameter block −∂t_j(A⊗I + I⊗B) of the
     prolonged tensor product is B_j(M)⊗I + I⊗B_j(N)."""
-    if m.ps != n.ps:
-        raise StructureMismatch("modules over different parameterized structures")
+    require_same_structure(m, n)
     require_flat(m)
     require_flat(n)
     for a, b in zip(m.conn, n.conn):

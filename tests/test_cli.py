@@ -411,12 +411,16 @@ def test_tensor_across_a_reordered_field_is_semantic_error(tmp_path, capsys):
     )
 
 
-def test_closed_stdout_exits_2_without_traceback():
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, out):
+    """With --out, stdout carries the human report: a closed stdout ends the
+    run the same way as when it carries the certificates."""
+    flags = ["--out", str(tmp_path / "c.jsonl")] if out else []
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "paramjet", "run", str(FIXTURES / "xt_prolong.session")],
+            [sys.executable, "-m", "paramjet", "run", str(FIXTURES / "xt_prolong.session"), *flags],
             stdout=write_end,
             stderr=subprocess.PIPE,
         )
@@ -448,6 +452,62 @@ def ring_morphism_text(image_z: str, e_d1: str = "0") -> str:
     text = (FIXTURES / "ring_morphism_ok.session").read_text()
     text = text.replace("image z = 0", f"image z = {image_z}")
     return text.replace("matrix d1\n    0", f"matrix d1\n    {e_d1}")
+
+
+RING_HEAD = (FIXTURES / "ring_morphism_ok.session").read_text().split("module E")[0]
+ZERO_XY = "module F rank 1\n  matrix dx\n    0\n  end\n  matrix dy\n    0\n  end\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text, code, line",
+    [
+        (XT_HEAD + "module N rank 1\n  matrix dx\n    0\n  end\nend\n"
+         "morphism T : M -> N\n  matrix\n    1\n  end\nend\ncommand check-morphism T\n",
+         4, "[0] check-morphism T: fail"),
+        (RING_HEAD + ZERO_XY + "command extend-scalars FP = phi F\n", 3,
+         "semantic error: MorphismInvalid: morphism source is not the module's principal structure"),
+        (XT_HEAD + "command check-integrability X = M\n", 2,
+         "parse error: command 'check-integrability' does not produce a named result (line 12)"),
+        (XT_HEAD.replace("parameter dt", "parameter dx"), 2,
+         "parse error: derivation names must be distinct (line 2)"),
+        (XT_HEAD.replace("parameter dt = 0, 1", "parameter dx = 1, 0"), 2,
+         "parse error: derivation names must be distinct (line 2)"),
+        (XT_HEAD.replace("module M rank 1", "module M over aux rank 1"), 3,
+         "semantic error: undefined structure 'aux'"),
+        (XT_HEAD.replace("rank 1", "rank two"), 2, "parse error: rank must be an integer (line 7)"),
+        (RING_HEAD.replace("1, 0, y\n    0, 1, x", "1, 0\n    0, 1"), 3,
+         "semantic error: omega matrix of 'phi' must be 2x3"),
+        (RING_HEAD.replace("  image z = 0\n", ""), 3,
+         "semantic error: ring morphism 'phi' missing images for ['z']"),
+        (RING_HEAD.replace("phi : ring3 -> main", "phi : ring4 -> main"), 3,
+         "semantic error: ring morphism 'phi' references undefined structure"),
+        (XT_HEAD + "morphism T : M -> M\nend\n", 2, "parse error: expected 'matrix' block (line 12)"),
+        (XT_HEAD.replace("t/x", "1,,2"), 2, "parse error: bad matrix row (line 9)"),
+        (XT_HEAD.replace("rank 1", "rank 2").replace("t/x", "1, 2\n    3"), 2,
+         "parse error: ragged matrix block (line 8)"),
+        (XT_HEAD + "structure aux\n  field z z\n  principal dz = 1\n  constants\nend\n", 2,
+         "parse error: variable names must be distinct (line 13)"),
+    ],
+    ids=["module-morphism-fail", "extend-along-another-source", "named-verdict",
+         "duplicate-derivation", "duplicate-and-dependent-derivation", "module-over-undefined",
+         "rank-not-integer", "omega-shape", "missing-image", "ring-over-undefined",
+         "morphism-without-matrix", "empty-entry", "ragged-matrix", "repeated-field-variable"],
+)
+def test_refusal_exit_code_and_line(tmp_path, capsys, text, code, line):
+    """Each refusal is one stderr line; a failed check is one report line,
+    and its certificate carries the witness.  Derivation names are checked
+    before the structure is built, so a block that repeats a name is a
+    parse error even when its derivations are also dependent."""
+    f = tmp_path / "s.session"
+    f.write_text(text)
+    assert main(["run", str(f)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    if code == 4:
+        (cert,) = records_of(captured.out.encode())[1:]
+        assert cert["witness"] == {"principal_index": 0, "residual": [["(t)/(x)"]]}
+    else:
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Source hygiene: no engine module imports a name it never uses or the
 ``dataclasses`` module, no good fixture is left out of the pinned
 certificate digests, every function the benchmark's span tracer wraps
-still exists, and no code but ``RatFun._over`` calls ``__new__``."""
+still exists, no code but ``RatFun._over`` calls ``__new__``, and every
+record has the form README "Conventions" gives it."""
 
 import ast
 import importlib
@@ -123,3 +124,37 @@ def test_ratfun_new_is_called_only_in_over():
     ``_over`` alone, so no other route can copy a memo from an operand."""
     calls = {path.name: _new_calls(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == {"field.py": ["RatFun._over"]}
+
+
+def _record_forms() -> dict[str, set[str]]:
+    """The classes of the engine that are not exceptions, by form: a
+    ``NamedTuple``, a ``__slots__`` class, or a plain class."""
+    forms: dict[str, set[str]] = {"namedtuple": set(), "slots": set(), "plain": set()}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module(f"paramjet.{path.stem}")
+        for obj in vars(module).values():
+            if not isinstance(obj, type) or obj.__module__ != module.__name__:
+                continue
+            if issubclass(obj, BaseException):
+                continue
+            if issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                form = "namedtuple"
+            elif "__slots__" in vars(obj):
+                form = "slots"
+            else:
+                form = "plain"
+            forms[form].add(f"{path.stem}.{obj.__qualname__}")
+    return forms
+
+
+def test_records_have_one_form():
+    """Records that validate their input or cache are ``__slots__`` classes,
+    the parser state is plain, and every other record is a ``NamedTuple``."""
+    forms = _record_forms()
+    assert forms["slots"] == {
+        "field.FieldSpec", "field.MultiPoly", "field.RatFun",
+        "diffstruct.Derivation", "conn.DiffModule", "conn.ModMorphism",
+    }
+    assert forms["plain"] == {"field._Tokens", "cli.Session", "cli._Parser"}
