@@ -33,7 +33,7 @@ Parsing checks each command against the table; running calls each handler
 once, in order.
 
 Exit codes: 0 all verdicts ok, 2 parse error (including a command with the
-wrong number of arguments and a literal division by zero), standard output
+wrong number of arguments and a literal division by zero), an output stream
 closed before all output was written or an unwritable --out path, 3
 semantic error, 4 at least one verdict-bearing command failed.
 """
@@ -605,29 +605,35 @@ def _human_report(records: list[dict], stream) -> None:
         stream.write(f"[{r['index']}] {head}: {r['verdict']}\n")
 
 
+def _fail(code: int, line: str) -> int:
+    """Print the one-line message of an error exit and return its code.  A
+    closed standard error keeps the code: it is pointed at devnull, so that
+    the flush at interpreter exit does not raise and exit with 120."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def run(path: str, flags) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {err}")
     except UnicodeDecodeError as err:
-        print(f"error: {path} is not UTF-8 text: {err}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {path} is not UTF-8 text: {err}")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         session = parse_session(text)
         records, verdict_code = run_session(session, flags)
     except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 2
+        return _fail(2, f"parse error: {err}")
     except SemanticError as err:
-        print(f"semantic error: {err}", file=sys.stderr)
-        return 3
+        return _fail(3, f"semantic error: {err}")
     except ParamjetError as err:
-        print(f"semantic error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+        return _fail(3, f"semantic error: {type(err).__name__}: {err}")
     header = {
         "record": "header",
         "tool": "paramjet",
@@ -641,18 +647,17 @@ def run(path: str, flags) -> int:
                 _emit([header] + records, fh)
         else:
             _emit([header] + records, sys.stdout)
+            sys.stdout.flush()  # the certificates are out before the report
         if not flags.quiet:
             _human_report(records, sys.stdout if flags.out else sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the flush at
-        # interpreter exit does not raise again
+        # the reader closed stdout or stderr; stdout is pointed at devnull so
+        # that the flush at interpreter exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: output closed before all output was written", file=sys.stderr)
-        return 2
+        return _fail(2, "error: output closed before all output was written")
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {err}")
     return verdict_code
 
 

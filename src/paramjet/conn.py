@@ -140,11 +140,8 @@ def hom(m: DiffModule, n: DiffModule) -> DiffModule:
 
 def direct_sum(m: DiffModule, n: DiffModule) -> DiffModule:
     require_same_structure(m, n)
-    conn = []
-    for a, b in zip(m.conn, n.conn):
-        za = linalg.zeros(m.spec, m.rank, n.rank)
-        zb = linalg.zeros(m.spec, n.rank, m.rank)
-        conn.append(linalg.block([[a, za], [zb, b]]))
+    sizes = [m.rank, n.rank]
+    conn = [linalg.block(m.spec, sizes, sizes, {(0, 0): a, (1, 1): b}) for a, b in zip(m.conn, n.conn)]
     return DiffModule(m.ps, m.rank + n.rank, tuple(conn))
 
 

@@ -55,24 +55,24 @@ def mat_scale(c: RatFun, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Row by row (Gustavson, ACM TOMS 4, 1978): each nonzero a[i][s] is
+    multiplied into the nonzero entries of row s of b, and each entry sums
+    its products in increasing s, starting from the shared zero, which is
+    where an entry no product reaches stays."""
     m, n = shape(a)
     n2, k = shape(b)
     if n != n2:
         raise ShapeMismatch("matrix product shape mismatch")
+    zero = RatFun.zero(a[0][0].spec) if m and k else None
     out = []
-    for i in range(m):
-        row = []
-        for j in range(k):
-            acc = None
-            for s in range(n):
-                x = a[i][s]
-                y = b[s][j]
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else RatFun.zero(a[i][0].spec))
-        out.append(row)
+    for arow in a:
+        acc = [zero] * k
+        for x, brow in zip(arow, b):
+            if not x.is_zero():
+                for j, y in enumerate(brow):
+                    if not y.is_zero():
+                        acc[j] = x * y if acc[j] is zero else acc[j] + x * y
+        out.append(acc)
     return out
 
 
@@ -105,10 +105,15 @@ def kron_sum(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def block(blocks: list[list[Matrix]]) -> Matrix:
+def block(spec: FieldSpec, heights: list[int], widths: list[int], blocks: dict) -> Matrix:
+    """The block matrix whose block row i has height heights[i] and block
+    column j width widths[j].  ``blocks`` maps (i, j) to the block there and
+    names only the nonzero ones; every other block holds the field's shared
+    zero RatFun.zero(spec)."""
+    z = RatFun.zero(spec)
     out = []
-    for brow in blocks:
-        height = len(brow[0])
+    for i, height in enumerate(heights):
+        brow = [blocks.get((i, j)) or [[z] * w] * height for j, w in enumerate(widths)]
         for r in range(height):
             row = []
             for b in brow:

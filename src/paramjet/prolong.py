@@ -26,7 +26,6 @@ from .conn import (
 )
 from .diffstruct import Derivation, ParamStructure
 from .errors import MorphismInvalid, ShapeMismatch
-from .field import RatFun
 
 Matrix = list
 
@@ -44,18 +43,21 @@ def prolong_block(a: Matrix, parameter_derivation: Derivation) -> Matrix:
     return linalg.mat_neg(linalg.entrywise(parameter_derivation.apply, a))
 
 
+def _prolong_blocks(ps: ParamStructure, a: Matrix) -> dict:
+    """The nonzero blocks of the prolongation of a connection matrix, or of
+    a (rectangular) morphism matrix, A: A at (d, d) for d = 0..q and
+    −∂t_j(A) at (j, 0), parameters numbered from 1."""
+    blocks = {(d, d): a for d in range(1 + ps.parameter_count)}
+    for j, t in enumerate(ps.parameter, 1):
+        blocks[j, 0] = prolong_block(a, t)
+    return blocks
+
+
 def _prolong_matrix(ps: ParamStructure, a: Matrix) -> Matrix:
-    """The block lower-triangular matrix with 1 + q diagonal copies of A and
-    the blocks −∂t_j(A) in the first block column: the prolongation of a
-    connection matrix, or of a (rectangular) morphism matrix."""
+    """The block lower-triangular matrix of _prolong_blocks."""
     rows, cols = linalg.shape(a)
-    q = ps.parameter_count
-    blocks = [[linalg.zeros(ps.base, rows, cols) for _ in range(1 + q)] for _ in range(1 + q)]
-    for d in range(1 + q):
-        blocks[d][d] = a
-    for j in range(q):
-        blocks[1 + j][0] = prolong_block(a, ps.parameter[j])
-    return linalg.block(blocks)
+    width = 1 + ps.parameter_count
+    return linalg.block(ps.base, [rows] * width, [cols] * width, _prolong_blocks(ps, a))
 
 
 def _prolonged_core(m: DiffModule) -> DiffModule:
@@ -71,16 +73,8 @@ def prolong_module(m: DiffModule) -> ProlongedModule:
     solutions.  Refused on curved input, which is not a module over the
     principal directions in the first place."""
     core = _prolonged_core(m)
-    rank = m.rank
-    big = core.rank
-    one = RatFun.one(m.spec)
-    incl = linalg.zeros(m.spec, big, big - rank)
-    proj = linalg.zeros(m.spec, rank, big)
-    for r in range(rank, big):
-        incl[r][r - rank] = one
-    for r in range(rank):
-        proj[r][r] = one
-    return ProlongedModule(core, incl, proj)
+    ident = linalg.identity(m.spec, core.rank)
+    return ProlongedModule(core, [row[m.rank :] for row in ident], ident[: m.rank])
 
 
 def prolong_morphism(t: ModMorphism) -> ModMorphism:
@@ -107,36 +101,32 @@ class SecondProlongation(NamedTuple):
 def at2_module(m: DiffModule) -> SecondProlongation:
     """The double prolongation, flat index (outer block, inner block, module
     index), restricted to the swap-invariant blocks e(a,b) + e(b,a), a <= b,
-    built from its formula.  With B_b = prolong_block(A, t_b), parameters
-    numbered from 1, each matrix has A on the diagonal, B_b at ((0,b),(0,0)),
-    and for 1 <= a <= b prolong_block(B_b, t_a) at ((a,b),(0,0)), B_b at
-    ((a,b),(0,a)) and B_a added at ((a,b),(0,b)).
+    built from its formula.  The pairs (0, c) are the blocks c of the
+    prolongation and hold its blocks.  With B_b = prolong_block(A, t_b),
+    parameters numbered from 1, block row (a, b) for 1 <= a <= b holds A on
+    the diagonal, prolong_block(B_b, t_a) in column (0, 0), B_b in column
+    (0, a) and B_a in column (0, b), the two added when a = b.
     """
     require_flat(m)
     ps = m.ps
     rank = m.rank
     width = 1 + ps.parameter_count
     pairs = [(a, b) for a in range(width) for b in range(a, width)]  # (0, c) is block c
+    sizes = [rank] * len(pairs)
     conn = []
     for a_mat in m.conn:
-        b_mats = [None] + [prolong_block(a_mat, t) for t in ps.parameter]
-        blocks = [[linalg.zeros(ps.base, rank, rank) for _ in pairs] for _ in pairs]
-        for k, (pa, pb) in enumerate(pairs):
-            blocks[k][k] = a_mat
-            if pa:
-                blocks[k][0] = prolong_block(b_mats[pb], ps.parameter[pa - 1])
-                blocks[k][pa] = b_mats[pb]
-                blocks[k][pb] = linalg.mat_add(blocks[k][pb], b_mats[pa])  # 2·B_a when a = b
-            elif pb:
-                blocks[k][0] = b_mats[pb]
-        conn.append(linalg.block(blocks))
+        blocks = _prolong_blocks(ps, a_mat)
+        for k, (pa, pb) in enumerate(pairs[width:], width):
+            b_a, b_b = blocks[pa, 0], blocks[pb, 0]
+            blocks[k, k] = a_mat
+            blocks[k, 0] = prolong_block(b_b, ps.parameter[pa - 1])
+            blocks[k, pa] = b_b
+            blocks[k, pb] = b_a if pa < pb else linalg.mat_add(b_b, b_a)
+        conn.append(linalg.block(ps.base, sizes, sizes, blocks))
     invariant = DiffModule(ps, rank * len(pairs), tuple(conn))
-    one = RatFun.one(m.spec)
-    incl = linalg.zeros(m.spec, rank * width * width, invariant.rank)
-    for k, (a, b) in enumerate(pairs):
-        for l in range(rank):
-            incl[(a * width + b) * rank + l][k * rank + l] = one
-            incl[(b * width + a) * rank + l][k * rank + l] = one
+    ident = linalg.identity(m.spec, rank)
+    places = [(i, k) for k, (a, b) in enumerate(pairs) for i in (a * width + b, b * width + a)]
+    incl = linalg.block(m.spec, [rank] * width * width, sizes, dict.fromkeys(places, ident))
     return SecondProlongation(invariant, rank * width * width, incl)
 
 

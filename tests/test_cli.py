@@ -431,6 +431,42 @@ def test_closed_stdout_exits_2_without_traceback(tmp_path, out):
     assert len(err) == 1 and err[0].startswith("error: output closed"), err
 
 
+@pytest.mark.parametrize(
+    "name, out, code",
+    [
+        ("calculus.session", False, 2),
+        ("malformed.session", False, 2),
+        ("missing.session", False, 2),
+        ("calculus.session", True, 0),
+    ],
+    ids=["report", "parse_error", "missing_file", "out"],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, name, out, code):
+    """A standard error closed before the report or the error line is
+    written ends the run with exit 2, and the certificates already written
+    to stdout stay there; with --out the report goes to stdout.  The run
+    has the interpreter's default buffering, whose flush at exit would
+    raise on what a failed write left buffered."""
+    flags = ["--out", str(tmp_path / "c.jsonl")] if out else []
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open(tmp_path / "stdout", "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "paramjet", "run", str(FIXTURES / name), *flags],
+                stdout=stdout,
+                stderr=write_end,
+                env=env,
+            )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    if name == "calculus.session" and not out:
+        lines = (tmp_path / "stdout").read_bytes().splitlines()
+        assert json.loads(lines[0])["command_count"] == len(lines) - 1
+
+
 def test_verbs_match_readme_session_example():
     readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("### Session files", 1)[1].split("```")[1]

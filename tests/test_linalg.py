@@ -223,3 +223,85 @@ def test_kron_sum_rejects_non_square():
     one = RatFun.one(spec)
     with pytest.raises(ShapeMismatch):
         linalg.kron_sum([[one, one]], [[one]])
+
+
+# --- products and block matrices --------------------------------------------------
+
+
+def sparse_matrix(spec, rng, rows, cols, density=0.5):
+    def entry():
+        return rand_ratfun(spec, rng) if rng.random() < density else RatFun.zero(spec)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def mat_mul_oracle(a, b):
+    """Reference: the triple loop, every product a[i][s]·b[s][j] summed in
+    increasing s, zero factors included."""
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = arow[0] * b[0][j]
+            for s in range(1, len(b)):
+                acc = acc + arow[s] * b[s][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_mat_mul_matches_triple_loop_on_sparse_products():
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(20263)
+    widths, zero_rows, unreached = set(), 0, 0
+    for _ in range(60):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = sparse_matrix(spec, rng, m, n, density=rng.choice((0.3, 0.6, 1.0)))
+        b = sparse_matrix(spec, rng, n, k, density=rng.choice((0.3, 0.6, 1.0)))
+        if rng.random() < 0.3:
+            a[rng.randrange(m)] = [RatFun.zero(spec)] * n  # a zero row of a
+        if rng.random() < 0.3:
+            j = rng.randrange(k)
+            for row in b:
+                row[j] = RatFun.zero(spec)  # a zero column of b
+        got = linalg.mat_mul(a, b)
+        expected = mat_mul_oracle(a, b)
+        assert linalg.shape(got) == (m, k)
+        assert linalg.mat_eq(got, expected)
+        assert [[str(x) for x in row] for row in got] == [[str(x) for x in row] for row in expected]
+        for i in range(m):
+            for j in range(k):
+                if all(a[i][s].is_zero() or b[s][j].is_zero() for s in range(n)):
+                    assert got[i][j] is RatFun.zero(spec)
+                    unreached += 1
+        widths.add(k)
+        zero_rows += any(linalg.is_zero_matrix([row]) for row in a)
+    assert {1, 4} <= widths and zero_rows and unreached
+
+
+def test_mat_mul_tests_each_factor_for_zero_once(monkeypatch):
+    """Each a[i][s] is tested once, and row s of b once per nonzero a[i][s]."""
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(20264)
+    a = sparse_matrix(spec, rng, 4, 5, density=0.5)
+    b = sparse_matrix(spec, rng, 5, 3, density=0.5)
+    nnz = sum(not x.is_zero() for row in a for x in row)
+    calls = []
+    is_zero = RatFun.is_zero
+    monkeypatch.setattr(RatFun, "is_zero", lambda self: calls.append(self) or is_zero(self))
+    linalg.mat_mul(a, b)
+    assert 0 < len(calls) <= 4 * 5 + nnz * 3
+
+
+def test_block_fills_unnamed_blocks_with_the_shared_zero():
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(20265)
+    z = RatFun.zero(spec)
+    a = sparse_matrix(spec, rng, 1, 3, density=1.0)
+    c = sparse_matrix(spec, rng, 2, 2, density=1.0)
+    got = linalg.block(spec, [1, 2], [2, 3], {(0, 1): a, (1, 0): c})
+    assert got == [[z, z] + a[0], c[0] + [z, z, z], c[1] + [z, z, z]]
+    assert got[0][0] is z and got[1][4] is z
+    empty = linalg.block(spec, [2, 1], [1, 3], {})
+    assert linalg.shape(empty) == (3, 4)
+    assert all(x is z for row in empty for x in row)

@@ -176,12 +176,7 @@ def test_naturality_square(p2q2):
     assert linalg.mat_eq(lhs, rhs)
     # prolong(T) ∘ incl = incl ∘ (q diagonal copies of T)
     q = ps.parameter_count
-    sub_t = linalg.block(
-        [
-            [t if i == j else linalg.zeros(spec, 2, 2) for j in range(q)]
-            for i in range(q)
-        ]
-    )
+    sub_t = linalg.block(spec, [2] * q, [2] * q, {(i, i): t for i in range(q)})
     assert morphism_check(sub_t, parameter_sub(m1), parameter_sub(m2)).ok
     lhs2 = linalg.mat_mul(pf.matrix, p1.incl)
     rhs2 = linalg.mat_mul(p2.incl, sub_t)
@@ -310,9 +305,9 @@ def test_baer_sum_laws(xt, p2q2):
 def extension_module(e):
     """The module of a block extension: matrices [[A_quot, 0], [X, A_sub]]."""
     conn = []
+    sizes = [e.quot.rank, e.sub.rank]
     for aq, asub, x in zip(e.quot.conn, e.sub.conn, e.off):
-        z = linalg.zeros(e.ps.base, e.quot.rank, e.sub.rank)
-        conn.append(linalg.block([[aq, z], [x, asub]]))
+        conn.append(linalg.block(e.ps.base, sizes, sizes, {(0, 0): aq, (1, 0): x, (1, 1): asub}))
     return DiffModule(e.ps, e.quot.rank + e.sub.rank, tuple(conn))
 
 
@@ -337,6 +332,26 @@ def test_prolong_module_builds_no_direct_sum(p2q2, monkeypatch):
     spec, ps = p2q2
     prolong.prolong_module(rand_gauge_module(spec, ps, random.Random(157), 2))
     assert calls == []
+
+
+def test_block_matrices_build_no_zero_matrix(p2q2, monkeypatch):
+    """The prolonged, second-prolonged and direct-sum matrices name only
+    their nonzero blocks: none of them asks linalg.zeros for a zero block."""
+    spec, ps = p2q2
+    rng = random.Random(163)
+    g1, g2 = rand_unipotent(spec, ps, rng, 2), rand_unipotent(spec, ps, rng, 2)
+    m1, m2 = gauge_module(ps, g1), gauge_module(ps, g2)
+    f = ModMorphism(m1, m2, linalg.mat_mul(linalg.inverse(g2), g1))
+
+    def refuse(*args):
+        raise AssertionError("linalg.zeros called")
+
+    monkeypatch.setattr(linalg, "zeros", refuse)
+    prolong_module(m1)
+    prolong_morphism(f)
+    at2_module(m1)
+    extension_of_prolongation(m1)
+    direct_sum(m1, m2)
 
 
 def test_baer_sum_matches_kernel_image_oracle(xt):
