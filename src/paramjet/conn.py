@@ -11,7 +11,7 @@ all live here.
 from __future__ import annotations
 
 import math
-from operator import add
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -302,8 +302,11 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     the bound with numerator degree up to the bound.  The equations
     ∂i(v) = Ai·v are cleared to polynomial identities and solved exactly
     over Q; the returned vectors are a Q-basis of the solutions inside the
-    family (sound, not complete beyond the bound).  A search of more than
-    MAX_UNKNOWNS unknowns is refused with a SemanticError.
+    family (sound, not complete beyond the bound).  Each equation row is
+    keyed by its component and monomial packed into one int, so the column
+    of an unknown is its principal's blocks each shifted by one integer
+    addition (``_equation_blocks``).  A search of more than MAX_UNKNOWNS
+    unknowns is refused with a SemanticError.
     """
     spec = m.spec
     if degree_bound < 0:
@@ -322,27 +325,33 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     monomials = _monomials_up_to(len(spec), num_bound)
 
     # Row (i, l', x^f) is the x^f coefficient of component l' of principal
-    # i's cleared identity; the column of unknown (l, x^e) is made of the
-    # blocks of _equation_blocks shifted by x^e, or by x^(e - 1_n) times e_n
-    # for the derivative blocks.
+    # i's cleared identity, numbered as its key first appears; the column of
+    # unknown (l, x^e) is made of the blocks of _equation_blocks shifted by
+    # x^e, or by x^(e - 1_n) times e_n for the derivative blocks.  With packed
+    # keys a shift is one integer addition.
     rows: list[dict[int, int]] = []
-    row_of: dict[tuple, int] = {}
     for i in range(m.ps.principal_count):
-        derivative, lead, coupling = _equation_blocks(m, i, denom)
+        derivative, lead, coupling, weights = _equation_blocks(m, i, denom, num_bound)
+        row_of: dict[int, dict[int, int]] = {}
         for l in range(m.rank):
-            shifted = [(l, lead)] + coupling[l]
             for k, e in enumerate(monomials):
+                packed = sum(map(mul, e, weights))
+                here = packed + l * weights[-1]
+                shifts = [(block, here - weights[n], e[n]) for n, block in derivative if e[n]]
+                shifts.append((lead, here, 1))
+                shifts += [(block, packed, 1) for block in coupling[l]]
                 col: dict[int, int] = {}
-                for n, block in derivative:
-                    if e[n]:
-                        e1 = e[:n] + (e[n] - 1,) + e[n + 1:]
-                        _add_shifted(col, rows, row_of, (i, l), block, e1, e[n])
-                for lp, block in shifted:
-                    _add_shifted(col, rows, row_of, (i, lp), block, e, 1)
+                for block, shift, factor in shifts:
+                    for f, c in block:
+                        col[f + shift] = col.get(f + shift, 0) + factor * c
                 unknown = l * nmono + k
-                for r, x in col.items():
+                for key, x in col.items():
+                    row = row_of.get(key)
+                    if row is None:
+                        row = row_of[key] = {}
+                        rows.append(row)
                     if x:
-                        rows[r][unknown] = x
+                        row[unknown] = x
 
     basis = linalg.fraction_nullspace(rows, m.rank * nmono)
     out = []
@@ -355,17 +364,24 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     return out
 
 
-def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly):
+def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly, num_bound: int):
     """Principal i's cleared identity, per unknown monomial, as blocks of
-    integer terms [(exponents, int)].
+    integer terms [(packed exponents, int)], and the packing weights.
 
     With A_i = P_i / d_i and ∂i = Σn c_n ∂n / c_den (polynomial c_n), the
     identity for N / D is d_i·(∂'(N)·D − N·∂'(D)) − c_den·D·P_i·N = 0,
     ∂' = Σn c_n ∂n.  For N = x^e in coordinate l it is the sum of e_n·x^(e−1_n)
     times d_i·D·c_n (``derivative``, one block per n with c_n ≠ 0) and x^e
     times −d_i·∂'(D) in component l (``lead``) and x^e times −c_den·D·P[l′][l]
-    in component l′ (``coupling[l]``, pairs (l′, block)).  Every block is
-    scaled by one common denominator, which leaves the solutions alone."""
+    in component l′ (``coupling[l]``, one block per l′).  Every block is
+    scaled by one common denominator, which leaves the solutions alone.
+
+    An exponent vector f is packed as Σn f_n·radix^n (Monagan & Pearce,
+    J. Symb. Comp. 46, 2011) and component l′ adds l′·radix^nvars, where
+    ``weights`` = [radix^n for n = 0..nvars].  The radix is num_bound plus
+    the largest total degree of a block plus one, so every exponent of a
+    block shifted by a monomial of degree at most num_bound is a digit
+    below it, and shifting a packed block is an integer addition."""
     spec = m.spec
     a = m.conn[i]
     coeffs = m.ps.principal[i].coeffs
@@ -390,25 +406,17 @@ def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly):
     ]
     polys = [p for _, p in derivative] + [lead] + [p for col in coupling for _, p in col]
     scale = math.lcm(*(p.den for p in polys))
+    radix = num_bound + max(p.total_degree() for p in polys) + 1
+    weights = [radix**n for n in range(len(spec) + 1)]
 
-    def integer(p: MultiPoly) -> list[tuple]:
+    def integer(p: MultiPoly, lp: int = 0) -> list[tuple[int, int]]:
         k = scale // p.den
-        return [(e, c * k) for e, c in p.terms.items()]
+        offset = lp * weights[-1]
+        return [(sum(map(mul, e, weights)) + offset, c * k) for e, c in p.terms.items()]
 
     return (
         [(n, integer(p)) for n, p in derivative],
         integer(lead),
-        [[(lp, integer(p)) for lp, p in col] for col in coupling],
+        [[integer(p, lp) for lp, p in col] for col in coupling],
+        weights,
     )
-
-
-def _add_shifted(col: dict, rows: list, row_of: dict, eq: tuple, block, shift, factor: int):
-    """col[row of (eq, f + shift)] += factor·c for each term (f, c) of block,
-    creating rows as their keys first appear."""
-    for f, c in block:
-        key = (*eq, *map(add, f, shift))
-        r = row_of.get(key)
-        if r is None:
-            r = row_of[key] = len(rows)
-            rows.append({})
-        col[r] = col.get(r, 0) + factor * c

@@ -212,17 +212,19 @@ def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list
     Each row maps a column to its nonzero entry, a ``Fraction`` or an
     ``int``.  Each row is cleared of denominators once, into a copy, and
     eliminated over Z, fraction-free in the style of Bareiss (Math. Comp.
-    22, 1968) but with primitive rows in place of his exact divisions:
-    row <- (p/g)·row - (r/g)·pivot_row with g = gcd(p, r), then the row is
-    divided by the gcd of its entries.  For each column in increasing
-    order the pivot is the pending row with the fewest entries that has
-    the column, ties going to the lowest row index (Markowitz pivoting);
-    the column is eliminated from the other pending rows, and
-    back-substitution the same way leaves each pivot row a multiple of its
-    row in the reduced row echelon form.  That form does not depend on the
-    pivot order, so the basis (one vector per free column f, ascending,
-    with v[f] = 1 and v[c] = -R[c][f] for each pivot column c) is the one
-    dense first-nonzero pivoting over Q gives.
+    22, 1968) but with content divisions in place of his exact divisions:
+    row <- (p/g)·row - (r/g)·pivot_row with g = gcd(p, r), and a row so
+    scaled (p/g ≠ 1) is divided by the gcd of its entries; a pivot row with
+    a single entry only deletes its column from the other rows.  For each
+    column in increasing order the pivot is the pending row with the fewest
+    entries that has the column, ties going to the lowest row index
+    (Markowitz pivoting); the column is eliminated from the other pending
+    rows, and back-substitution the same way leaves each pivot row a
+    multiple of its row in the reduced row echelon form.  That form does
+    not depend on the pivot order or on how any row is scaled, so the basis
+    (one vector per free column f, ascending, with v[f] = 1 and
+    v[c] = -R[c][f] for each pivot column c) is the one dense first-nonzero
+    pivoting over Q gives.
     """
     mat = [_integer_row(row) for row in rows]
     # column -> rows that may hold it; a row joins when fill-in gives it
@@ -268,28 +270,31 @@ def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list
 
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """A primitive integer multiple of a row over Q, zero entries dropped."""
+    """An integer multiple of a row over Q, zero entries dropped: a row of
+    nonzero ints is copied as it is, any other is multiplied by the lcm of
+    its denominators.  The row need not be primitive: the basis is read off
+    as the ratios R[c][f]/R[c][c] of the reduced rows, which no row scaling
+    moves, and elimination divides out the content of every row it scales."""
+    if all(type(x) is int and x for x in row.values()):
+        return dict(row)
     den = 1
     for x in row.values():
         den = math.lcm(den, x.denominator)
-    out = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
-    _divide_content(out)
-    return out
-
-
-def _divide_content(row: dict[int, int]) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = int_content(row.values())
-    if g > 1:
-        for k in row:
-            row[k] //= g
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
 
 def _eliminate_int(row: dict[int, int], prow: dict[int, int], c: int) -> list[int]:
     """row <- (p/g)·row - (r/g)·prow in place, for p = prow[c], r = row[c]
-    and g = gcd(p, r), then divided by the gcd of its entries; entries that
-    cancel are dropped, column c among them.  Returns the columns the row
-    gained."""
+    and g = gcd(p, r); entries that cancel are dropped, column c among them.
+    A row scaled by p/g ≠ 1 is then divided by the gcd of its entries,
+    which keeps scaling from compounding; an unscaled row only had a
+    multiple of prow taken off and skips that pass.  A single-entry pivot
+    row only deletes column c: that is the formula's result divided by
+    p/g, the zero fill-in case of Markowitz (Management Science 3, 1957),
+    done with no arithmetic.  Returns the columns the row gained."""
+    if len(prow) == 1:
+        del row[c]
+        return []
     p, r = prow[c], row[c]
     g = math.gcd(p, r)
     a, b = p // g, r // g
@@ -308,5 +313,9 @@ def _eliminate_int(row: dict[int, int], prow: dict[int, int], c: int) -> list[in
                 row[k] = y
             else:
                 del row[k]
-    _divide_content(row)
+    if a != 1:
+        g = int_content(row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
     return gained

@@ -272,6 +272,14 @@ def test_fixture_certificate_digests(tmp_path, name, digest):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
+def test_horizontal_certificate_digest_at_degree_bound_9(tmp_path):
+    """The larger horizontal search of hypergeom_2f1 (nine vectors F·t^k
+    over a 1,400 x 812 system) is pinned byte for byte as well."""
+    _, payload = run_cli(tmp_path, "hypergeom_2f1.session", "--degree-bound", "9")
+    digest = "994ffc618420bb0543a3ef4f7ddf4d08f51bdd11b02b9038ffc14e7e94343dee"
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
 XT_HEAD = (
     "field x t\n"
     "structure\n  principal dx = 1, 0\n  parameter dt = 0, 1\n  constants t\nend\n"

@@ -1,10 +1,12 @@
 import gc
+import pathlib
 import random
 import time
 
 import pytest
 
 from paramjet import linalg
+from paramjet.cli import parse_session
 from paramjet.conn import (
     DiffModule,
     check_integrability,
@@ -514,3 +516,65 @@ def test_horizontal_matches_per_monomial_oracle():
                 assert got == horizontal_oracle(m, bound), (ps.base, rank, bound)
                 nullities.add(len(got))
     assert 0 in nullities and max(nullities) >= 2
+
+
+def test_horizontal_radix_above_block_degrees(x12t):
+    """Polynomial connection entries of degree 3-4 over Q(x1, x2, t) at
+    bounds 0-2: the equation blocks have a higher degree than the ansatz,
+    so the packed exponents of a shifted block need a radix above the sum
+    of the two.  Upper triangular modules keep e_0·t^k horizontal; a lower
+    entry half the time leaves a curved module."""
+    spec, ps = x12t
+    rng = random.Random(20266)
+
+    def monomial(degree):
+        e = [0, 0, 0]
+        for _ in range(degree):
+            e[rng.randrange(3)] += 1
+        return tuple(e)
+
+    def entry():
+        # c·(x^a − x^b) with |a| = |b| in 3..4, whose coefficients cancel
+        # wherever a too small radix lets the two collide; plus lower terms
+        # half the time
+        degree = rng.randint(3, 4)
+        a, b = monomial(degree), monomial(degree)
+        while b == a:
+            b = monomial(degree)
+        c = rng.choice((-2, -1, 1, 3))
+        p = MultiPoly.from_terms(spec, [(a, c), (b, -c)])
+        if rng.random() < 0.5:
+            p = p + rand_poly(spec, rng, max_deg=2, terms=2)
+        return RatFun.from_poly(p)
+
+    # x_n^4 against x_(n+1): they collide under a radix of num_bound + 4
+    modules = [DiffModule(ps, 1, ([[rf(spec, p)]], [[rf(spec, "0")]])) for p in ("x1^4-x2", "x2^4-t")]
+    for rank in (1, 2, 3):
+        for _ in range(2):
+            conn = tuple(
+                [[entry() if l < lp and rng.random() < 0.7 else RatFun.zero(spec)
+                  for lp in range(rank)] for l in range(rank)]
+                for _ in ps.principal
+            )
+            if rng.random() < 0.5:
+                conn[0][rank - 1][0] = entry()
+            modules.append(DiffModule(ps, rank, conn))
+    nullities = set()
+    for m in modules:
+        for bound in range(3):
+            got = horizontal_space(m, bound)
+            assert got == horizontal_oracle(m, bound), (m.rank, bound)
+            nullities.add(len(got))
+    assert 0 in nullities and max(nullities) >= 3
+
+
+def test_horizontal_hypergeom_fixture_at_bound_14_is_fast():
+    """A cliff guard: the module of fixtures/hypergeom_2f1.session at
+    degree bound 14 (a 3,225 x 1,892 system over Q) in well under a
+    second; the solutions are F·t^k for k < 14."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "hypergeom_2f1.session").read_text()
+    m = parse_session(text).modules["H"]
+    start = time.perf_counter()
+    found = horizontal_space(m, 14)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 14

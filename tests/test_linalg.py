@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -45,8 +46,8 @@ def dense_fraction_nullspace(rows: list[list[Fraction]], ncols: int) -> list[lis
     return basis
 
 
-def densify(rows, ncols):
-    return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+def densify(rows, ncols, entry=lambda x: x):
+    return [[entry(row.get(c, Fraction(0))) for c in range(ncols)] for row in rows]
 
 
 def sparse(dense_rows):
@@ -180,6 +181,66 @@ def test_fraction_nullspace_does_not_modify_rows():
     before = [dict(r) for r in rows]
     linalg.fraction_nullspace(rows, 3)
     assert rows == before
+
+
+def singleton_heavy_system(rng):
+    """Sparse rows over Q of which at least a third have one entry, with
+    duplicate rows and all-zero rows; some rows are all ints."""
+    n = rng.randint(1, 12)
+
+    def row(k):
+        cols = rng.sample(range(n), min(k, n))
+        if rng.random() < 0.5:
+            return {c: rng.choice((-6, -3, -2, -1, 1, 2, 4, 9)) for c in cols}
+        return {c: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for c in cols}
+
+    rows = [row(rng.randint(2, 5)) for _ in range(rng.randint(0, 8))]
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2)) if rows]
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    singles = [row(1) for _ in range(1 + len(rows) // 2 + rng.randint(0, 3))]
+    rows += singles + [dict(rng.choice(singles)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    assert 3 * sum(len(r) == 1 for r in rows) >= len(rows)
+    return rows, n
+
+
+def test_fraction_nullspace_on_singleton_heavy_systems():
+    """Systems where many pivot rows have a single entry, which only
+    deletes its column from the other rows: the dense oracle's basis, the
+    same basis for the rows in any order, and the input rows unmodified."""
+    rng = random.Random(20265)
+    nullities = set()
+    for _ in range(300):
+        rows, n = singleton_heavy_system(rng)
+        before = [dict(r) for r in rows]
+        got = linalg.fraction_nullspace(rows, n)
+        assert rows == before
+        assert got == dense_fraction_nullspace(densify(rows, n, Fraction), n)
+        shuffled = rng.sample(rows, len(rows))
+        assert linalg.fraction_nullspace(shuffled, n) == got
+        nullities.add(len(got))
+    assert 0 in nullities and max(nullities) >= 4
+
+
+def test_single_entry_pivots_take_no_gcd(monkeypatch):
+    """Every pivot below has one entry when it is reached, so elimination
+    does no arithmetic at all: not one gcd."""
+    calls = []
+    gcd = math.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    # columns 0-5 each have a single-entry row; 6 and 7 are free
+    rows = [{0: 2, 3: 5, 4: -1}, {0: 3}, {1: -4, 2: 6, 5: 10}, {1: 7}, {2: 9, 3: 3},
+            {2: -2}, {3: 8}, {4: 3, 5: 12}, {4: 6}, {5: 5}, {0: 4, 5: 2}]
+    monkeypatch.setattr(linalg.math, "gcd", counting)
+    got = linalg.fraction_nullspace(rows, 8)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == dense_fraction_nullspace(densify(rows, 8, Fraction), 8)
+    assert len(got) == 2
 
 
 # --- Kronecker sum --------------------------------------------------------------
