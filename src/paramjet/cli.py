@@ -445,6 +445,8 @@ def _check_structure(session: Session, flags) -> dict:
 
 
 def _check_integrability(session: Session, flags, module: DiffModule) -> dict:
+    if module.flat is True:  # checked before, or flat by its construction
+        return {"verdict": "flat"}
     verdict = check_integrability(module)
     if verdict.flat:
         return {"verdict": "flat"}

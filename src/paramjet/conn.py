@@ -37,8 +37,13 @@ Matrix = list
 
 class DiffModule:
     """A finite-rank module with one connection matrix per principal
-    derivation; ``flat`` caches the integrability verdict (None until
-    checked)."""
+    derivation.  ``flat`` records what is known of its integrability: None
+    until known, set True or False by ``check_integrability``, True from
+    ``trivial_module``, and True from a constructor when a theorem makes
+    its result flat: ``inherit_flat`` for ``tensor``, ``hom``, ``dual``,
+    ``direct_sum`` and the Baer sub of flat operands, and
+    ``prolong._prolonged_core`` and ``prolong.at2_module``, which refuse
+    curved input.  ``extend_scalars`` and declared modules leave None."""
 
     __slots__ = ("ps", "rank", "conn", "flat")
 
@@ -91,6 +96,9 @@ def curvature_residual(m: DiffModule, i: int, j: int) -> Matrix:
 
 
 def check_integrability(m: DiffModule) -> IntegrabilityVerdict:
+    """The curvature test in full, whatever ``m.flat`` records, so it stays
+    an independent route to a flatness that a constructor recorded; the
+    first nonzero residual, pairs in order, is the witness."""
     p = m.ps.principal_count
     for i in range(p):
         for j in range(i + 1, p):
@@ -100,6 +108,16 @@ def check_integrability(m: DiffModule) -> IntegrabilityVerdict:
                 return IntegrabilityVerdict(False, (i, j, res))
     m.flat = True
     return IntegrabilityVerdict(True)
+
+
+def inherit_flat(result: DiffModule, *operands: DiffModule) -> DiffModule:
+    """Record ``result`` as flat when every operand is known flat; a curved
+    or unchecked operand leaves None.  Sound only for a construction whose
+    curvature is built from its operands' curvatures, as its docstring
+    shows."""
+    if all(op.flat is True for op in operands):
+        result.flat = True
+    return result
 
 
 def require_flat(m: DiffModule):
@@ -121,28 +139,37 @@ def require_same_structure(m: DiffModule, n: DiffModule):
 def tensor(m: DiffModule, n: DiffModule) -> DiffModule:
     """Basis e_a⊗f_b ordered row-major over (left basis x right basis); the
     Leibniz rule ∂(e⊗f) = ∂e⊗f + e⊗∂f makes each matrix the Kronecker sum
-    A⊗I + I⊗B."""
+    A⊗I + I⊗B.
+
+    Flat when both factors are: ∂i is entrywise and the cross terms of
+    [Ai⊗I + I⊗Bi, Aj⊗I + I⊗Bj] cancel, so the curvature is F_A⊗I + I⊗F_B."""
     require_same_structure(m, n)
     conn = tuple(linalg.kron_sum(a, b) for a, b in zip(m.conn, n.conn))
-    return DiffModule(m.ps, m.rank * n.rank, conn)
+    return inherit_flat(DiffModule(m.ps, m.rank * n.rank, conn), m, n)
 
 
 def dual(m: DiffModule) -> DiffModule:
+    """Connection −Aᵀ.  Flat when M is: [Aiᵀ, Ajᵀ] = −[Ai, Aj]ᵀ, so the
+    curvature is −F_Aᵀ."""
     conn = tuple(linalg.mat_neg(linalg.transpose(a)) for a in m.conn)
-    return DiffModule(m.ps, m.rank, conn)
+    return inherit_flat(DiffModule(m.ps, m.rank, conn), m)
 
 
 def hom(m: DiffModule, n: DiffModule) -> DiffModule:
     """Internal Hom N ⊗ M^∨: on matrices Ψ it acts as Ψ ↦ A^N Ψ − Ψ A^M,
-    vectorized row-major over (dst basis x src basis)."""
+    vectorized row-major over (dst basis x src basis).  Flat when M and N
+    are, through ``dual`` and ``tensor``."""
     return tensor(n, dual(m))
 
 
 def direct_sum(m: DiffModule, n: DiffModule) -> DiffModule:
+    """Block-diagonal connection.  Flat when M and N are: products of
+    block-diagonal matrices stay block-diagonal, so the curvature is the
+    block-diagonal matrix of F_A and F_B."""
     require_same_structure(m, n)
     sizes = [m.rank, n.rank]
     conn = [linalg.block(m.spec, sizes, sizes, {(0, 0): a, (1, 1): b}) for a, b in zip(m.conn, n.conn)]
-    return DiffModule(m.ps, m.rank + n.rank, tuple(conn))
+    return inherit_flat(DiffModule(m.ps, m.rank + n.rank, tuple(conn)), m, n)
 
 
 # --- morphisms --------------------------------------------------------------------
@@ -187,8 +214,9 @@ def extend_scalars(morphism: DiffMorphism, module: DiffModule, target: ParamStru
 
     Only d-compatibility of the morphism is enforced here; if its
     integrability condition fails, the transported module is typically
-    curved, mirroring the source of the failure.  Entries are pushed
-    through the ring homomorphism, so substitution poles propagate.
+    curved, mirroring the source of the failure, so the result's flatness
+    is left unknown.  Entries are pushed through the ring homomorphism, so
+    substitution poles propagate.
     """
     if morphism.source != module.ps.principal_structure:
         raise MorphismInvalid("morphism source is not the module's principal structure")

@@ -19,6 +19,7 @@ from .conn import (
     ModMorphism,
     direct_sum,
     dual,
+    inherit_flat,
     morphism_check,
     require_flat,
     require_same_structure,
@@ -61,11 +62,17 @@ def _prolong_matrix(ps: ParamStructure, a: Matrix) -> Matrix:
 
 
 def _prolonged_core(m: DiffModule) -> DiffModule:
-    """The module of prolong_module, without its inclusion and projection."""
+    """The module of prolong_module, without its inclusion and projection.
+
+    Flat, since M must be: the curvature of the prolonged connection has
+    F on its diagonal blocks and −∂t(F) in block (t, 0), because ∂t
+    commutes with ∂i and ∂j, and F = 0."""
     require_flat(m)
     ps = m.ps
     big = m.rank * (1 + ps.parameter_count)
-    return DiffModule(ps, big, tuple(_prolong_matrix(ps, a) for a in m.conn))
+    core = DiffModule(ps, big, tuple(_prolong_matrix(ps, a) for a in m.conn))
+    core.flat = True
+    return core
 
 
 def prolong_module(m: DiffModule) -> ProlongedModule:
@@ -106,6 +113,11 @@ def at2_module(m: DiffModule) -> SecondProlongation:
     parameters numbered from 1, block row (a, b) for 1 <= a <= b holds A on
     the diagonal, prolong_block(B_b, t_a) in column (0, 0), B_b in column
     (0, a) and B_a in column (0, b), the two added when a = b.
+
+    The invariant module is flat, since M must be: the double prolongation
+    of a flat module is flat (``_prolonged_core``, twice), the invariant
+    part is a submodule, so incl·F_inv = F_double·incl = 0, and the 0/1
+    ``incl`` is injective.
     """
     require_flat(m)
     ps = m.ps
@@ -124,6 +136,7 @@ def at2_module(m: DiffModule) -> SecondProlongation:
             blocks[k, pb] = b_a if pa < pb else linalg.mat_add(b_b, b_a)
         conn.append(linalg.block(ps.base, sizes, sizes, blocks))
     invariant = DiffModule(ps, rank * len(pairs), tuple(conn))
+    invariant.flat = True
     ident = linalg.identity(m.spec, rank)
     places = [(i, k) for k, (a, b) in enumerate(pairs) for i in (a * width + b, b * width + a)]
     incl = linalg.block(m.spec, [rank] * width * width, sizes, dict.fromkeys(places, ident))
@@ -156,14 +169,22 @@ def trivial_extension(quot: DiffModule, sub: DiffModule) -> BlockExtension:
 
 
 def extension_of_prolongation(m: DiffModule) -> BlockExtension:
-    """The prolongation as an extension of M by q copies of M, read off the
-    prolonged matrices: their rows from r = rank on, columns from r on, are
-    the sub block, and columns below r the off block, the stacked −∂t_j(A)."""
-    core = _prolonged_core(m)
-    r = m.rank
-    sub = DiffModule(m.ps, core.rank - r, tuple([row[r:] for row in a[r:]] for a in core.conn))
-    off = tuple([row[:r] for row in a[r:]] for a in core.conn)
-    return BlockExtension(m.ps, m, sub, off)
+    """The prolongation as an extension of M by q copies of M, built from
+    the prolongation's block rows 1..q: their blocks in columns 1..q, the
+    q diagonal copies of A, are the sub, and their blocks in column 0, the
+    stacked −∂t_j(A), the off block.  The sub is the direct sum of q
+    copies of the flat M, so it is flat."""
+    require_flat(m)
+    sizes = [m.rank] * m.ps.parameter_count
+    sub, off = [], []
+    for a in m.conn:
+        blocks = _prolong_blocks(m.ps, a)
+        diagonal = {(i - 1, j - 1): x for (i, j), x in blocks.items() if j}
+        first_column = {(i - 1, 0): x for (i, j), x in blocks.items() if i and not j}
+        sub.append(linalg.block(m.spec, sizes, sizes, diagonal))
+        off.append(linalg.block(m.spec, sizes, [m.rank], first_column))
+    sub_module = inherit_flat(DiffModule(m.ps, m.rank * len(sizes), tuple(sub)), m)
+    return BlockExtension(m.ps, m, sub_module, tuple(off))
 
 
 def baer_sum(e1: BlockExtension, e2: BlockExtension) -> BlockExtension:

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line and
 enforcing its runtime budget."""
 
+import argparse
 import json
 import pathlib
 import random
@@ -73,7 +74,7 @@ class Budget:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.start
         status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.criterion}: {status} ({elapsed:.2f}s / limit {self.limit:.0f}s)")
+        print(f"ACCEPTANCE {self.criterion}: {status} ({elapsed:.2f}s / limit {self.limit:g}s)")
         if exc_type is None:
             assert elapsed < self.limit, f"criterion {self.criterion} exceeded its budget"
         return False
@@ -432,3 +433,58 @@ def test_criterion_12_rank18_flatness(tmp_path):
         ("check-integrability", "flat"),
     ]
     assert records[1]["derived"]["rank"] == 18
+
+
+def _rational_gauge_chain(*commands: str) -> str:
+    """The declarations of the rational gauge fixture, then ``commands``."""
+    text = (FIXTURES / "rational_gauge_at2.session").read_text(encoding="utf-8")
+    return text[: text.index("command")] + "".join(f"command {c}\n" for c in commands)
+
+
+def test_criterion_12_rank18_curvature_route(monkeypatch):
+    """Criterion 12's rank-18 module is answered by construction in the CLI,
+    so the full curvature test, which ignores that record, keeps the same
+    3 s budget on it."""
+    from paramjet import conn
+    from paramjet.cli import parse_session, run_session
+
+    session = parse_session(_rational_gauge_chain("at2 R2 = R", "at2 R3 = R2"))
+    pairs = []
+    residual = conn.curvature_residual
+
+    def counted(m, i, j):
+        pairs.append((i, j))
+        return residual(m, i, j)
+
+    with Budget(12, 3):
+        run_session(session, argparse.Namespace(degree_bound=0, depth=1, rank_cap=8))
+        r3 = session.modules["R3"]
+        assert r3.rank == 18 and r3.flat is True
+        monkeypatch.setattr(conn, "curvature_residual", counted)
+        verdict = check_integrability(r3)
+    assert verdict.flat and pairs == [(0, 1)]
+
+
+@pytest.mark.parametrize(
+    "commands, rank",
+    [
+        (["at2 R2 = R", "at2 R3 = R2", "at2 R4 = R3", "check-integrability R4"], 54),
+        (["at2 R2 = R", "at2 R3 = R2", "tensor T = R3 R3", "check-integrability T"], 324),
+    ],
+    ids=["rank54-chain", "rank324-tensor"],
+)
+def test_criterion_13_flat_by_construction(tmp_path, commands, rank):
+    """A chain of at2 and a tensor of flat modules is flat by construction:
+    the check at its end takes no curvature test, so the whole session runs
+    in the CLI in under 1.5 s."""
+    from paramjet.cli import main
+
+    session = tmp_path / "chain.session"
+    session.write_text(_rational_gauge_chain(*commands), encoding="utf-8")
+    out = tmp_path / "chain.jsonl"
+    with Budget(13, 1.5):
+        code = main(["run", str(session), "--out", str(out), "--quiet"])
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert records[-1]["verdict"] == "flat"
+    assert records[-2]["derived"]["rank"] == rank

@@ -1,8 +1,9 @@
 """Source hygiene: no engine module imports a name it never uses or the
 ``dataclasses`` module, no good fixture is left out of the pinned
 certificate digests, every function the benchmark's span tracer wraps
-still exists, no code but ``RatFun._over`` calls ``__new__``, and every
-record has the form README "Conventions" gives it."""
+still exists, no code but ``RatFun._over`` calls ``__new__``, every
+record has the form README "Conventions" gives it, and flatness is
+recorded only where a theorem gives it."""
 
 import ast
 import importlib
@@ -158,3 +159,42 @@ def test_records_have_one_form():
         "diffstruct.Derivation", "conn.DiffModule", "conn.ModMorphism",
     }
     assert forms["plain"] == {"field._Tokens", "cli.Session", "cli._Parser"}
+
+
+def _flat_assignments(source: str) -> set[tuple[str, str]]:
+    """(qualified function name, value) of every ``<x>.flat = <value>``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assign):
+                for target in child.targets:
+                    if isinstance(target, ast.Attribute) and target.attr == "flat":
+                        found.add((".".join(scope), ast.unparse(child.value)))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_flatness_is_recorded_only_where_a_theorem_gives_it():
+    """Only the curvature test and the constructors whose docstrings state
+    why their result is flat record flatness: a new constructor that
+    claims it must come with its theorem and be added here."""
+    found = {
+        (path.stem, *assignment)
+        for path in sorted(SRC.glob("*.py"))
+        for assignment in _flat_assignments(path.read_text(encoding="utf-8"))
+    }
+    assert found == {
+        ("conn", "DiffModule.__init__", "None"),
+        ("conn", "trivial_module", "True"),
+        ("conn", "check_integrability", "False"),
+        ("conn", "check_integrability", "True"),
+        ("conn", "inherit_flat", "True"),
+        ("prolong", "_prolonged_core", "True"),
+        ("prolong", "at2_module", "True"),
+    }
