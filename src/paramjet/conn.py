@@ -11,7 +11,6 @@ all live here.
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -331,10 +330,10 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     ∂i(v) = Ai·v are cleared to polynomial identities and solved exactly
     over Q; the returned vectors are a Q-basis of the solutions inside the
     family (sound, not complete beyond the bound).  Each equation row is
-    keyed by its component and monomial packed into one int, so the column
-    of an unknown is its principal's blocks each shifted by one integer
-    addition (``_equation_blocks``).  A search of more than MAX_UNKNOWNS
-    unknowns is refused with a SemanticError.
+    keyed by its component and the packed key of its monomial, so the
+    column of an unknown is its principal's blocks each shifted by one
+    integer addition (``_equation_blocks``).  A search of more than
+    MAX_UNKNOWNS unknowns is refused with a SemanticError.
     """
     spec = m.spec
     if degree_bound < 0:
@@ -351,6 +350,8 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     inv_denom = inv_d ** degree_bound
     denom = inv_denom.den
     monomials = _monomials_up_to(len(spec), num_bound)
+    keys = [spec.key(e) for e in monomials]
+    units = spec.units
 
     # Row (i, l', x^f) is the x^f coefficient of component l' of principal
     # i's cleared identity, numbered as its key first appears; the column of
@@ -359,13 +360,12 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     # keys a shift is one integer addition.
     rows: list[dict[int, int]] = []
     for i in range(m.ps.principal_count):
-        derivative, lead, coupling, weights = _equation_blocks(m, i, denom, num_bound)
+        derivative, lead, coupling, component = _equation_blocks(m, i, denom, num_bound)
         row_of: dict[int, dict[int, int]] = {}
         for l in range(m.rank):
-            for k, e in enumerate(monomials):
-                packed = sum(map(mul, e, weights))
-                here = packed + l * weights[-1]
-                shifts = [(block, here - weights[n], e[n]) for n, block in derivative if e[n]]
+            for k, (e, packed) in enumerate(zip(monomials, keys)):
+                here = packed + l * component
+                shifts = [(block, here - units[n], e[n]) for n, block in derivative if e[n]]
                 shifts.append((lead, here, 1))
                 shifts += [(block, packed, 1) for block in coupling[l]]
                 col: dict[int, int] = {}
@@ -386,15 +386,15 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     for sol in basis:
         vec = []
         for l in range(m.rank):
-            terms = [(e, c) for k, e in enumerate(monomials) if (c := sol[l * nmono + k])]
-            vec.append(RatFun.from_poly(MultiPoly.from_terms(spec, terms)) * inv_denom)
+            terms = [(key, c) for k, key in enumerate(keys) if (c := sol[l * nmono + k])]
+            vec.append(RatFun.from_poly(MultiPoly.from_keys(spec, terms)) * inv_denom)
         out.append(vec)
     return out
 
 
 def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly, num_bound: int):
     """Principal i's cleared identity, per unknown monomial, as blocks of
-    integer terms [(packed exponents, int)], and the packing weights.
+    integer terms [(row key, int)], and the key offset of one component.
 
     With A_i = P_i / d_i and ∂i = Σn c_n ∂n / c_den (polynomial c_n), the
     identity for N / D is d_i·(∂'(N)·D − N·∂'(D)) − c_den·D·P_i·N = 0,
@@ -404,12 +404,12 @@ def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly, num_bound: int):
     in component l′ (``coupling[l]``, one block per l′).  Every block is
     scaled by one common denominator, which leaves the solutions alone.
 
-    An exponent vector f is packed as Σn f_n·radix^n (Monagan & Pearce,
-    J. Symb. Comp. 46, 2011) and component l′ adds l′·radix^nvars, where
-    ``weights`` = [radix^n for n = 0..nvars].  The radix is num_bound plus
-    the largest total degree of a block plus one, so every exponent of a
-    block shifted by a monomial of degree at most num_bound is a digit
-    below it, and shifting a packed block is an integer addition."""
+    The row key of x^f in component l′ is the packed key of f (see
+    ``field.FieldSpec``) plus l′ times ``component``, the least key of
+    degree num_bound plus the largest total degree of a block plus one:
+    every block shifted by a monomial of degree at most num_bound stays
+    below that degree, so no two rows share a key, and shifting a block is
+    an integer addition on the keys its polynomial already holds."""
     spec = m.spec
     a = m.conn[i]
     coeffs = m.ps.principal[i].coeffs
@@ -434,17 +434,16 @@ def _equation_blocks(m: DiffModule, i: int, denom: MultiPoly, num_bound: int):
     ]
     polys = [p for _, p in derivative] + [lead] + [p for col in coupling for _, p in col]
     scale = math.lcm(*(p.den for p in polys))
-    radix = num_bound + max(p.total_degree() for p in polys) + 1
-    weights = [radix**n for n in range(len(spec) + 1)]
+    component = spec.degree_key(num_bound + max(p.total_degree() for p in polys) + 1)
 
     def integer(p: MultiPoly, lp: int = 0) -> list[tuple[int, int]]:
         k = scale // p.den
-        offset = lp * weights[-1]
-        return [(sum(map(mul, e, weights)) + offset, c * k) for e, c in p.terms.items()]
+        offset = lp * component
+        return [(e + offset, c * k) for e, c in p.terms.items()]
 
     return (
         [(n, integer(p)) for n, p in derivative],
         integer(lead),
         [[integer(p, lp) for lp, p in col] for col in coupling],
-        weights,
+        component,
     )

@@ -2,13 +2,15 @@
 
 Elements are kept in a canonical form at all times: a polynomial stores
 integer terms over one positive common denominator coprime to them, with
-no zero terms, ordered by the graded lexicographic order induced by the
-variable order of the ``FieldSpec``; rational functions store coprime
+no zero terms, each keyed by one packed integer per monomial (see
+``FieldSpec``), whose integer order is the graded lexicographic order
+induced by the variable order; rational functions store coprime
 numerator/denominator with a monic denominator.  Equality of values is
 therefore structural equality, and the text rendering is a bit-exact
 interchange form.  Products, sums, exact division and the gcd run on
-Python ints; ``Fraction`` appears only at the edges (parsing constants,
-``leading``, ``coefficients`` and ``render``).
+Python ints, and the key of a product of monomials is the sum of their
+keys; ``Fraction`` and exponent tuples appear only at the edges (parsing
+constants, ``leading``, ``coefficients`` and ``render``).
 
 Every denominator is also kept factored, as an exponent vector over a
 coprime base that belongs to its ``FieldSpec`` (factor refinement; Bach,
@@ -39,7 +41,7 @@ import heapq
 import math
 import sys
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DenominatorVanishes, DivisionByZero, ParamjetError, ParseError,
@@ -47,13 +49,28 @@ from .errors import (DenominatorVanishes, DivisionByZero, ParamjetError, ParseEr
 
 Exponents = tuple[int, ...]
 
-
-def _grlex(e: Exponents):
-    return (sum(e), e)
+# bits of each field of a packed monomial key (see FieldSpec): a polynomial
+# of total degree 2^EXPONENT_BITS or more is refused.  Every fixture and
+# benchmark session stays below degree 64; 12 bits keep the keys of up to
+# four variables, and most horizontal-search row keys, within two and one
+# 30-bit int digits, measurably faster than 16 bits or more
+EXPONENT_BITS = 12
 
 
 class FieldSpec:
     """An ordered list of variable names; fixes indexing for the session.
+
+    It fixes the layout of a packed monomial key.  For N variables and
+    W = EXPONENT_BITS = 12, the key of x^e is sum(e) shifted left by N·W bits,
+    plus e_i shifted left by (N−1−i)·W bits for each variable i: a
+    total-degree field on top, then one W-bit field per variable, the first
+    variable highest (Monagan & Pearce, J. Symb. Comp. 46, 2011).  So
+    integer order is graded lexicographic order, the key of a product of
+    monomials is the sum of their keys, and ``units[i]``, the key of the
+    variable itself, is what ∂/∂v_i subtracts.  The layout holds while the
+    total degree stays below 2^W; a product or a polynomial built past
+    that is refused with a ParamjetError.  ``exponents`` reads a key back,
+    and ``_monos`` remembers the rendered text of each monomial.
 
     It also holds the field's zero and one, built once: values are
     immutable, so every caller can share them.  And it holds the coprime
@@ -70,8 +87,8 @@ class FieldSpec:
     identical and hash by identity, and an operation on the values of two
     of them raises StructureMismatch."""
 
-    __slots__ = ("variables", "_index", "_poly_zero", "_poly_one", "_zero", "_one",
-                 "_base", "_splits", "_dens", "_facs", "_derivs")
+    __slots__ = ("variables", "_index", "units", "_shifts", "_mask", "_top", "_key_cap", "_monos",
+                 "_poly_zero", "_poly_one", "_zero", "_one", "_base", "_splits", "_dens", "_facs", "_derivs")
 
     def __init__(self, variables: Iterable[str]):
         names = tuple(variables)
@@ -81,8 +98,15 @@ class FieldSpec:
             raise ValueError("variable names must be distinct")
         self.variables = names
         self._index = {v: i for i, v in enumerate(names)}
+        n, bits = len(names), EXPONENT_BITS
+        self._shifts = tuple((n - 1 - i) * bits for i in range(n))
+        self._mask = (1 << bits) - 1
+        self._top = n * bits
+        self.units = tuple((1 << self._top) + (1 << s) for s in self._shifts)
+        self._key_cap = self.degree_key(1 << bits)
+        self._monos: dict[int, str] = {}
         self._poly_zero = MultiPoly(self, {})
-        self._poly_one = MultiPoly(self, {(0,) * len(names): 1})
+        self._poly_one = MultiPoly(self, {0: 1})
         self._base: list[MultiPoly] = []
         self._splits: dict[int, tuple[int, int]] = {}
         self._dens: dict[tuple, MultiPoly] = {(): self._poly_one}
@@ -100,6 +124,23 @@ class FieldSpec:
     def __len__(self) -> int:
         return len(self.variables)
 
+    def key(self, exps: Exponents) -> int:
+        """The packed key of the monomial x^exps."""
+        return sum(map(mul, exps, self.units))
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponent vector of a packed key."""
+        mask = self._mask
+        return tuple([(key >> s) & mask for s in self._shifts])
+
+    def degree_key(self, degree: int) -> int:
+        """The least key of total degree ``degree``, above every key of a
+        lower degree; a degree past 2^EXPONENT_BITS, whose lower degrees
+        would not fit the layout, is refused."""
+        if degree > self._mask + 1:
+            _refuse_degree(self, degree - 1)
+        return degree << self._top
+
     def __repr__(self) -> str:
         return f"FieldSpec({', '.join(self.variables)})"
 
@@ -107,9 +148,9 @@ class FieldSpec:
 class MultiPoly:
     """Sparse multivariate polynomial with rational coefficients, stored as
     integer terms over one common denominator: the coefficient of x^e is
-    terms[e] / den.  The form is canonical: no zero terms, den > 0 and
-    gcd(den, every term) = 1, so den is 1 exactly when every coefficient is
-    an integer."""
+    terms[key] / den for the packed key of e (see FieldSpec).  The form is
+    canonical: no zero terms, den > 0 and gcd(den, every term) = 1, so den
+    is 1 exactly when every coefficient is an integer."""
 
     __slots__ = ("spec", "terms", "den")
 
@@ -120,12 +161,19 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, items) -> "MultiPoly":
+        """The polynomial of (exponent vector, coefficient) pairs."""
+        return cls.from_keys(spec, ((spec.key(e), c) for e, c in items))
+
+    @classmethod
+    def from_keys(cls, spec: FieldSpec, items) -> "MultiPoly":
+        """The polynomial of (packed key, coefficient) pairs."""
         acc: dict = {}
-        for exps, coeff in items:
+        for key, coeff in items:
             c = Fraction(coeff)
             if c:
-                e = tuple(exps)
-                acc[e] = acc[e] + c if e in acc else c
+                acc[key] = acc[key] + c if key in acc else c
+        if acc and max(acc) >= spec._key_cap:
+            _refuse_degree(spec, max(acc) >> spec._top)
         # the lcm of the reduced denominators is coprime to the content
         den = 1
         for c in acc.values():
@@ -141,7 +189,7 @@ class MultiPoly:
         c = Fraction(value)
         if not c:
             return cls(spec, {})
-        return cls(spec, {(0,) * len(spec): c.numerator}, c.denominator)
+        return cls(spec, {0: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "MultiPoly":
@@ -149,31 +197,30 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, spec: FieldSpec, name: str) -> "MultiPoly":
-        i = spec.index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(spec)))
-        return cls(spec, {e: 1})
+        return cls(spec, {spec.units[spec.index(name)]: 1})
 
     def coefficients(self) -> dict[Exponents, Fraction]:
         """The nonzero coefficients as Fractions, keyed by exponents."""
-        return {e: Fraction(c, self.den) for e, c in self.terms.items()}
+        exponents = self.spec.exponents
+        return {exponents(e): Fraction(c, self.den) for e, c in self.terms.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.den == 1 and self.terms == self.spec._poly_one.terms
+        return len(self.terms) == 1 and self.den == 1 and self.terms.get(0) == 1
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.spec._top
 
     def leading(self) -> tuple[Exponents, Fraction]:
-        e = max(self.terms, key=_grlex)
-        return e, Fraction(self.terms[e], self.den)
+        e = max(self.terms)
+        return self.spec.exponents(e), Fraction(self.terms[e], self.den)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if other.spec is not self.spec:
@@ -206,23 +253,27 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if other.spec is not self.spec:
+        """The product; keys add, so the leading keys bound the degree."""
+        spec = self.spec
+        if other.spec is not spec:
             raise StructureMismatch("values of different FieldSpec objects")
         if not self.terms or not other.terms:
-            return self.spec._poly_zero
+            return spec._poly_zero
         if self.is_one():
             return other
         if other.is_one():
             return self
+        if max(self.terms) + max(other.terms) >= spec._key_cap:
+            _refuse_degree(spec, self.total_degree() + other.total_degree())
         terms: dict = {}
         get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
         if not all(terms.values()):
             terms = {e: c for e, c in terms.items() if c}
-        return _reduced(self.spec, terms, self.den * other.den)
+        return _reduced(spec, terms, self.den * other.den)
 
     def scale(self, value) -> "MultiPoly":
         c = Fraction(value)
@@ -252,21 +303,23 @@ class MultiPoly:
         return result
 
     def derivative(self, var_index: int) -> "MultiPoly":
+        spec = self.spec
+        shift, mask, unit = spec._shifts[var_index], spec._mask, spec.units[var_index]
         terms = {}
         for e, c in self.terms.items():
-            k = e[var_index]
+            k = (e >> shift) & mask
             if k:
                 # distinct exponents stay distinct, so no two terms meet
-                terms[e[:var_index] + (k - 1,) + e[var_index + 1:]] = c * k
-        return _reduced(self.spec, terms, self.den)
+                terms[e - unit] = c * k
+        return _reduced(spec, terms, self.den)
 
     def variables_used(self) -> set[int]:
-        used = set()
+        # a field of the or of all keys is nonzero iff some key's is
+        used = 0
         for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+            used |= e
+        mask = self.spec._mask
+        return {i for i, s in enumerate(self.spec._shifts) if (used >> s) & mask}
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -284,19 +337,24 @@ class MultiPoly:
             return "0"
         if self.is_one():
             return "1"
+        spec = self.spec
+        monos = spec._monos
         parts = []
         try:
-            for e in sorted(self.terms, key=_grlex, reverse=True):
+            for e in sorted(self.terms, reverse=True):
                 c = self.terms[e]
                 if self.den != 1:
                     c = Fraction(c, self.den)
-                factors = []
-                for name, k in zip(self.spec.variables, e):
-                    if k == 1:
-                        factors.append(name)
-                    elif k > 1:
-                        factors.append(f"{name}^{k}")
-                mono = "*".join(factors)
+                mono = monos.get(e)
+                if mono is None:
+                    factors = []
+                    for name, shift in zip(spec.variables, spec._shifts):
+                        k = (e >> shift) & spec._mask
+                        if k == 1:
+                            factors.append(name)
+                        elif k > 1:
+                            factors.append(f"{name}^{k}")
+                    mono = monos[e] = "*".join(factors)
                 if not mono:
                     parts.append(str(c))
                 elif c == 1:
@@ -313,6 +371,11 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.render()})"
+
+
+def _refuse_degree(spec: FieldSpec, degree: int):
+    bits = spec._mask.bit_length()
+    raise ParamjetError(f"polynomial of total degree {degree}, past the {bits}-bit exponent field")
 
 
 def _times(terms: dict, k: int) -> dict:
@@ -362,7 +425,7 @@ def _rat_normalize(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     g = int_content(p.terms.values())
-    if p.terms[max(p.terms, key=_grlex)] < 0:
+    if p.terms[max(p.terms)] < 0:
         g = -g
     if g == 1:
         return p if p.den == 1 else MultiPoly(p.spec, p.terms)
@@ -372,21 +435,19 @@ def _rat_normalize(p: MultiPoly) -> MultiPoly:
 def _main_variable(f: MultiPoly, g: MultiPoly) -> int | None:
     """The variable of least degree in f and g, the last of those on a tie:
     the pseudo-remainder sequence in it is the shortest."""
-    degree: dict[int, int] = {}
-    for p in (f, g):
-        for e in p.terms:
-            for i, k in enumerate(e):
-                if k > degree.get(i, 0):
-                    degree[i] = k
+    mask, keys = f.spec._mask, [*f.terms, *g.terms]
+    degree = {i: max((e >> s) & mask for e in keys) for i, s in enumerate(f.spec._shifts)}
+    degree = {i: k for i, k in degree.items() if k}
     return min(degree, key=lambda i: (degree[i], -i)) if degree else None
 
 
 def _as_coeffs(p: MultiPoly, v: int) -> dict[int, MultiPoly]:
+    """p as a polynomial in variable v: the coefficient of v^k, by k."""
+    shift, mask, unit = p.spec._shifts[v], p.spec._mask, p.spec.units[v]
     out: dict[int, dict] = {}
     for e, c in p.terms.items():
-        k = e[v]
-        e2 = e[:v] + (0,) + e[v + 1:]
-        out.setdefault(k, {})[e2] = c
+        k = (e >> shift) & mask
+        out.setdefault(k, {})[e - k * unit] = c
     return {k: _reduced(p.spec, t, p.den) for k, t in out.items()}
 
 
@@ -394,11 +455,12 @@ def _from_coeffs(spec: FieldSpec, coeffs: dict[int, MultiPoly], v: int) -> Multi
     den = 1
     for poly in coeffs.values():
         den = math.lcm(den, poly.den)
+    unit = spec.units[v]
     terms = {}
     for k, poly in coeffs.items():
         m = den // poly.den
         for e, c in poly.terms.items():
-            terms[e[:v] + (k,) + e[v + 1:]] = c * m
+            terms[e + k * unit] = c * m
     return _reduced(spec, terms, den)
 
 
@@ -429,18 +491,19 @@ def _zp_image(coeffs: dict[int, MultiPoly]) -> list[int] | None:
     """Image in Z_p[v] of a polynomial given by its coefficients in v,
     constant term first; None if a coefficient denominator or the leading
     coefficient vanishes mod p.  Each coefficient costs one modular inverse,
-    of its denominator, and none when that is 1."""
-    powers: dict[tuple[int, int], int] = {}
+    of its denominator, and none when that is 1; each monomial, the power
+    _POINT_BASE^(sum (j+1)·e_j), is computed once per call."""
+    powers: dict[int, int] = {}
     out = [0] * (max(coeffs) + 1)
     for k, poly in coeffs.items():
         acc = 0
         for e, c in poly.terms.items():
-            for j, ej in enumerate(e):
-                if ej:
-                    pw = powers.get((j, ej))
-                    if pw is None:
-                        pw = powers[(j, ej)] = pow(_POINT_BASE, (j + 1) * ej, _P)
-                    c = c * pw % _P
+            if e:
+                pw = powers.get(e)
+                if pw is None:
+                    weight = sum(j * ej for j, ej in enumerate(poly.spec.exponents(e), 1))
+                    pw = powers[e] = pow(_POINT_BASE, weight, _P)
+                c = c * pw % _P
             acc += c
         if poly.den != 1:
             den = poly.den % _P
@@ -532,13 +595,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if g.den != 1:
         g = MultiPoly(g.spec, g.terms)
     if len(f.terms) == 1 or len(g.terms) == 1:
-        mono = None
-        for p in (f, g):
-            m = None
-            for e in p.terms:
-                m = e if m is None else tuple(min(a, b) for a, b in zip(m, e))
-            mono = m if mono is None else tuple(min(a, b) for a, b in zip(mono, m))
-        return MultiPoly(f.spec, {mono: 1})
+        exps = [f.spec.exponents(e) for e in (*f.terms, *g.terms)]
+        return MultiPoly(f.spec, {f.spec.key([min(column) for column in zip(*exps)]): 1})
     v = _main_variable(f, g)
     F = _as_coeffs(f, v)
     G = _as_coeffs(g, v)
@@ -576,8 +634,10 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     Gauss's lemma a primitive G that divides F over Q leaves an integral
     quotient, so an integer division with a remainder proves that g does
     not divide f.  The remainder is one dict changed in place, its leading
-    terms taken from a heap keyed by the graded lex order."""
-    if g.spec is not f.spec:
+    terms taken from a heap of negated keys; a leading term is divisible
+    when each exponent field of its key is at least that of lt(G)."""
+    spec = f.spec
+    if g.spec is not spec:
         raise StructureMismatch("values of different FieldSpec objects")
     if g.is_zero():
         raise DivisionByZero("polynomial division by zero")
@@ -586,34 +646,36 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if g.is_const():
         return f._scaled(g.den, next(iter(g.terms.values())))
     k = int_content(g.terms.values())
-    eg = max(g.terms, key=_grlex)
+    eg = max(g.terms)
     lg = g.terms[eg] // k
     rest = [(e, c // k) for e, c in g.terms.items() if e != eg]
+    mask = spec._mask
+    fields = [(s, (eg >> s) & mask) for s in spec._shifts if (eg >> s) & mask]
     r = dict(f.terms)
-    heap = [(-sum(e), tuple(map(neg, e)), e) for e in r]
+    heap = [-e for e in r]
     heapq.heapify(heap)
     out = {}
     while r:
-        er = heapq.heappop(heap)[2]
+        er = -heapq.heappop(heap)
         cr = r.pop(er, 0)
         if not cr:
             continue  # a stale heap entry: the term cancelled
-        e = tuple(map(sub, er, eg))
         q, rem = divmod(cr, lg)
-        if rem or min(e) < 0:
+        if rem or any(((er >> s) & mask) < k_s for s, k_s in fields):
             raise ArithmeticError("inexact polynomial division")
+        e = er - eg
         out[e] = q
         for e2, c2 in rest:
-            m = tuple(map(add, e, e2))
+            m = e + e2
             c = r.get(m)
             if c is None:
                 r[m] = -q * c2
-                heapq.heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+                heapq.heappush(heap, -m)
             elif c == q * c2:
                 del r[m]
             else:
                 r[m] = c - q * c2
-    return MultiPoly(f.spec, out)._scaled(g.den, f.den * k)
+    return MultiPoly(spec, out)._scaled(g.den, f.den * k)
 
 
 # --- the coprime base of the denominators -------------------------------------
@@ -625,7 +687,7 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def _base_element(p: MultiPoly) -> MultiPoly:
     """p divided by its graded-lex leading coefficient."""
-    return p._scaled(p.den, p.terms[max(p.terms, key=_grlex)])
+    return p._scaled(p.den, p.terms[max(p.terms)])
 
 
 def _fac(exps: dict) -> tuple:
@@ -682,27 +744,30 @@ def _cancel(spec: FieldSpec, num: MultiPoly, exps: dict, ks) -> MultiPoly:
     that can share factors with the base elements ks only; exps[k] drops by
     the times element k was divided out.  Each gcd is taken against one
     base element; one that shares only a proper factor with num is split
-    first, and its pieces take its place in exps."""
+    first, and its pieces take its place in exps.  An element of total
+    degree 1 is irreducible, so its gcd with num is 1 or itself: trial
+    division alone decides which."""
     base = spec._base
     for k in ks:
         e = exps.pop(k)
         while e and not num.is_const():
             f = base[k]
-            g = poly_gcd(num, f)
-            if g.is_one():
-                break
-            if g.total_degree() < f.total_degree():
-                k, rest = _split(spec, k, g)
-                exps[rest] = e
-                f = base[k]
-            num = poly_divexact(num, f)
-            e -= 1
-            while e:  # further powers of f, by trial division
-                try:
-                    num = poly_divexact(num, f)
-                except ArithmeticError:
+            linear = f.total_degree() == 1
+            if not linear:
+                g = poly_gcd(num, f)
+                if g.is_one():
                     break
-                e -= 1
+                if g.total_degree() < f.total_degree():
+                    k, rest = _split(spec, k, g)
+                    exps[rest] = e
+                    f = base[k]
+            try:  # the powers of f that divide num, by trial division
+                while e:
+                    num = poly_divexact(num, f)
+                    e -= 1
+            except ArithmeticError:
+                if linear:
+                    break
         exps[k] = e
     return num
 
@@ -801,7 +866,7 @@ class RatFun:
             num = num._scaled(den.den, next(iter(den.terms.values())))
         else:
             fac = _factor(spec, den)
-            num = num._scaled(den.den, den.terms[max(den.terms, key=_grlex)])
+            num = num._scaled(den.den, den.terms[max(den.terms)])
             exps = dict(fac)
             num = _cancel(spec, num, exps, list(exps))
             fac = _fac(exps)
@@ -927,7 +992,7 @@ class RatFun:
         if not c.terms:
             raise DivisionByZero("division by zero rational function")
         fac = _factor(c.spec, c) if not c.is_const() else ()
-        return RatFun._over(c.spec, self.den._scaled(c.den, c.terms[max(c.terms, key=_grlex)]), fac)
+        return RatFun._over(c.spec, self.den._scaled(c.den, c.terms[max(c.terms)]), fac)
 
     def __pow__(self, n: int) -> "RatFun":
         """A power with a nonnegative integer exponent; powers of coprime
@@ -1026,9 +1091,9 @@ def _quotient_rule(x: RatFun, i: int) -> RatFun:
 def _eval_poly(p: MultiPoly, images: Sequence[RatFun], target: FieldSpec) -> RatFun:
     powers: list[list[RatFun]] = [[RatFun.one(target)] for _ in images]
     out = RatFun.zero(target)
-    for e, c in sorted(p.coefficients().items(), key=lambda t: _grlex(t[0])):
-        term = RatFun.const(target, c)
-        for i, k in enumerate(e):
+    for key in sorted(p.terms):
+        term = RatFun.const(target, Fraction(p.terms[key], p.den))
+        for i, k in enumerate(p.spec.exponents(key)):
             if k:
                 cache = powers[i]
                 while len(cache) <= k:

@@ -465,6 +465,20 @@ def test_criterion_12_rank18_curvature_route(monkeypatch):
     assert verdict.flat and pairs == [(0, 1)]
 
 
+def test_criterion_12_rank54_curvature_route():
+    """The full curvature test of the rank-54 chain result, called past its
+    flatness record: a MultiPoly product is a sum of packed keys, so the
+    test stays inside 1.2 s."""
+    from paramjet.cli import parse_session, run_session
+
+    session = parse_session(_rational_gauge_chain("at2 R2 = R", "at2 R3 = R2", "at2 R4 = R3"))
+    run_session(session, argparse.Namespace(degree_bound=0, depth=1, rank_cap=8))
+    r4 = session.modules["R4"]
+    assert r4.rank == 54 and r4.flat is True
+    with Budget(12, 1.2):
+        assert check_integrability(r4).flat
+
+
 @pytest.mark.parametrize(
     "commands, rank",
     [

@@ -293,6 +293,25 @@ def run_text(tmp_path, text, *extra):
     return main(["run", str(f), "--quiet", "--out", str(tmp_path / "s.jsonl"), *extra])
 
 
+@pytest.mark.parametrize("power, code", [(255, 0), (256, 3)])
+def test_degree_past_the_exponent_field_is_a_semantic_error(tmp_path, capsys, monkeypatch, power, code):
+    """With the packed exponent fields narrowed to 9 bits, t^256·t^255 is
+    at the limit and passes; t^256·t^256 is past it and ends in exit 3
+    with one line on stderr and no certificates."""
+    import paramjet.field as field
+
+    monkeypatch.setattr(field, "EXPONENT_BITS", 9)
+    assert run_text(tmp_path, XT_HEAD + f"command constants-check t^256*t^{power}\n") == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code:
+        assert err == [
+            "semantic error: ParamjetError: polynomial of total degree 512, past the 9-bit exponent field"
+        ]
+        assert not (tmp_path / "s.jsonl").exists()
+    else:
+        assert err == [] and (tmp_path / "s.jsonl").exists()
+
+
 def test_horizontal_unknowns_cap_is_semantic_error(tmp_path, capsys):
     # deg D = 1 for D = x, so the ansatz at bound 1000 has C(2002, 2) monomials
     code = run_text(tmp_path, XT_HEAD + "command horizontal M\n", "--degree-bound", "1000")
@@ -831,19 +850,26 @@ def test_session_bases_hold_only_their_denominator_factors(tmp_path, monkeypatch
 
 def test_jet_eval_takes_no_gcd_with_a_power_of_the_denominator(tmp_path, monkeypatch):
     """The denominator (x - t)^7 is factored over the base from x - t, and
-    every later gcd is taken against that base element alone."""
+    every later gcd or division is taken against that base element alone:
+    no gcd operand and no exact divisor is a power of x - t.  The element
+    is linear, so it is cancelled by trial division, with no gcd at all."""
     import paramjet.field as field
 
     spec = field.FieldSpec(["x", "t"])
     powers = {field.parse_ratfun(spec, f"(x-t)^{k}").num.render() for k in range(2, 40)}
     operands = []
-    gcd = field.poly_gcd
+    gcd, divexact = field.poly_gcd, field.poly_divexact
 
-    def watched(f, g):
+    def watched_gcd(f, g):
         operands.extend((f, g))
         return gcd(f, g)
 
-    monkeypatch.setattr(field, "poly_gcd", watched)
+    def watched_divexact(f, g):
+        operands.append(g)
+        return divexact(f, g)
+
+    monkeypatch.setattr(field, "poly_gcd", watched_gcd)
+    monkeypatch.setattr(field, "poly_divexact", watched_divexact)
     text = XT_HEAD + "command jet-eval (x+t)^10/(x-t)^7 1/2*x\n"
     assert run_text(tmp_path, text) == 0
     assert operands

@@ -9,6 +9,7 @@ from paramjet import field
 from paramjet.errors import (
     DenominatorVanishes,
     DivisionByZero,
+    ParamjetError,
     ParseError,
     StructureMismatch,
     UnknownVariable,
@@ -573,6 +574,20 @@ def test_base_element_splits_when_a_proper_factor_turns_up():
     assert partial_derivative(p, "t") == rf("2*t/(x^2-t^2)^2", spec)
 
 
+def test_a_linear_base_element_is_cancelled_by_trial_division(monkeypatch):
+    """x - t is irreducible, so a product and a sum cancel it by exact
+    division alone; the element x^2 + t of degree 2 still takes a gcd."""
+    spec = FieldSpec(["x", "t"])
+    p, q = rf("(x+t)^2/(x-t)^3", spec), rf("1/(x-t)", spec)
+    r = rf("1/(x^2+t)", spec)
+    calls = _counting_gcd(monkeypatch)
+    assert p * RatFun.from_poly(rf("(x-t)^5*t", spec).num) == rf("(x+t)^2*(x-t)^2*t", spec)
+    assert q + q == rf("2/(x-t)", spec) and q - q == RatFun.zero(spec)
+    assert calls == []
+    assert r * RatFun.from_poly(rf("(x^2+t)*x", spec).num) == rf("x", spec)
+    assert calls
+
+
 def test_a_split_can_come_from_a_numerator(monkeypatch):
     """A numerator that shares only a proper factor with a base element
     splits it: x - t cancels against the element x^2 - t^2."""
@@ -661,3 +676,45 @@ def test_every_route_renders_and_differentiates_like_a_fresh_value():
         fresh = parse_ratfun(FieldSpec(["x", "t"]), str(x))
         for v in ("x", "t"):
             assert str(partial_derivative(x, v)) == str(partial_derivative(fresh, v)), (route, v)
+
+
+# --- the packed monomial layout ----------------------------------------------------
+
+
+def test_packed_keys_follow_the_layout():
+    """Over 1-5 variables: integer order of the keys is graded lex order,
+    a key reads back as its exponents, the key of a product is the sum of
+    the keys, and a derivative subtracts the variable's unit."""
+    rng = random.Random(22)
+    for nvars in range(1, 6):
+        spec = FieldSpec([f"v{i}" for i in range(nvars)])
+        vectors = [tuple(rng.choice((0, 0, 1, 2, 7, 300)) for _ in range(nvars)) for _ in range(80)]
+        by_key = sorted(vectors, key=spec.key)
+        assert [(sum(e), e) for e in by_key] == sorted((sum(e), e) for e in vectors)
+        for a, b in zip(vectors, reversed(vectors)):
+            assert spec.exponents(spec.key(a)) == a
+            assert spec.key(tuple(x + y for x, y in zip(a, b))) == spec.key(a) + spec.key(b)
+            mono = MultiPoly.from_terms(spec, [(a, 3)])
+            assert (mono * MultiPoly.from_terms(spec, [(b, 1)])).terms == {spec.key(a) + spec.key(b): 3}
+            for i, k in enumerate(a):
+                if k:
+                    assert mono.derivative(i).terms == {spec.key(a) - spec.units[i]: 3 * k}
+
+
+def test_degree_past_the_exponent_field_is_refused(monkeypatch):
+    """With 9-bit fields a polynomial of total degree 511 is kept and one
+    of degree 512, by a product or built from terms, is refused with a
+    ParamjetError, whose message is one line."""
+    monkeypatch.setattr(field, "EXPONENT_BITS", 9)
+    spec = FieldSpec(["x", "t"])
+    top = MultiPoly.from_terms(spec, [((255, 256), 1), ((0, 1), 2)])
+    x = MultiPoly.variable(spec, "x")
+    assert top.leading() == ((255, 256), 1) and top.total_degree() == 511
+    assert (top * MultiPoly.const(spec, 5)).total_degree() == 511
+    with pytest.raises(ParamjetError, match="^polynomial of total degree 512, past the 9-bit exponent field$"):
+        top * x
+    with pytest.raises(ParamjetError, match="total degree 512"):
+        MultiPoly.from_terms(spec, [((1, 511), 1)])
+    assert spec.degree_key(512) > spec.key((0, 511)) and spec.degree_key(511) <= spec.key((0, 511))
+    with pytest.raises(ParamjetError, match="total degree 512"):
+        spec.degree_key(513)
