@@ -334,6 +334,18 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     column of an unknown is its principal's blocks each shifted by one
     integer addition (``_equation_blocks``).  A search of more than
     MAX_UNKNOWNS unknowns is refused with a SemanticError.
+
+    The basis is the kernel's, in the canonical form of the
+    component-major order of the unknowns (all of component 0's monomials,
+    then component 1's, each in graded order): one vector per free
+    column of that order, 1 there and 0 at the other free columns.  The
+    system is eliminated monomial-major instead, the unknowns of one
+    monomial side by side: an equation couples the components at nearby
+    monomials, so that order takes far less fill-in (Markowitz,
+    Management Science 3, 1957).  ``linalg.canonical_kernel`` then gives
+    the component-major basis back, since the kernel alone fixes that
+    form: the vectors, and so the certificates, do not depend on the
+    order eliminated in.
     """
     spec = m.spec
     if degree_bound < 0:
@@ -342,9 +354,10 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     d_poly = inv_d.den
     num_bound = degree_bound * (1 + max(d_poly.total_degree(), 0))
     nmono = math.comb(num_bound + len(spec), len(spec))
-    if m.rank * nmono > MAX_UNKNOWNS:
+    rank = m.rank
+    if rank * nmono > MAX_UNKNOWNS:
         raise SemanticError(
-            f"horizontal search at degree bound {degree_bound} has {m.rank * nmono} "
+            f"horizontal search at degree bound {degree_bound} has {rank * nmono} "
             f"unknowns, more than {MAX_UNKNOWNS}"
         )
     inv_denom = inv_d ** degree_bound
@@ -357,12 +370,13 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     # i's cleared identity, numbered as its key first appears; the column of
     # unknown (l, x^e) is made of the blocks of _equation_blocks shifted by
     # x^e, or by x^(e - 1_n) times e_n for the derivative blocks.  With packed
-    # keys a shift is one integer addition.
+    # keys a shift is one integer addition.  The unknowns are numbered
+    # monomial-major, (l, x^e) as k·rank + l for the index k of x^e.
     rows: list[dict[int, int]] = []
     for i in range(m.ps.principal_count):
         derivative, lead, coupling, component = _equation_blocks(m, i, denom, num_bound)
         row_of: dict[int, dict[int, int]] = {}
-        for l in range(m.rank):
+        for l in range(rank):
             for k, (e, packed) in enumerate(zip(monomials, keys)):
                 here = packed + l * component
                 shifts = [(block, here - units[n], e[n]) for n, block in derivative if e[n]]
@@ -372,7 +386,7 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                 for block, shift, factor in shifts:
                     for f, c in block:
                         col[f + shift] = col.get(f + shift, 0) + factor * c
-                unknown = l * nmono + k
+                unknown = k * rank + l
                 for key, x in col.items():
                     row = row_of.get(key)
                     if row is None:
@@ -381,11 +395,12 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                     if x:
                         row[unknown] = x
 
-    basis = linalg.fraction_nullspace(rows, m.rank * nmono)
+    columns = [l * nmono + k for k in range(nmono) for l in range(rank)]
+    basis = linalg.canonical_kernel(linalg.fraction_nullspace(rows, rank * nmono), columns)
     out = []
     for sol in basis:
         vec = []
-        for l in range(m.rank):
+        for l in range(rank):
             terms = [(key, c) for k, key in enumerate(keys) if (c := sol[l * nmono + k])]
             vec.append(RatFun.from_poly(MultiPoly.from_keys(spec, terms)) * inv_denom)
         out.append(vec)

@@ -804,14 +804,26 @@ def _factor(spec: FieldSpec, p: MultiPoly) -> tuple:
     """The exponent vector of the monic associate of a nonconstant p,
     refining the base to take it: the one step that takes general gcds,
     once per polynomial in the life of the field.  Every live element is
-    divided out of p as often as it divides, and the squarefree parts of
-    the rest, coprime to the whole base, join it."""
+    divided out of p as often as it divides.  Then each variable that
+    divides the rest, as its least exponent over the terms says, joins the
+    base as an element of degree 1, which ``_cancel`` takes by trial
+    division: x^2 - x enters as x and x - 1.  The squarefree parts of what
+    is left, coprime to the whole base, join it too.  So no element of
+    degree above 1 has a variable factor, and a variable not in the base
+    is coprime to every element."""
     fac = spec._facs.get(p)
     if fac is None:
         base, cap = spec._base, p.total_degree()
         exps = {k: cap for k in range(len(base)) if k not in spec._splits}
         rest = _cancel(spec, p, exps, list(exps))
         exps = {k: cap - e for k, e in exps.items()}
+        mask = spec._mask
+        for s, unit in zip(spec._shifts, spec.units):
+            low = min((e >> s) & mask for e in rest.terms)
+            if low:
+                exps[len(base)] = low
+                base.append(MultiPoly(spec, {unit: 1}))
+                rest = MultiPoly(spec, {e - low * unit: c for e, c in rest.terms.items()}, rest.den)
         if not rest.is_const():
             for q, m in _squarefree(rest):
                 exps[len(base)] = m

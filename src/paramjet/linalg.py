@@ -5,7 +5,9 @@ are pure and use Gaussian elimination with first-nonzero pivoting in the
 given row order, so results are deterministic.  ``fraction_nullspace``
 takes sparse rows over Q (``{column: Fraction}``) for the horizontal
 solver, eliminates them over Z without fractions, and returns the kernel
-basis of the same reduced row echelon form as Gauss–Jordan over Q.
+basis of the same reduced row echelon form as Gauss–Jordan over Q;
+``canonical_kernel`` gives the basis of the unpermuted columns back from
+an elimination in another column order.
 """
 
 from __future__ import annotations
@@ -224,7 +226,9 @@ def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list
     not depend on the pivot order or on how any row is scaled, so the basis
     (one vector per free column f, ascending, with v[f] = 1 and
     v[c] = -R[c][f] for each pivot column c) is the one dense first-nonzero
-    pivoting over Q gives.
+    pivoting over Q gives.  The column order does change the basis, and
+    the cost: fill-in follows it.  To eliminate in another order, permute
+    the columns and pass the result to ``canonical_kernel``.
     """
     mat = [_integer_row(row) for row in rows]
     # column -> rows that may hold it; a row joins when fill-in gives it
@@ -267,6 +271,56 @@ def fraction_nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list
             if f != c:
                 basis[f][c] = Fraction(-x, pv)
     return list(basis.values())
+
+
+def canonical_kernel(basis: list[list[Fraction]], columns: list[int]) -> list[list[Fraction]]:
+    """The basis ``fraction_nullspace`` returns for a matrix, from the basis
+    it returned for the same matrix with its columns permuted: column j of
+    the permuted matrix is column columns[j] of the original.
+
+    The kernel alone fixes the result, whatever order it was eliminated in.
+    A row of the reduced row echelon form has no entry left of its pivot,
+    so the basis vector of free column f is 1 at f, 0 at every other free
+    column and 0 right of f: the basis is the kernel's reduced echelon form
+    taken from the right, whose pivots, the last nonzero positions, are
+    the free columns.  That form is unique for the subspace, like any
+    reduced echelon form.  So the vectors, read in the original columns,
+    are reduced against each other from the right: each is cleared at the
+    pivots found so far, scaled to 1 at its last nonzero position and
+    cleared from the vectors found before it.  The vectors are kept sparse,
+    so a kernel of sparse vectors costs little beyond reading the
+    nullity × ncols entries in and writing them out."""
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for v in basis:
+        row = {columns[j]: x for j, x in enumerate(v) if x}
+        for c in [c for c in row if c in echelon]:
+            _axpy(row, -row[c], echelon[c])
+        p = max(row)
+        lead = row[p]
+        if lead != 1:
+            row = {k: x / lead for k, x in row.items()}
+        for other in echelon.values():
+            if p in other:
+                _axpy(other, -other[p], row)
+        echelon[p] = row
+    zero = Fraction(0)
+    out = []
+    for p in sorted(echelon):
+        v = [zero] * len(columns)
+        for k, x in echelon[p].items():
+            v[k] = x
+        out.append(v)
+    return out
+
+
+def _axpy(row: dict[int, Fraction], a: Fraction, prow: dict[int, Fraction]) -> None:
+    """row <- row + a·prow in place, entries that cancel dropped."""
+    for k, x in prow.items():
+        y = row.get(k, 0) + a * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
 
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:

@@ -280,6 +280,36 @@ def test_horizontal_certificate_digest_at_degree_bound_9(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        (14, "16024217c721325fe700d604bcd142e01cc03bff6b5f341a3be58106f62ca9e5"),
+        (20, "169c39726c5f08270efa4728b8b7c2d7a72ff45aaad89e0f9a416bfca3937335"),
+    ],
+)
+def test_horizontal_certificate_digest_at_degree_bounds_14_and_20(tmp_path, bound, digest):
+    """The searches of 3,225 x 1,892 and 6,405 x 3,782 systems, eliminated
+    in another column order than the one their basis is given in, are
+    pinned byte for byte too."""
+    _, payload = run_cli(tmp_path, "hypergeom_2f1.session", "--degree-bound", str(bound))
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def test_horizontal_basis_of_a_zero_connection_is_component_major(tmp_path):
+    """A rank-2 module over a structure with no principal derivation gives
+    the search no equation, so every unknown is free.  The search
+    eliminates monomial-major, but the basis keeps the component-major
+    order of the unknowns."""
+    text = (
+        "field t\nstructure\n  parameter dt = 1\n  constants t\nend\n"
+        "module Z rank 2\nend\ncommand horizontal Z\n"
+    )
+    assert run_text(tmp_path, text, "--degree-bound", "2") == 0
+    record = json.loads((tmp_path / "s.jsonl").read_text().splitlines()[-1])
+    entries = [["1", "0"], ["t", "0"], ["t^2", "0"], ["0", "1"], ["0", "t"], ["0", "t^2"]]
+    assert record["vectors"] == [[f"({e})/(1)" for e in v] for v in entries]
+
+
 XT_HEAD = (
     "field x t\n"
     "structure\n  principal dx = 1, 0\n  parameter dt = 0, 1\n  constants t\nend\n"

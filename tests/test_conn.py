@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from paramjet import linalg
+from paramjet import field, linalg
 from paramjet.cli import parse_session
 from paramjet.conn import (
     DiffModule,
@@ -568,12 +568,40 @@ def test_horizontal_radix_above_block_degrees(x12t):
     assert 0 in nullities and max(nullities) >= 3
 
 
+def _hypergeom_fixture_module():
+    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "hypergeom_2f1.session").read_text()
+    return parse_session(text).modules["H"]
+
+
+def test_horizontal_hypergeom_fixture_takes_no_gcd(monkeypatch):
+    """The denominator x(1 - x) of the fixture enters the base as x and
+    x - 1, both of degree 1, so the basis components cancel against it by
+    trial division alone."""
+    m = _hypergeom_fixture_module()
+    calls = []
+    gcd = field.poly_gcd
+    monkeypatch.setattr(field, "poly_gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+    assert len(horizontal_space(m, 3)) == 3
+    assert calls == []
+
+
+def test_horizontal_hypergeom_fixture_at_bound_20_is_fast():
+    """A cliff guard on the monomial-major elimination: the fixture's
+    module at degree bound 20 (6,405 x 3,782 over Q) within 3x the 0.31 s
+    it takes in process on a 2-vCPU host; the solutions are F·t^k for
+    k < 20."""
+    m = _hypergeom_fixture_module()
+    start = time.perf_counter()
+    found = horizontal_space(m, 20)
+    assert time.perf_counter() - start < 0.95
+    assert len(found) == 20
+
+
 def test_horizontal_hypergeom_fixture_at_bound_14_is_fast():
     """A cliff guard: the module of fixtures/hypergeom_2f1.session at
     degree bound 14 (a 3,225 x 1,892 system over Q) in well under a
     second; the solutions are F·t^k for k < 14."""
-    text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "hypergeom_2f1.session").read_text()
-    m = parse_session(text).modules["H"]
+    m = _hypergeom_fixture_module()
     start = time.perf_counter()
     found = horizontal_space(m, 14)
     assert time.perf_counter() - start < 1.0

@@ -612,6 +612,45 @@ def test_content_of_a_base_element_splits_off_in_the_quotient_rule():
     assert partial_derivative(rf("(x^2*t+x^2+1)/(t+1)", spec), "x") == rf("2*x", spec)
 
 
+@pytest.mark.parametrize(
+    "den, pieces",
+    [("x^2-x", ["x", "x-1"]), ("x*t*(x+t)", ["x", "t", "x+t"]), ("x^3*t^2-x^2*t^2", ["x", "t", "x-1"])],
+)
+def test_a_variable_factor_joins_the_base_as_its_own_element(den, pieces):
+    """A variable that divides a new denominator joins the base as an
+    element of degree 1, and the cofactor, coprime to it, joins after it."""
+    spec = FieldSpec(["x", "t"])
+    p = rf(f"1/({den})", spec)
+    assert spec._base == [rf(q, spec).num for q in pieces]
+    assert p.den == rf(den, spec).num and p.den == field._den_of(spec, p.fac)
+
+
+def test_factor_is_a_product_of_base_powers():
+    """The product of the base powers of _factor's vector is the monic
+    input, for polynomials with and without variable factors, over one
+    field whose base grows as they arrive; no element of degree above 1
+    has a variable factor."""
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(20268)
+    variables = [rf("x", spec).num, rf("t", spec).num]
+    for _ in range(60):
+        p = rand_poly_nonzero(spec, rng, max_deg=2, terms=3)
+        for _ in range(rng.randint(0, 2)):
+            p = p * rng.choice(variables).pow(rng.randint(1, 3))
+        if p.is_const():
+            continue
+        fac = field._factor(spec, p)
+        product = MultiPoly.one(spec)
+        for k, e in fac:
+            product = product * spec._base[k].pow(e)
+        assert product == field._base_element(p)
+    live = [f for k, f in enumerate(spec._base) if k not in spec._splits]
+    assert variables[0] in live and variables[1] in live
+    for f in live:
+        if f.total_degree() > 1:
+            assert all(min(e[i] for e in f.coefficients()) == 0 for i in range(2))
+
+
 # --- the memos of a value ----------------------------------------------------------
 
 

@@ -139,6 +139,8 @@ def test_substitute_against_sympy():
 SHARED = [
     "x^2-t^2", "x^2-1", "(t+1)*(x^2+2*t)",
     "x-t", "x+t", "x-1", "x+1", "t+1", "x^2+2*t", "x+t^2", "2*x-3*t+1",
+    # a variable divides these, so it joins the base as its own element
+    "x^2-x", "x*t*(x+t)", "t^2*x-t",
 ]
 
 
@@ -176,6 +178,7 @@ def test_factored_arithmetic_against_sympy():
     # the base is coprime and squarefree, and it did split
     assert len(spec._splits) >= 3
     live = [f for k, f in enumerate(spec._base) if k not in spec._splits]
+    assert all(parse_ratfun(spec, v).num in live for v in spec.variables)
     for i, f in enumerate(live):
         assert poly_gcd(f, f.derivative(0)).is_one() or poly_gcd(f, f.derivative(1)).is_one()
         assert all(poly_gcd(f, g).is_one() for g in live[i + 1:])

@@ -222,6 +222,56 @@ def test_fraction_nullspace_on_singleton_heavy_systems():
     assert 0 in nullities and max(nullities) >= 4
 
 
+def eliminate_shuffled(rng, rows, ncols):
+    """The kernel basis of rows eliminated under a random column order,
+    put back in the canonical form of the given order, and the same basis
+    only read in the given order, as the elimination left it."""
+    columns = rng.sample(range(ncols), ncols)  # permuted column j is columns[j]
+    position = {c: j for j, c in enumerate(columns)}
+    shuffled = [{position[c]: x for c, x in row.items()} for row in rows]
+    basis = linalg.fraction_nullspace(shuffled, ncols)
+    as_left = [[v[position[c]] for c in range(ncols)] for v in basis]
+    return linalg.canonical_kernel(basis, columns), as_left
+
+
+def test_canonical_kernel_undoes_any_column_order():
+    """Random sparse systems eliminated under shuffled column orders, then
+    put back in canonical form, give the unshuffled basis: the kernel alone
+    fixes its reduced echelon form from the right, so the order eliminated
+    in does not show.  Nullity 0, all-empty rows, no rows and no columns
+    are among the systems."""
+    rng = random.Random(20267)
+    fixed = [([], 4), ([{}, {}], 3), ([{0: 1}, {1: 2}, {2: -1}], 3), ([], 0), ([{0: 1, 2: 1}], 3)]
+    systems = fixed + [(random_system if k % 2 else singleton_heavy_system)(rng) for k in range(400)]
+    nullities, all_empty, no_rows, moved = set(), 0, 0, 0
+    for k, (rows, n) in enumerate(systems):
+        if k % 40 == 10:
+            rows = []
+        elif k % 40 == 30:
+            rows = [{} for _ in rows]
+        expected = linalg.fraction_nullspace(rows, n)
+        for _ in range(2):
+            got, as_left = eliminate_shuffled(rng, rows, n)
+            assert got == expected
+            moved += as_left != expected
+        nullities.add(len(expected))
+        no_rows += not rows
+        all_empty += bool(rows) and not any(rows)
+    # without the canonical step most shuffled bases would differ
+    assert moved >= 300
+    assert 0 in nullities and max(nullities) >= 6
+    assert no_rows >= 10 and all_empty >= 5
+
+
+def test_canonical_kernel_reorders_a_free_identity():
+    """With no rows every column is free.  Eliminated with the columns
+    reversed, the basis vector e_j of the permuted columns is e_(2-j) of
+    the original ones, and canonical form orders the vectors by their free
+    column of the original order."""
+    permuted = linalg.fraction_nullspace([], 3)
+    assert linalg.canonical_kernel(permuted, [2, 1, 0]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_single_entry_pivots_take_no_gcd(monkeypatch):
     """Every pivot below has one entry when it is reached, so elimination
     does no arithmetic at all: not one gcd."""
