@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DenominatorVanishes, DivisionByZero, ParamjetError, ParseError,
@@ -1139,47 +1140,51 @@ def substitute(x: RatFun, assignment: Mapping[str, RatFun], target: FieldSpec) -
 
 # --- parsing ------------------------------------------------------------------
 
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.items.append(("int", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(("name", text[i:j], i))
-                i = j
-            elif ch in "+-*/^()":
-                self.items.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", position=i)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", position=len(self.text))
-        self.pos += 1
-        return tok
+# One match per token, with the white space before it (group 1): an integer
+# of ASCII digits (2), a name that starts with an ASCII letter or '_' (3), an
+# operator (4), or any other word or character (5), which _classified reads.
+# For every character \s is str.isspace and \w is str.isalnum or '_', so a
+# run of name characters is one token.
+_TOKEN = re.compile(r"(\s*)(?:([0-9]+)(?!\w)|([A-Za-z_]\w*)|([-+*/^()])|(\w+|\S))")
+_END = ("", "", "", "", "")
+_OTHER = itemgetter(4)
 
 
-# open parentheses in one expression; each costs four Python frames, so the
+def _classified(toks: list) -> list:
+    """toks with each token of group 5 read as str.isdigit and str.isalpha
+    read it: a run of digits is an integer, a letter or '_' starts a name
+    that takes the rest of the word, and any other character is
+    unexpected."""
+    out, at = [], 0
+    for tok in toks:
+        space, word = tok[0], tok[4]
+        if not word:
+            out.append(tok)
+            at += len("".join(tok))
+            continue
+        at += len(space)
+        n = 0
+        while n < len(word) and word[n].isdigit():
+            n += 1
+        if n:
+            out.append((space, word[:n], "", "", ""))
+            space = ""
+        if n < len(word):
+            ch = word[n]
+            if not (ch.isalpha() or ch == "_"):
+                raise ParseError(f"unexpected character {ch!r}", position=at + n)
+            out.append((space, "", word[n:], "", ""))
+        at += len(word)
+    return out
+
+
+def _position(toks: list, k: int) -> int:
+    """The position of token k in the text that the tokens before it, with
+    their white space, spell."""
+    return len("".join(["".join(tok) for tok in toks[:k]])) + len(toks[k][0])
+
+
+# open parentheses in one expression; each costs two Python frames, so the
 # deepest allowed expression stays well inside the default recursion limit
 MAX_NESTING = 100
 # largest exponent of ^, and of the exponent times the degree of its base;
@@ -1194,12 +1199,83 @@ MAX_POWER_BITS = 14_284
 MAX_POWER_TERMS = 3000
 
 
-def _power_too_large(base: RatFun, n: int) -> bool:
-    """Whether base^n is out of reach: its exponent, degree, integer bits or
-    term count over the caps.  The n-th power of a polynomial of T terms
-    in v variables and total degree d has at most C(n+T-1, T-1) terms, and
-    at most C(nd+v, v), the monomials of degree nd or less."""
-    polys = (base.num, base.den)
+# A value being parsed is a polynomial while it can be: a monomial, the pair
+# (coefficient, key) with an int or Fraction coefficient, zero only in the
+# pair (0, 0), or a canonical MultiPoly.  It becomes a RatFun at a division
+# by a nonconstant value, and a RatFun meets only RatFuns from there on.
+
+
+def _poly(spec: FieldSpec, v) -> MultiPoly:
+    """The MultiPoly of a monomial or a MultiPoly."""
+    if type(v) is not tuple:
+        return v
+    c, key = v
+    return MultiPoly(spec, {key: c.numerator}, c.denominator) if c else spec._poly_zero
+
+
+def _ratfun(spec: FieldSpec, v) -> RatFun:
+    """A parsed value as a RatFun; a polynomial is coprime to 1."""
+    return v if type(v) is RatFun else RatFun._over(spec, _poly(spec, v), ())
+
+
+def _product(spec: FieldSpec, a, b):
+    """The product of two parsed values; monomials multiply as pairs, and a
+    zero factor ends the product as RatFun.__mul__ ends it, before the
+    degree is checked."""
+    if type(a) is tuple and type(b) is tuple:
+        (c1, k1), (c2, k2) = a, b
+        if not c1 or not c2:
+            return (0, 0)
+        if k1 + k2 >= spec._key_cap:
+            _refuse_degree(spec, (k1 >> spec._top) + (k2 >> spec._top))
+        return c1 * c2, k1 + k2
+    if type(a) is RatFun or type(b) is RatFun:
+        return _ratfun(spec, a) * _ratfun(spec, b)
+    return _poly(spec, a) * _poly(spec, b)
+
+
+def _gather(acc: dict, v, minus: bool):
+    """Add the polynomial v to acc, or subtract it when minus; acc maps
+    keys to nonzero int or Fraction coefficients.  A term that cancels is
+    deleted and one that comes back goes last, as in MultiPoly.__add__, so
+    the terms come in the order a chain of those sums gives."""
+    get = acc.get
+    if type(v) is tuple:
+        c, key = v
+        items = ((key, c),) if c else ()
+    elif v.den == 1:
+        items = v.terms.items()
+    else:
+        items = [(key, Fraction(c, v.den)) for key, c in v.terms.items()]
+    for key, c in items:
+        c = get(key, 0) - c if minus else get(key, 0) + c
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
+def _canonical(spec: FieldSpec, acc: dict) -> MultiPoly:
+    """The MultiPoly of a dict from keys to nonzero int or Fraction
+    coefficients, which is its terms when they are all ints."""
+    for c in acc.values():
+        if type(c) is not int:
+            return MultiPoly.from_keys(spec, acc.items())
+    return MultiPoly(spec, acc) if acc else spec._poly_zero
+
+
+def _power_too_large(spec: FieldSpec, base, n: int) -> bool:
+    """Whether base^n is out of reach, its canonical numerator and
+    denominator taken: its exponent, degree, integer bits or term count over
+    the caps.  The n-th power of a polynomial of T terms in v variables and
+    total degree d has at most C(n+T-1, T-1) terms, and at most C(nd+v, v),
+    the monomials of degree nd or less; a monomial has one term, over the
+    one term of 1."""
+    if type(base) is tuple:
+        c, key = base
+        degree, bits = key >> spec._top, max(abs(c.numerator).bit_length(), c.denominator.bit_length(), 1)
+        return max(n, n * degree) > MAX_EXPONENT or n * bits > MAX_POWER_BITS
+    polys = (base.num, base.den) if type(base) is RatFun else (base, spec._poly_one)
     degree = max(p.total_degree() for p in polys)
     if max(n, n * degree) > MAX_EXPONENT:
         return True
@@ -1212,92 +1288,129 @@ def _power_too_large(base: RatFun, n: int) -> bool:
     return False
 
 
+def _power(v, n: int):
+    if type(v) is tuple:
+        return v[0] ** n, v[1] * n
+    return v.pow(n) if type(v) is MultiPoly else v ** n
+
+
 def parse_ratfun(spec: FieldSpec, text: str) -> RatFun:
     """Parse an expression in +, -, *, /, ^, parentheses, integers and
-    variable names into a canonical rational function."""
-    toks = _Tokens(text)
-    depth = 0
+    variable names into a canonical rational function.
 
-    def integer(digits: str, pos: int) -> int:
+    The text is cut into tokens by one regular expression, in full before
+    any of it is evaluated.  A subexpression is evaluated as a polynomial
+    while it is one: a product of atoms as one monomial, a sum as one dict
+    of terms, put in canonical form once, when the sum ends.  At a division
+    by a nonconstant value it turns to RatFun arithmetic, which keeps its
+    denominators factored over the field's coprime base; a divisor b^n
+    enters that base as the factors of b.  So a polynomial entry builds one
+    RatFun and takes no gcd."""
+    # white space that ends the text matches no token, and findall would
+    # scan it again from each of its positions
+    toks = _TOKEN.findall(text.rstrip())
+    if any(map(_OTHER, toks)):
+        toks = _classified(toks)
+    toks.append(_END)
+    index, units = spec._index, spec.units
+    pos = depth = 0  # the next token, and the parentheses open
+
+    def fail(message: str, k: int) -> ParseError:
+        """The error at token k, or the end of the expression there."""
+        if toks[k] is _END:
+            return ParseError("unexpected end of expression", position=len(text))
+        return ParseError(message, position=_position(toks, k))
+
+    def integer(k: int) -> int:
         try:
-            return int(digits)
-        except ValueError:  # over int()'s digit limit, or a non-ASCII digit such as '²'
-            raise ParseError("integer literal too long or not base 10", position=pos) from None
+            return int(toks[k][1])
+        except ValueError:  # over int()'s digit limit, or a digit int() does not read, such as '²'
+            raise fail("integer literal too long or not base 10", k) from None
 
-    def expr() -> RatFun:
+    def expr():
+        nonlocal pos
         out = term()
-        while True:
-            tok = toks.peek()
-            if tok and tok[0] in "+-":
-                toks.next()
-                rhs = term()
-                out = out + rhs if tok[0] == "+" else out - rhs
-            else:
-                return out
-
-    def term() -> RatFun:
-        out = factor()
-        while True:
-            tok = toks.peek()
-            if tok and tok[0] in "*/":
-                toks.next()
-                out = out * factor(tok[2] if tok[0] == "/" else None)
-            else:
-                return out
-
-    def factor(divisor_at: int | None = None) -> RatFun:
-        """A signed power.  A divisor b^n, the one after a '/' at position
-        divisor_at, comes back as (1/b)^n: the factors of b enter the base,
-        not those of b^n."""
-        sign = 1
-        tok = toks.peek()
-        while tok and tok[0] == "-":
-            toks.next()
-            sign = -sign
-            tok = toks.peek()
-        base = atom()
-        power = 1
-        tok = toks.peek()
-        if tok and tok[0] == "^":
-            toks.next()
-            kind, value, pos = toks.next()
-            if kind != "int":
-                raise ParseError("exponent must be an integer", position=pos)
-            power = integer(value, pos)
-            if _power_too_large(base, power):
-                raise ParseError("exponent too large", position=pos)
-        if divisor_at is not None:
-            if not base.is_zero():
-                base = base.inverse()
-            elif power:
-                raise ParseError("division by zero", position=divisor_at)
-        if power != 1:
-            base = base ** power
-        return base if sign == 1 else -base
-
-    def atom() -> RatFun:
-        nonlocal depth
-        kind, value, pos = toks.next()
-        if kind == "int":
-            return RatFun.const(spec, integer(value, pos))
-        if kind == "name":
-            if value not in spec._index:
-                raise ParseError(f"unknown variable {value!r}", position=pos)
-            return RatFun.variable(spec, value)
-        if kind == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError("expression nested too deeply", position=pos)
-            out = expr()
-            kind2, _, pos2 = toks.next()
-            if kind2 != ")":
-                raise ParseError("expected ')'", position=pos2)
-            depth -= 1
+        op = toks[pos][3]
+        if op != "+" and op != "-":
             return out
-        raise ParseError(f"unexpected token {value!r}", position=pos)
+        acc = None if type(out) is RatFun else {}
+        if acc is not None:
+            _gather(acc, out, False)
+        while op == "+" or op == "-":
+            pos += 1
+            rhs = term()
+            if acc is not None and type(rhs) is not RatFun:
+                _gather(acc, rhs, op == "-")
+            else:
+                if acc is not None:
+                    out, acc = RatFun._over(spec, _canonical(spec, acc), ()), None
+                rhs = _ratfun(spec, rhs)
+                out = out + rhs if op == "+" else out - rhs
+            op = toks[pos][3]
+        return out if acc is None else _canonical(spec, acc)
+
+    def term():
+        """A product of signed powers of atoms.  A divisor b^n, after the
+        '/' of token divisor_at, comes back as (1/b)^n: the factors of b
+        enter the base, not those of b^n."""
+        nonlocal pos, depth
+        out = divisor_at = None
+        while True:
+            negate = False
+            while toks[pos][3] == "-":
+                pos += 1
+                negate = not negate
+            k = pos
+            pos += 1
+            _, digits, name, op, _ = toks[k]
+            if digits:
+                base = integer(k), 0
+            elif name:
+                i = index.get(name)
+                if i is None:
+                    raise fail(f"unknown variable {name!r}", k)
+                base = 1, units[i]
+            elif op == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise fail("expression nested too deeply", k)
+                base = expr()
+                if toks[pos][3] != ")":
+                    raise fail("expected ')'", pos)
+                pos += 1
+                depth -= 1
+            else:
+                raise fail(f"unexpected token {op!r}", k)
+            power = 1
+            if toks[pos][3] == "^":
+                k = pos + 1
+                pos += 2
+                if not toks[k][1]:
+                    raise fail("exponent must be an integer", k)
+                power = integer(k)
+                if _power_too_large(spec, base, power):
+                    raise fail("exponent too large", k)
+            if divisor_at is not None:
+                num = base.num if type(base) is RatFun else _poly(spec, base)
+                if not num.terms:
+                    if power:
+                        raise fail("division by zero", divisor_at)
+                elif type(base) is not RatFun and not any(num.terms):
+                    base = Fraction(num.den, num.terms[0]), 0
+                else:
+                    base = _ratfun(spec, base).inverse()
+            if power != 1:
+                base = _power(base, power)
+            if negate:
+                base = (-base[0], base[1]) if type(base) is tuple else -base
+            out = base if out is None else _product(spec, out, base)
+            op = toks[pos][3]
+            if op != "*" and op != "/":
+                return out
+            divisor_at = pos if op == "/" else None
+            pos += 1
 
     out = expr()
-    tok = toks.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
-    return out
+    if toks[pos] is not _END:
+        raise fail(f"trailing input {''.join(toks[pos][1:])!r}", pos)
+    return _ratfun(spec, out)

@@ -172,10 +172,15 @@ def jet11_zero(s: DiffStructure) -> Jet11Element:
 
 
 def jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
-    """Componentwise product; both mixed slots multiply into the ω⊗ω block."""
+    """Componentwise product; both mixed slots multiply into the ω⊗ω block.
+    When each operand holds one list in both form slots, as ``jet2_Delta``
+    gives them, the two product slots are one list too."""
     a = x.a * y.a
     omega_left = [x.a * u + y.a * v for u, v in zip(y.omega_left, x.omega_left)]
-    omega_right = [x.a * u + y.a * v for u, v in zip(y.omega_right, x.omega_right)]
+    if x.omega_left is x.omega_right and y.omega_left is y.omega_right:
+        omega_right = omega_left
+    else:
+        omega_right = [x.a * u + y.a * v for u, v in zip(y.omega_right, x.omega_right)]
     eta = linalg.mat_add(linalg.mat_scale(x.a, y.eta), linalg.mat_scale(y.a, x.eta))
     eta = linalg.mat_add(eta, _outer(x.omega_left, y.omega_right))
     eta = linalg.mat_add(eta, _outer(y.omega_left, x.omega_right))

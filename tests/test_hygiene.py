@@ -158,7 +158,7 @@ def test_records_have_one_form():
         "field.FieldSpec", "field.MultiPoly", "field.RatFun",
         "diffstruct.Derivation", "conn.DiffModule", "conn.ModMorphism",
     }
-    assert forms["plain"] == {"field._Tokens", "cli.Session", "cli._Parser"}
+    assert forms["plain"] == {"cli.Session", "cli._Parser"}
 
 
 def _flat_assignments(source: str) -> set[tuple[str, str]]:

@@ -298,3 +298,39 @@ def test_jet2_mul_takes_d_of_its_operands_only(s, monkeypatch):
     assert prod == jet2_r(x * t, s)
     assert d1_calls == []
     assert deriv_calls == [a.omega, b.omega, prod.omega]
+
+
+def general_jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
+    """The componentwise product with each form slot computed on its own."""
+    def slot(u, v):
+        return [x.a * p + y.a * q for p, q in zip(v, u)]
+
+    eta = linalg.mat_add(linalg.mat_scale(x.a, y.eta), linalg.mat_scale(y.a, x.eta))
+    eta = linalg.mat_add(eta, _outer(x.omega_left, y.omega_right))
+    eta = linalg.mat_add(eta, _outer(y.omega_left, x.omega_right))
+    return Jet11Element(x.a * y.a, slot(x.omega_left, y.omega_left), slot(x.omega_right, y.omega_right), eta)
+
+
+def test_jet11_mul_shares_the_form_of_operands_that_share_theirs(s):
+    """Operands from jet2_Delta hold one list in both slots; so does their
+    product, and it equals the general formula."""
+    rng = random.Random(61)
+    for _ in range(10):
+        dx, dy = jet2_Delta(rand_member(s, rng), s), jet2_Delta(rand_member(s, rng), s)
+        assert dx.omega_left is dx.omega_right and dy.omega_left is dy.omega_right
+        product = jet11_mul(dx, dy)
+        assert product.omega_left is product.omega_right
+        assert product == general_jet11_mul(dx, dy)
+
+
+def test_jet11_mul_of_elements_whose_slots_differ_is_the_general_formula(s):
+    rng = random.Random(67)
+    for _ in range(10):
+        m = jet2_Delta(rand_member(s, rng), s)
+        w = m.omega_left
+        differ = Jet11Element(m.a, w, [w[0] + rf("1"), w[1] * rf("x")], m.eta)
+        equal_copy = Jet11Element(m.a, w, list(w), m.eta)  # equal slots, two lists
+        for x, y in [(differ, m), (m, differ), (differ, differ), (equal_copy, m)]:
+            product = jet11_mul(x, y)
+            assert product == general_jet11_mul(x, y)
+            assert product.omega_left is not product.omega_right
