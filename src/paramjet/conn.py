@@ -20,7 +20,7 @@ from .diffstruct import (
     d_compat_failure,
 )
 from .errors import MorphismInvalid, NotFlat, SemanticError, StructureMismatch
-from .field import FieldSpec, MultiPoly, RatFun, _den_of, _fac, _live, poly_divexact, reciprocal_lcm
+from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, reciprocal_lcm
 from .jet import (
     jet11_membership_defect,
     jet11_omega_left,
@@ -85,98 +85,25 @@ class IntegrabilityVerdict(NamedTuple):
 def curvature_residual(m: DiffModule, i: int, j: int) -> Matrix:
     """∂i(Aj) − ∂j(Ai) − [Ai, Aj].  The structure-constant term −Σq c_ij^q Aq
     of the general formula vanishes, because build_param_structure accepts
-    commuting bases only.
-
-    Each entry is first tested for zero, with no gcd and no canonical form
-    (Moses, CACM 14, 1971: a zero test needs only a normal form).  The
-    entry is a sum of terms ±n/den(f), f an exponent vector over the
-    field's coprime base: the two derivatives as they are, and each
-    product of two entries as the product of their numerators over the
-    sum of their vectors.  L, the componentwise max of the vectors, is at
-    least every f, so den(L) = den(f)·den(L − f) and the entry is
-    Σ ±n·den(L − f) over den(L).  The test is exact: L is a common
-    multiple of the term denominators, not necessarily the least, and
-    den(L) ≠ 0, so the entry is zero exactly when that numerator is the
-    zero polynomial.  A zero residual is the matrix of the field's zero;
-    any other is built in canonical form by linalg operations on the same
-    derivatives, so the witness does not depend on the zero test."""
+    commuting bases only.  Tested for zero first, with no gcd (see
+    ``field.sum_is_zero``): a zero residual is the matrix of the field's
+    zero; any other, the witness, is built in canonical form by linalg
+    operations, so it does not depend on the test."""
     di, dj = m.ps.principal[i], m.ps.principal[j]
     ai, aj = m.conn[i], m.conn[j]
     daj, dai = linalg.entrywise(di.apply, aj), linalg.entrywise(dj.apply, ai)
-    if _residual_is_zero(m.spec, ai, aj, dai, daj):
+    if linalg.sum_is_zero([(1, daj), (-1, dai), (-1, ai, aj), (1, aj, ai)]):
         zero = RatFun.zero(m.spec)
         return [[zero] * m.rank for _ in range(m.rank)]
     res = linalg.mat_sub(daj, dai)
     return linalg.mat_sub(res, linalg.mat_sub(linalg.mat_mul(ai, aj), linalg.mat_mul(aj, ai)))
 
 
-def _residual_is_zero(spec: FieldSpec, ai: Matrix, aj: Matrix, dai: Matrix, daj: Matrix) -> bool:
-    """Whether daj − dai + (−ai)·aj + aj·ai is zero, row by row as in
-    ``linalg.mat_mul``.  The numerators of an entry's terms that share an
-    exponent vector are summed as polynomials first, and the deferred sum
-    of ``curvature_residual`` runs over the sums that are not zero."""
-
-    def terms(row: list, negate: bool = False) -> list:
-        return [(c, -x.num if negate else x.num, _live(spec, x.fac))
-                for c, x in enumerate(row) if x.num.terms]
-
-    def vec_sum(f: tuple, g: tuple) -> tuple:
-        if not f:
-            return g
-        if not g:
-            return f
-        exps = dict(f)
-        for k, e in g:
-            exps[k] = exps.get(k, 0) + e
-        return _fac(exps)
-
-    ti, tj = [terms(row) for row in ai], [terms(row) for row in aj]
-
-    def row_terms(r: int):
-        yield from terms(daj[r]) + terms(dai[r], True)
-        for left, right in ((terms(ai[r], True), tj), (tj[r], ti)):
-            for s, n, f in left:
-                for c, n2, f2 in right[s]:
-                    yield c, n * n2, vec_sum(f, f2)
-
-    for r in range(len(ai)):
-        groups: list[dict] = [{} for _ in ai]
-        for c, n, f in row_terms(r):
-            g = groups[c].get(f)
-            groups[c][f] = n if g is None else g + n
-        if not all(_deferred_sum_is_zero(spec, out) for out in groups):
-            return False
-    return True
-
-
-def _deferred_sum_is_zero(spec: FieldSpec, groups: dict) -> bool:
-    """Whether the sum of n/den(f) over the items (f, n) of groups is zero:
-    whether Σ n·den(L − f) is, L the componentwise max of the vectors whose
-    n is not zero."""
-    groups = {f: n for f, n in groups.items() if n.terms}
-    if len(groups) < 2:
-        return not groups
-    top: dict = {}
-    for f in groups:
-        for k, e in f:
-            if e > top.get(k, 0):
-                top[k] = e
-    total = spec._poly_zero
-    for f, n in groups.items():
-        rest = dict(top)
-        for k, e in f:
-            rest[k] -= e
-        total = total + n * _den_of(spec, _fac(rest))
-    return not total.terms
-
-
 def check_integrability(m: DiffModule) -> IntegrabilityVerdict:
     """The curvature test in full, whatever ``m.flat`` records, so it stays
     an independent route to a flatness that a constructor recorded; the
-    first nonzero residual, pairs in order, is the witness.  Each pair is
-    zero-tested without a gcd, over a common multiple L ≠ 0 of the
-    denominators of its terms (see ``curvature_residual``), and only the
-    witness is built in canonical form."""
+    first nonzero residual, pairs in order, is the witness, and the only
+    one built in canonical form (see ``curvature_residual``)."""
     p = m.ps.principal_count
     for i in range(p):
         for j in range(i + 1, p):
@@ -271,16 +198,16 @@ class MorphismCheck(NamedTuple):
 
 
 def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
-    """Intertwining test: ∂i(T) = Ai^dst·T − T·Ai^src for every principal i."""
+    """Intertwining test: ∂i(T) = Ai^dst·T − T·Ai^src for every principal i,
+    by ``linalg.sum_is_zero``; only a failing residual is built."""
     require_same_structure(m, n)
     if linalg.shape(t) != (n.rank, m.rank):
         raise StructureMismatch("morphism matrix must be dst.rank x src.rank")
     for i, d in enumerate(m.ps.principal):
         lhs = linalg.entrywise(d.apply, t)
-        rhs = linalg.mat_sub(linalg.mat_mul(n.conn[i], t), linalg.mat_mul(t, m.conn[i]))
-        res = linalg.mat_sub(lhs, rhs)
-        if not linalg.is_zero_matrix(res):
-            return MorphismCheck(False, i, res)
+        if not linalg.sum_is_zero([(1, lhs), (-1, n.conn[i], t), (1, t, m.conn[i])]):
+            rhs = linalg.mat_sub(linalg.mat_mul(n.conn[i], t), linalg.mat_mul(t, m.conn[i]))
+            return MorphismCheck(False, i, linalg.mat_sub(lhs, rhs))
     return MorphismCheck(True)
 
 

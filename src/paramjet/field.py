@@ -1046,6 +1046,53 @@ def reciprocal_lcm(values: Iterable[RatFun], spec: FieldSpec) -> RatFun:
     return RatFun._over(spec, spec._poly_one, _fac(exps))
 
 
+def addends(rows: Sequence[Sequence[RatFun]], sign: int) -> list[list[tuple]]:
+    """Each row's nonzero values as (column, sign·num, f), sign 1 or −1 and
+    f the exponent vector of den with split base elements read as their
+    pieces: the terms of ``sum_is_zero``."""
+    return [[(c, x.num if sign > 0 else -x.num, _live(x.num.spec, x.fac))
+             for c, x in enumerate(row) if x.num.terms] for row in rows]
+
+
+def sum_is_zero(groups: dict) -> bool:
+    """Whether Σ n/den(f) over the items (f, n) of groups is zero, with no
+    gcd and no canonical form (Moses, CACM 14, 1971: a zero test needs
+    only a normal form).  An f is a tuple of pairs (k, e) in which k may
+    repeat, so f + g is the vector of the product of the terms of f and g;
+    the numerators whose f come to one vector are summed first.  L, the
+    componentwise max of the vectors, is at least every f, so
+    den(L) = den(f)·den(L − f) and the sum is Σ n·den(L − f) over den(L).
+    The test is exact: L is a common multiple of the term denominators,
+    not necessarily the least, and den(L) ≠ 0, so the sum is zero exactly
+    when that numerator is the zero polynomial."""
+    if len(groups) < 2:
+        return not any(n.terms for n in groups.values())
+    sums: dict = {}
+    for f, n in groups.items():
+        if len(f) > 1:
+            exps: dict = {}
+            for k, e in f:
+                exps[k] = exps.get(k, 0) + e
+            f = _fac(exps)
+        sums[f] = sums[f] + n if f in sums else n
+    sums = {f: n for f, n in sums.items() if n.terms}
+    if len(sums) < 2:
+        return not sums
+    top: dict = {}
+    for f in sums:
+        for k, e in f:
+            if e > top.get(k, 0):
+                top[k] = e
+    spec = next(iter(sums.values())).spec
+    total = spec._poly_zero
+    for f, n in sums.items():
+        rest = dict(top)
+        for k, e in f:
+            rest[k] -= e
+        total = total + n * _den_of(spec, _fac(rest))
+    return not total.terms
+
+
 # --- spec-level operations ---------------------------------------------------
 
 

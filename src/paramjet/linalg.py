@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import field
 from .errors import ShapeMismatch
 from .field import FieldSpec, RatFun, int_content
 
@@ -130,6 +131,31 @@ def entrywise(fn, a: Matrix) -> Matrix:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
+
+
+def sum_is_zero(terms: list) -> bool:
+    """Whether Σ sign·A + Σ sign·A·B is the zero matrix, over the signed
+    matrices (sign, A) and products (sign, A, B) of terms, sign 1 or −1,
+    of one shape.  Row by row as in ``mat_mul``, each entry's terms are
+    grouped by the exponent vectors of their denominators and tested by
+    ``field.sum_is_zero``; the first nonzero entry ends the test."""
+    values = [field.addends(a, sign) for sign, a, *b in terms if not b]
+    products = [(field.addends(a, sign), field.addends(b[0], 1)) for sign, a, *b in terms if b]
+    width = shape(terms[0][-1])[1]
+    for r in range(len(terms[0][1])):
+        groups: list[dict] = [{} for _ in range(width)]
+        for a in values:
+            for c, n, f in a[r]:
+                g = groups[c]
+                g[f] = g[f] + n if f in g else n
+        for a, b in products:
+            for s, n, f in a[r]:
+                for c, n2, f2 in b[s]:
+                    g, key = groups[c], f + f2
+                    g[key] = g[key] + n * n2 if key in g else n * n2
+        if not all(map(field.sum_is_zero, groups)):
+            return False
+    return True
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:

@@ -757,3 +757,82 @@ def test_degree_past_the_exponent_field_is_refused(monkeypatch):
     assert spec.degree_key(512) > spec.key((0, 511)) and spec.degree_key(511) <= spec.key((0, 511))
     with pytest.raises(ParamjetError, match="total degree 512"):
         spec.degree_key(513)
+
+
+# --- the deferred zero test -------------------------------------------------------
+
+
+def grouped(terms):
+    """The groups of field.sum_is_zero for the signed values (sign, x) and
+    signed products (sign, x, y) of terms, formed as linalg.sum_is_zero
+    forms them."""
+    groups = {}
+    for sign, x, *y in terms:
+        (left,) = field.addends([[x]], sign)
+        right = field.addends([y], 1)[0] if y else [(0, None, ())]
+        for _, n, f in left:
+            for _, n2, f2 in right:
+                key, num = f + f2, n if n2 is None else n * n2
+                groups[key] = groups[key] + num if key in groups else num
+    return groups
+
+
+def canonical_sum(spec, terms):
+    total = RatFun.zero(spec)
+    for sign, x, *y in terms:
+        value = x * y[0] if y else x
+        total = total + value if sign > 0 else total - value
+    return total
+
+
+def assert_sum_test_agrees(spec, terms):
+    zero = canonical_sum(spec, terms).is_zero()
+    assert field.sum_is_zero(grouped(terms)) == zero, [(s, *map(str, v)) for s, *v in terms]
+    return zero
+
+
+@pytest.mark.parametrize("spec", [SPEC, SPEC3], ids=["Q(x,t)", "Q(x,y,z)"])
+def test_sum_is_zero_agrees_with_the_canonical_sum(spec):
+    """Random signed sums of values and of products, each also with the
+    negated canonical sum appended, which makes it zero across the
+    exponent vectors of its terms."""
+    rng = random.Random(71)
+    zeros = 0
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            sign = rng.choice((1, -1))
+            x = rand_ratfun(spec, rng, max_deg=2, terms=2)
+            terms.append((sign, x, rand_ratfun(spec, rng)) if rng.random() < 0.5 else (sign, x))
+        zeros += assert_sum_test_agrees(spec, terms)
+        assert assert_sum_test_agrees(spec, terms + [(-1, canonical_sum(spec, terms))])
+    assert zeros < 15
+
+
+def test_sum_is_zero_small_cases():
+    """A sum that is zero across two vectors, the empty sum, single groups,
+    and groups that cancel before the common multiple is formed."""
+    spec = FieldSpec(["x", "t"])
+    one = RatFun.one(spec)
+    assert assert_sum_test_agrees(spec, [(1, rf("x/(x+1)", spec)), (-1, one), (1, rf("1/(x+1)", spec))])
+    assert assert_sum_test_agrees(spec, [(1, rf("1/(x-t)", spec), rf("x-t", spec)), (-1, one)])
+    assert not assert_sum_test_agrees(spec, [(1, rf("1/(x-t)", spec)), (-1, rf("1/(x+t)", spec))])
+    assert field.sum_is_zero({})
+    assert not field.sum_is_zero({((0, 1),): rf("x", spec).num})
+    assert field.sum_is_zero({((0, 1),): spec._poly_zero, (): spec._poly_zero})
+    assert not field.sum_is_zero({((0, 1), (0, 1)): one.num, ((0, 2),): one.num})
+    assert field.sum_is_zero({((0, 1), (0, 1)): one.num, ((0, 2),): -one.num})
+
+
+def test_sum_is_zero_reads_vectors_built_before_a_split():
+    """1/(x^2 - t^2) is built while x^2 - t^2 is one base element; x - t
+    then splits it, and its stale vector is read over the pieces."""
+    spec = FieldSpec(["x", "t"])
+    p = rf("1/(x^2-t^2)", spec)
+    q = rf("x/(x-t)^2", spec)
+    assert spec._splits == {0: (1, 2)} and p.fac == ((0, 1),)
+    (((_, _, f),),) = field.addends([[p]], 1)
+    assert f == ((1, 1), (2, 1))
+    assert assert_sum_test_agrees(spec, [(1, p, rf("x-t", spec)), (-1, rf("1/(x+t)", spec))])
+    assert assert_sum_test_agrees(spec, [(1, p), (1, q), (-1, p + q)])
+    assert not assert_sum_test_agrees(spec, [(1, p), (-1, rf("1/(x-t)", spec))])

@@ -14,27 +14,31 @@ import sys
 
 import pytest
 
-from paramjet import conn, linalg
+from paramjet import linalg
 from paramjet.cli import main, parse_session, run_session
 from paramjet.conn import (
     DiffModule,
+    ModMorphism,
     check_integrability,
     curvature_residual,
     direct_sum,
     dual,
     hom,
+    morphism_check,
     tensor,
 )
 from paramjet.diffstruct import build_param_structure, coordinate_derivation
-from paramjet.field import FieldSpec, parse_ratfun
+from paramjet.field import FieldSpec, RatFun, parse_ratfun
 from paramjet.prolong import (
     at2_module,
     extension_of_prolongation,
     generate_closure,
     prolong_module,
+    prolong_morphism,
 )
 
-from conftest import perturb_module, rand_gauge_module
+from conftest import (gauge_module, parameter_sub, perturb_module, rand_gauge_module, rand_ratfun,
+                      rand_unipotent)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -213,9 +217,18 @@ def canonical_residual(m, i, j):
     )
 
 
+def assert_same_entries(got, want):
+    assert linalg.shape(got) == linalg.shape(want)
+    for row, want_row in zip(got, want):
+        for x, y in zip(row, want_row):
+            assert x == y and str(x) == str(y)
+
+
 def assert_zero_test_agrees(m):
     """For every pair, the gcd-free zero test answers what the canonical
-    residual shows, and curvature_residual returns that residual."""
+    residual shows, and curvature_residual returns that residual: a zero
+    one as the field's shared zero in every entry, so built by no
+    arithmetic."""
     p = m.ps.principal_count
     for i in range(p):
         for j in range(i + 1, p):
@@ -223,9 +236,12 @@ def assert_zero_test_agrees(m):
             di, dj = m.ps.principal[i], m.ps.principal[j]
             ai, aj = m.conn[i], m.conn[j]
             dai, daj = linalg.entrywise(dj.apply, ai), linalg.entrywise(di.apply, aj)
-            zero = conn._residual_is_zero(m.spec, ai, aj, dai, daj)
+            zero = linalg.sum_is_zero([(1, daj), (-1, dai), (-1, ai, aj), (1, aj, ai)])
             assert zero == linalg.is_zero_matrix(expected), (m.rank, i, j)
-            assert linalg.mat_eq(curvature_residual(m, i, j), expected), (m.rank, i, j)
+            residual = curvature_residual(m, i, j)
+            assert linalg.mat_eq(residual, expected), (m.rank, i, j)
+            if zero:
+                assert all(x is RatFun.zero(m.spec) for row in residual for x in row)
 
 
 @pytest.mark.parametrize("name", GOOD_FIXTURES)
@@ -282,6 +298,144 @@ def test_late_curved_pair_is_the_witness():
     i, j, residual = verdict.witness
     assert (i, j) == (1, 2)
     assert linalg.shape(residual) == (2, 2)
-    for row, want in zip(residual, expected):
-        for x, y in zip(row, want):
-            assert x == y and str(x) == str(y)
+    assert_same_entries(residual, expected)
+
+
+# --- the zero test of a morphism ------------------------------------------------
+
+
+def canonical_morphism_residual(t, m, n, i):
+    """∂i(T) − (A_N·T − T·A_M) in canonical form, entry by entry with the
+    RatFun operations."""
+    d, an, am = m.ps.principal[i], n.conn[i], m.conn[i]
+    out = []
+    for r in range(n.rank):
+        row = []
+        for c in range(m.rank):
+            x = d.apply(t[r][c])
+            for s in range(n.rank):
+                x = x - an[r][s] * t[s][c]
+            for s in range(m.rank):
+                x = x + t[r][s] * am[s][c]
+            row.append(x)
+        out.append(row)
+    return out
+
+
+def assert_morphism_test_agrees(t, m, n):
+    """For every principal index the zero test answers what the canonical
+    residual shows; morphism_check fails at the first nonzero residual and
+    returns it.  Returns the verdict."""
+    residuals = [canonical_morphism_residual(t, m, n, i) for i in range(m.ps.principal_count)]
+    for i, (d, res) in enumerate(zip(m.ps.principal, residuals)):
+        dt = linalg.entrywise(d.apply, t)
+        zero = linalg.sum_is_zero([(1, dt), (-1, n.conn[i], t), (1, t, m.conn[i])])
+        assert zero == linalg.is_zero_matrix(res), i
+    failing = [i for i, res in enumerate(residuals) if not linalg.is_zero_matrix(res)]
+    verdict = morphism_check(t, m, n)
+    assert verdict.ok == (not failing)
+    if failing:
+        assert verdict.index == failing[0]
+        assert_same_entries(verdict.residual, residuals[failing[0]])
+    return verdict
+
+
+def bumped(t, r, c, bump):
+    out = [list(row) for row in t]
+    out[r][c] = out[r][c] + bump
+    return out
+
+
+def gauge_image(m, t):
+    """The module N = (∂T + T·A)·T⁻¹ that T maps M into."""
+    t_inv = linalg.inverse(t)
+    conn_n = tuple(
+        linalg.mat_mul(linalg.mat_add(linalg.entrywise(d.apply, t), linalg.mat_mul(t, a)), t_inv)
+        for d, a in zip(m.ps.principal, m.conn)
+    )
+    return DiffModule(m.ps, m.rank, conn_n)
+
+
+def test_morphism_test_agrees_on_calculus_morphism():
+    """The calculus fixture's idm, and idm with its entry bumped by x."""
+    session = parse_session((FIXTURES / "calculus.session").read_text(encoding="utf-8"))
+    src, dst, t = session.mod_morphisms["idm"]
+    m, n = session.modules[src], session.modules[dst]
+    assert assert_morphism_test_agrees(t, m, n).ok
+    assert not assert_morphism_test_agrees(bumped(t, 0, 0, parse_ratfun(m.spec, "x")), m, n).ok
+
+
+@pytest.mark.parametrize("fixture", ["xt", "x12t", "p2q2"])
+def test_morphism_test_agrees_on_prolongation_maps(fixture, request):
+    """incl and proj of the prolongation sequence and prolong_morphism of a
+    gauge morphism pass; each with one entry bumped fails."""
+    spec, ps = request.getfixturevalue(fixture)
+    rng = random.Random(59)
+    g1, g2 = rand_unipotent(spec, ps, rng, 2), rand_unipotent(spec, ps, rng, 2)
+    m1, m2 = gauge_module(ps, g1), gauge_module(ps, g2)
+    p = prolong_module(m1)
+    big = prolong_morphism(ModMorphism(m1, m2, linalg.mat_mul(linalg.inverse(g2), g1)))
+    bump = parse_ratfun(spec, spec.variables[0])
+    for t, m, n in ((p.incl, parameter_sub(m1), p.core), (p.proj, p.core, m1),
+                    (big.matrix, big.src, big.dst)):
+        assert assert_morphism_test_agrees(t, m, n).ok
+        assert not assert_morphism_test_agrees(bumped(t, 0, 0, bump), m, n).ok
+
+
+@pytest.mark.parametrize("fixture", ["x12t", "p2q2"])
+def test_morphism_test_agrees_on_random_gauges(fixture, request):
+    """Random gauges T of rank 1-3, unipotent with their first row scaled
+    by a random rational function, from a random gauge module M into
+    N = (∂T + T·A)·T⁻¹ pass; T with a random entry bumped by a variable
+    fails, and its witness is the canonical residual."""
+    spec, ps = request.getfixturevalue(fixture)
+    rng = random.Random(131)
+    failed = 0
+    for k in range(6):
+        rank = 1 + k % 3
+        m = rand_gauge_module(spec, ps, rng, rank)
+        t = rand_unipotent(spec, ps, rng, rank)
+        u = rand_ratfun(spec, rng)
+        while u.is_zero():
+            u = rand_ratfun(spec, rng)
+        t[0] = [u * x for x in t[0]]
+        n = gauge_image(m, t)
+        assert assert_morphism_test_agrees(t, m, n).ok
+        bump = parse_ratfun(spec, rng.choice(spec.variables[:2]))
+        t2 = bumped(t, rng.randrange(rank), rng.randrange(rank), bump)
+        failed += not assert_morphism_test_agrees(t2, m, n).ok
+    assert failed == 6
+
+
+def test_morphism_failing_only_at_second_index(x12t):
+    """N agrees with the image of M under T in its first connection matrix
+    and not in its second: only index 1 fails, and its canonical residual
+    is the witness."""
+    spec, ps = x12t
+    rng = random.Random(7)
+    m = rand_gauge_module(spec, ps, rng, 2)
+    t = rand_unipotent(spec, ps, rng, 2)
+    n = gauge_image(m, t)
+    n2 = DiffModule(ps, 2, (n.conn[0], bumped(n.conn[1], 1, 0, parse_ratfun(spec, "1/(x1+t)"))))
+    verdict = assert_morphism_test_agrees(t, m, n2)
+    assert not verdict.ok and verdict.index == 1
+
+
+def test_only_a_failing_morphism_check_builds_a_residual(x12t, monkeypatch):
+    """A passing morphism_check calls neither linalg.mat_mul nor
+    linalg.mat_sub; a failing one builds its witness once, from two
+    products and two differences."""
+    spec, ps = x12t
+    rng = random.Random(17)
+    m = rand_gauge_module(spec, ps, rng, 3)
+    t = rand_unipotent(spec, ps, rng, 3)
+    n = gauge_image(m, t)
+    calls = []
+    for name in ("mat_mul", "mat_sub"):
+        def counted(*args, _name=name, _original=getattr(linalg, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    assert morphism_check(t, m, n).ok and calls == []
+    assert not morphism_check(bumped(t, 0, 0, parse_ratfun(spec, "x1")), m, n).ok
+    assert sorted(calls) == ["mat_mul", "mat_mul", "mat_sub", "mat_sub"]

@@ -1,9 +1,10 @@
-"""Source hygiene: no engine module imports a name it never uses or the
-``dataclasses`` module, no good fixture is left out of the pinned
-certificate digests, every function the benchmark's span tracer wraps
-still exists, no code but ``RatFun._over`` calls ``__new__``, every
-record has the form README "Conventions" gives it, and flatness is
-recorded only where a theorem gives it."""
+"""Source hygiene: no engine module imports a name it never uses, a
+``_``-prefixed name of another engine module or the ``dataclasses``
+module, no good fixture is left out of the pinned certificate digests,
+every function the benchmark's span tracer wraps still exists, no code
+but ``RatFun._over`` calls ``__new__``, every record has the form README
+"Conventions" gives it, and flatness is recorded only where a theorem
+gives it."""
 
 import ast
 import importlib
@@ -40,6 +41,33 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names, dunders aside, that a module imports from
+    another module of the package, relatively or by the package name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").startswith("paramjet"):
+            found += [f"{node.lineno}:{a.name}" for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return found
+
+
+def test_private_import_detector():
+    source = ("from .field import RatFun, _fac\nfrom paramjet.conn import _x\n"
+              "from os import _exit\nfrom . import __version__\n")
+    assert private_imports(source) == ["1:_fac", "2:_x"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    """A module reaches another's private representation only through its
+    public functions: the coprime base and its exponent vectors are read
+    in ``field`` alone."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def imported_modules(source: str) -> set[str]:
