@@ -10,6 +10,7 @@ all live here.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -21,15 +22,7 @@ from .diffstruct import (
 )
 from .errors import MorphismInvalid, NotFlat, SemanticError, StructureMismatch
 from .field import FieldSpec, MultiPoly, RatFun, poly_divexact, reciprocal_lcm
-from .jet import (
-    jet11_membership_defect,
-    jet11_omega_left,
-    jet11_omega_pair,
-    jet11_omega_right,
-    jet11_scale_right,
-    jet11_unit,
-    jet11_zero,
-)
+from .jet import Jet11Element, jet11_membership_defect, jet11_mul, jet2_Delta, jet2_r
 
 Matrix = list
 
@@ -251,57 +244,49 @@ class MembershipVerdict(NamedTuple):
 
 
 def phi2_membership(m: DiffModule) -> MembershipVerdict:
-    """Second-order jet membership oracle.
+    """Second-order jet membership oracle: m is integrable exactly when the
+    second jet lift of each basis vector e_j lies in P2 ⊗ M.
 
-    For each basis vector, the once-lifted element is lifted again inside
-    P1 ⊗ P1 ⊗ M and tested for membership in the 2-jet subring, entirely
-    through the jet-ring arithmetic; by design this is an independent
-    route to the flatness verdict of ``check_integrability``.
+    With ρi = ρ(∂i)(e_j) = −(column j of Ai), component l of the lift in
+    P1 ⊗ P1 ⊗ M is the sum of T·r(c) over the terms (T, c)
+      1⊗1            with c = 1 when l = j,
+      1⊗ωi + ωi⊗1    with c = −ρi[l],
+      ωi⊗ωu          with c = ∂u(ρi[l]) − (Au·ρi)[l], the ωu-part of ∇(ρi),
+    each taken as ``jet11_mul(T, Δ(r(c)))``: every coefficient goes through
+    the jet-ring arithmetic, so this is a route to the flatness verdict
+    independent of ``check_integrability``.  The witness is the least pair
+    at which any component fails membership.
     """
     s = m.ps.principal_structure
-    p = s.dim
-    first_fail: tuple[int, int] | None = None
+    p, spec = s.dim, m.spec
+    zero, one = RatFun.zero(spec), RatFun.one(spec)
+    eye, no_form, no_pair = linalg.identity(spec, p), [zero] * p, linalg.zeros(spec, p, p)
+    unit = Jet11Element(one, no_form, no_form, no_pair)
+    form = [Jet11Element(zero, w, w, no_pair) for w in eye]
+    pair = [[Jet11Element(zero, no_form, no_form, [[x * y for y in wu] for x in wi]) for wu in eye]
+            for wi in eye]
+    failing = set()
     for j in range(m.rank):
-        # rho_i = ρ(∂i)(e_j) as coordinate vectors
-        rho = [[-m.conn[i][l][j] for l in range(m.rank)] for i in range(p)]
-        components = [jet11_zero(s) for _ in range(m.rank)]
-        # 1 ⊗ 1 ⊗ e_j
-        components[j] = components[j].add(jet11_unit(s))
-        for i in range(p):
-            for l in range(m.rank):
-                c = rho[i][l]
-                if c.is_zero():
-                    continue
-                neg = -c
-                # − Σ 1 ⊗ ωi ⊗ mi  and  − Σ ωi ⊗ 1 ⊗ mi
-                components[l] = components[l].add(
-                    jet11_scale_right(jet11_omega_right(i, s), neg, s)
-                )
-                components[l] = components[l].add(
-                    jet11_scale_right(jet11_omega_left(i, s), neg, s)
-                )
-            # + Σ ωi ⊗ ∇(mi): ∇(mi) has ωu-component ∂u(mi) − Au·mi
-            for u in range(p):
-                du = m.ps.principal[u]
-                au_mi = linalg.mat_vec(m.conn[u], rho[i])
-                for l in range(m.rank):
-                    c = du.apply(rho[i][l]) - au_mi[l]
-                    if not c.is_zero():
-                        components[l] = components[l].add(
-                            jet11_scale_right(jet11_omega_pair(i, u, s), c, s)
-                        )
-        for l in range(m.rank):
-            defect = jet11_membership_defect(components[l], s)
+        terms = [[] for _ in range(m.rank)]
+        terms[j].append((unit, one))
+        for i, a_i in enumerate(m.conn):
+            rho = [-row[j] for row in a_i]
+            for l, row in enumerate(a_i):
+                terms[l].append((form[i], row[j]))  # −ρi[l]
+            for u, (du, a_u) in enumerate(zip(m.ps.principal, m.conn)):
+                for l, (c, au_rho) in enumerate(zip(rho, linalg.mat_vec(a_u, rho))):
+                    terms[l].append((pair[i][u], du.apply(c) - au_rho))
+        for component in terms:
+            lifted = [jet11_mul(t, jet2_Delta(jet2_r(c, s), s))
+                      for t, c in component if not c.is_zero()]
+            if not lifted:
+                continue
+            defect = jet11_membership_defect(functools.reduce(Jet11Element.add, lifted), s)
             if defect is None:
                 raise AssertionError("lift left/right slots diverged (internal bug)")
-            for a in range(p):
-                for b in range(a + 1, p):
-                    if not defect[a][b].is_zero():
-                        if first_fail is None or (a, b) < first_fail:
-                            first_fail = (a, b)
-    if first_fail is not None:
-        return MembershipVerdict(False, first_fail)
-    return MembershipVerdict(True)
+            failing.update((a, b) for a in range(p) for b in range(a + 1, p)
+                           if not defect[a][b].is_zero())
+    return MembershipVerdict(False, min(failing)) if failing else MembershipVerdict(True)
 
 
 # --- constants and horizontal vectors --------------------------------------------------
@@ -356,6 +341,8 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     spec = m.spec
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
+    if m.rank == 0:
+        return []
     inv_d = reciprocal_lcm((entry for a in m.conn for row in a for entry in row), spec)
     d_poly = inv_d.den
     num_bound = degree_bound * (1 + max(d_poly.total_degree(), 0))

@@ -293,7 +293,7 @@ def build_param_structure(base, principal, parameter, constant_variables) -> Par
     principal = tuple(principal)
     parameter = tuple(parameter)
     constant_variables = tuple(constant_variables)
-    basis = principal + parameter
+    basis = _independent_basis(base, principal + parameter)
     for v in constant_variables:
         base.index(v)
     for i in range(len(basis)):
@@ -309,7 +309,7 @@ def build_param_structure(base, principal, parameter, constant_variables) -> Par
                 raise PrincipalMovesConstants(i, v)
     nonconst = [n for n in range(len(base)) if n not in const_idx]
     principal_nonconst = [[d.coeffs[n] for n in nonconst] for d in principal]
-    if principal and linalg.rank(principal_nonconst) != len(nonconst):
+    if linalg.rank(principal_nonconst) != len(nonconst):
         raise ConstantsMismatch(
             "principal derivations do not span all non-constant directions"
         )
@@ -319,7 +319,7 @@ def build_param_structure(base, principal, parameter, constant_variables) -> Par
             raise NotIndependent(
                 "parameter derivations restrict to dependent derivations of the constants"
             )
-    full = _commuting_structure(base, _independent_basis(base, basis))
+    full = _commuting_structure(base, basis)
     principal_structure = _commuting_structure(base, principal) if principal else None
     return ParamStructure(
         full=full,

@@ -166,11 +166,6 @@ class Jet11Element(NamedTuple):
         )
 
 
-def jet11_zero(s: DiffStructure) -> Jet11Element:
-    z = [RatFun.zero(s.base)] * s.dim
-    return Jet11Element(RatFun.zero(s.base), z, z, linalg.zeros(s.base, s.dim, s.dim))
-
-
 def jet11_mul(x: Jet11Element, y: Jet11Element) -> Jet11Element:
     """Componentwise product; both mixed slots multiply into the ω⊗ω block.
     When each operand holds one list in both form slots, as ``jet2_Delta``
@@ -222,27 +217,3 @@ def jet11_membership_defect(x: Jet11Element, s: DiffStructure) -> Matrix | None:
         [linalg.mat_vec([w], s.constants(i, j))[0] - (eta[i][j] - eta[j][i]) for j in range(d)]
         for i in range(d)
     ]
-
-
-def jet11_scale_right(x: Jet11Element, c: RatFun, s: DiffStructure) -> Jet11Element:
-    """Multiplication by r(c), i.e. by the scalar c acting through the
-    rightmost slot; used to pull module coefficients into the jet factor."""
-    return jet11_mul(x, jet2_Delta(jet2_r(c, s), s))
-
-
-def jet11_unit(s: DiffStructure) -> Jet11Element:
-    return jet11_zero(s)._replace(a=RatFun.one(s.base))
-
-
-def jet11_omega_left(i: int, s: DiffStructure) -> Jet11Element:
-    return jet11_zero(s)._replace(omega_left=linalg.identity(s.base, s.dim)[i])
-
-
-def jet11_omega_right(j: int, s: DiffStructure) -> Jet11Element:
-    return jet11_zero(s)._replace(omega_right=linalg.identity(s.base, s.dim)[j])
-
-
-def jet11_omega_pair(i: int, j: int, s: DiffStructure) -> Jet11Element:
-    x = jet11_zero(s)
-    x.eta[i][j] = RatFun.one(s.base)
-    return x

@@ -354,6 +354,35 @@ def test_horizontal_unknowns_cap_is_semantic_error(tmp_path, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+def test_horizontal_of_rank_zero_builds_no_ansatz(tmp_path):
+    """A rank-0 module has no unknown, so its search lists no monomial:
+    at bound 2000 over two variables that list alone took 4 s and 417 MB."""
+    text = (
+        "field x t\nstructure\n  parameter dx = 1, 0\n  parameter dt = 0, 1\n  constants x t\nend\n"
+        "module Z rank 0\nend\ncommand horizontal Z\n"
+    )
+    start = time.perf_counter()
+    assert run_text(tmp_path, text, "--degree-bound", "2000") == 0
+    assert time.perf_counter() - start < 0.5
+    assert b'"vectors":[]' in (tmp_path / "s.jsonl").read_bytes()
+
+
+def test_structure_without_principals_must_declare_every_constant(tmp_path, capsys):
+    """With no principal derivation every variable is a joint constant, so
+    a structure that declares fewer is refused before a command certifies
+    a non-constant as constant."""
+    text = (
+        "field x t\nstructure\n  parameter dt = 0, 1\n  constants t\nend\n"
+        "command constants-check x\n"
+    )
+    assert run_text(tmp_path, text) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "semantic error: invalid structure 'main': "
+        "principal derivations do not span all non-constant directions"
+    ]
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

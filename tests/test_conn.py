@@ -1,3 +1,4 @@
+import argparse
 import gc
 import pathlib
 import random
@@ -6,11 +7,12 @@ import time
 import pytest
 
 from paramjet import field, linalg
-from paramjet.cli import parse_session
+from paramjet.cli import parse_session, run_session
 from paramjet.conn import (
     DiffModule,
     check_integrability,
     constants_check,
+    curvature_residual,
     direct_sum,
     dual,
     extend_scalars,
@@ -262,6 +264,74 @@ def test_oracle_equivalence_random(x12t):
         vp = phi2_membership(p)
         assert not vi.flat and not vp.ok
         assert vp.witness == vi.witness[:2]
+
+
+# ring3 of the generated ratfun-jet sessions: three principal derivations,
+# the third the non-coordinate z∂z
+RING3 = (
+    "field x y z\n"
+    "structure\n  principal d1 = 1, 0, 0\n  principal d2 = 0, 1, 0\n  principal d3 = 0, 0, z\n"
+    "  constants\nend\n"
+)
+
+
+def ring3_module(*matrices):
+    blocks = "".join(
+        f"  matrix d{i}\n" + "".join(f"    {row}\n" for row in rows) + "  end\n"
+        for i, rows in enumerate(matrices, 1)
+    )
+    return parse_session(RING3 + f"module M rank {len(matrices[0])}\n{blocks}end\n").modules["M"]
+
+
+def checked_oracle(m):
+    """The oracle's verdict, once its verdict and pair match check_integrability's."""
+    vi, vp = check_integrability(m), phi2_membership(m)
+    assert vp.ok == vi.flat
+    assert vp.witness == (None if vi.flat else vi.witness[:2])
+    return vp.ok
+
+
+@pytest.mark.parametrize(
+    "matrices, curved",
+    [
+        ((["0, 0", "0, 0"], ["0, y", "0, 0"], ["z, 0", "0, 0"]), [(1, 2)]),
+        ((["0, 0", "0, 0"], ["0, y", "0, 0"], ["x+y, 0", "0, 0"]), [(0, 2), (1, 2)]),
+        ((["y/z, 0", "0, 1"], ["x/z, 0", "0, 0"], ["-x*y/z, 0", "0, z"]), []),
+    ],
+    ids=["pair-12", "pairs-02-12", "flat"],
+)
+def test_phi2_witness_is_the_least_curved_pair_of_three(matrices, curved):
+    """Over three principal derivations the witness tells pairs apart: the
+    oracle's is the least pair whose curvature is nonzero, as in
+    check_integrability."""
+    m = ring3_module(*matrices)
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    assert [ij for ij in pairs if not linalg.is_zero_matrix(curvature_residual(m, *ij))] == curved
+    assert checked_oracle(m) == (not curved)
+
+
+def test_phi2_oracle_over_a_non_coordinate_derivation():
+    ps = parse_session(RING3).structures["main"]
+    rng = random.Random(31)
+    for rank in (1, 2, 2):
+        g = rand_gauge_module(ps.base, ps, rng, rank)
+        assert checked_oracle(g)
+        assert not checked_oracle(perturb_module(ps.base, ps, rng, g))
+
+
+def test_phi2_oracle_on_the_rational_gauge_at2():
+    """The rank-6 at2 of fixtures/rational_gauge_at2.session is flat; one
+    entry of its d2 matrix moved by x1 makes it curved."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "rational_gauge_at2.session"
+    text = path.read_text(encoding="utf-8")
+    session = parse_session(text[: text.index("command")] + "command at2 R2 = R\n")
+    run_session(session, argparse.Namespace(degree_bound=0, depth=1, rank_cap=8))
+    r2 = session.modules["R2"]
+    conn = [[list(row) for row in a] for a in r2.conn]
+    conn[1][4][1] += parse_ratfun(r2.spec, "x1")
+    curved = DiffModule(r2.ps, r2.rank, tuple(conn))
+    assert r2.rank == 6
+    assert checked_oracle(r2) and not checked_oracle(curved)
 
 
 def test_morphism_check_examples(xt, x12t):

@@ -317,6 +317,9 @@ def test_param_structure_examples():
 
     with pytest.raises(PrincipalMovesConstants):
         build_param_structure(SPECXT, [dt], [], ["t"])
+    # with no principal derivation every variable is a joint constant
+    ps3 = build_param_structure(SPECXT, [], [dx, dt], ["x", "t"])
+    assert ps3.principal_count == 0 and ps3.parameter_count == 2
 
 
 def test_param_structure_rejects_noncommuting():
@@ -336,6 +339,9 @@ def test_param_structure_rejects_incomplete_principal_span():
             [coordinate_derivation(spec, "t")],
             ["t"],
         )
+    # an empty principal span makes every variable a joint constant, x too
+    with pytest.raises(ConstantsMismatch):
+        build_param_structure(SPECXT, [], [coordinate_derivation(SPECXT, "t")], ["t"])
 
 
 def test_param_structure_rejects_dependent_parameter_restrictions():
