@@ -305,7 +305,7 @@ def _parse_ring_morphism_block(lines: Lines, session: Session, header: list[str]
     if omega is None:
         raise ParseError("ringmorphism needs an omega block", line=lineno)
     for struct in (src, dst):
-        if session.structures[struct].principal_structure is None:
+        if session.structures[struct].principal_count == 0:
             raise SemanticError(
                 f"ring morphism {name!r}: structure {struct!r} has no principal derivations"
             )

@@ -43,7 +43,7 @@ class DiffModule:
         if len(conn) != ps.principal_count:
             raise StructureMismatch("one connection matrix per principal derivation")
         for a in conn:
-            if linalg.shape(a) != (rank, rank):
+            if not linalg.has_shape(a, rank, rank):
                 raise StructureMismatch("connection matrix shape mismatch")
         self.ps = ps
         self.rank = rank
@@ -177,7 +177,7 @@ class ModMorphism:
     __slots__ = ("src", "dst", "matrix")
 
     def __init__(self, src: DiffModule, dst: DiffModule, matrix: Matrix):
-        if linalg.shape(matrix) != (dst.rank, src.rank):
+        if not linalg.has_shape(matrix, dst.rank, src.rank):
             raise StructureMismatch("morphism matrix shape mismatch")
         self.src = src
         self.dst = dst
@@ -194,7 +194,7 @@ def morphism_check(t: Matrix, m: DiffModule, n: DiffModule) -> MorphismCheck:
     """Intertwining test: ∂i(T) = Ai^dst·T − T·Ai^src for every principal i,
     by ``linalg.sum_is_zero``; only a failing residual is built."""
     require_same_structure(m, n)
-    if linalg.shape(t) != (n.rank, m.rank):
+    if not linalg.has_shape(t, n.rank, m.rank):
         raise StructureMismatch("morphism matrix must be dst.rank x src.rank")
     for i, d in enumerate(m.ps.principal):
         lhs = linalg.entrywise(d.apply, t)

@@ -319,12 +319,10 @@ def build_param_structure(base, principal, parameter, constant_variables) -> Par
             raise NotIndependent(
                 "parameter derivations restrict to dependent derivations of the constants"
             )
-    full = _commuting_structure(base, basis)
-    principal_structure = _commuting_structure(base, principal) if principal else None
     return ParamStructure(
-        full=full,
+        full=_commuting_structure(base, basis),
         principal_count=len(principal),
         parameter_count=len(parameter),
         constant_variables=constant_variables,
-        principal_structure=principal_structure,
+        principal_structure=_commuting_structure(base, principal),
     )

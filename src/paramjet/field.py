@@ -20,9 +20,9 @@ only between a numerator and single base elements: a product cancels
 each numerator against the elements of the other denominator, a sum
 against the elements whose exponents agree in both (Henrici; Knuth,
 TAOCP 2, 4.5.1), and the quotient rule takes no gcd with d or d' at all.
-Division is the product with the inverse.  Only a polynomial that
-becomes a denominator, by ``inverse``, ``substitute`` or ``RatFun(num,
-den)``, is factored with general gcds, once per polynomial in the life
+Division is the product with the inverse; ``substitute`` and ``RatFun(num,
+den)`` divide.  So only ``inverse`` factors a polynomial, the one that
+becomes a denominator, with general gcds, once per polynomial in the life
 of its field.  ``poly_gcd`` proves coprimality from a modular image
 before it falls back to the pseudo-remainder sequence.
 
@@ -859,10 +859,10 @@ class RatFun:
     filled by ``partial_derivative``) and ``text`` (the rendering, filled by
     ``__str__``) are memos, None until first used.  The value never
     changes, so they never go stale; they are keyed on the object, not the
-    value, since hashing a value costs a pass over its terms.  The slots
-    are set only in ``__init__`` and ``_over``, so each new value, ``-x``
-    too, starts with empty memos; a derivative lives as long as the value
-    it came from."""
+    value, since hashing a value costs a pass over its terms.  Every value
+    is made by ``_over``; ``__init__`` copies one, the product num · den⁻¹,
+    so each new value, ``-x`` too, starts with empty memos; a derivative
+    lives as long as the value it came from."""
 
     __slots__ = ("num", "den", "fac", "partials", "text")
 
@@ -872,20 +872,8 @@ class RatFun:
             raise StructureMismatch("values of different FieldSpec objects")
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        fac = ()
-        if num.is_zero():
-            num = spec._poly_zero
-        elif den.is_const():
-            num = num._scaled(den.den, next(iter(den.terms.values())))
-        else:
-            fac = _factor(spec, den)
-            num = num._scaled(den.den, den.terms[max(den.terms)])
-            exps = dict(fac)
-            num = _cancel(spec, num, exps, list(exps))
-            fac = _fac(exps)
-        self.num = num
-        self.den = _den_of(spec, fac)
-        self.fac = fac
+        q = RatFun._over(spec, num, ()) * RatFun._over(spec, den, ()).inverse()
+        self.num, self.den, self.fac = q.num, q.den, q.fac
         self.partials = None
         self.text = None
 
@@ -909,7 +897,7 @@ class RatFun:
 
     @classmethod
     def const(cls, spec: FieldSpec, value) -> "RatFun":
-        return cls(MultiPoly.const(spec, value), MultiPoly.one(spec))
+        return cls._over(spec, MultiPoly.const(spec, value), ())
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "RatFun":
@@ -921,11 +909,11 @@ class RatFun:
 
     @classmethod
     def variable(cls, spec: FieldSpec, name: str) -> "RatFun":
-        return cls(MultiPoly.variable(spec, name), MultiPoly.one(spec))
+        return cls._over(spec, MultiPoly.variable(spec, name), ())
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "RatFun":
-        return cls(p, MultiPoly.one(p.spec))
+        return cls._over(p.spec, p, ())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

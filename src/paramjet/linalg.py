@@ -37,6 +37,12 @@ def shape(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
 
 
+def has_shape(a: Matrix, rows: int, cols: int) -> bool:
+    """Whether a has rows rows of cols entries each; a matrix with no rows
+    has every width."""
+    return len(a) == rows and all(len(row) == cols for row in a)
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if shape(a) != shape(b):
         raise ShapeMismatch("matrix addition shape mismatch")

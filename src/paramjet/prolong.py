@@ -228,18 +228,20 @@ class ClosureResult(NamedTuple):
     truncated_by_items: bool
 
 
-def generate_closure(
-    m: DiffModule, depth: int, rank_cap: int, max_items: int = 32
-) -> ClosureResult:
+MAX_CLOSURE_ITEMS = 32  # the most modules a closure lists, the seed included
+
+
+def generate_closure(m: DiffModule, depth: int, rank_cap: int) -> ClosureResult:
     """Breadth-first enumeration of modules reachable from the seed by
     duals, prolongations, tensor products and direct sums.
 
     ``depth`` caps the number of nested prolongations, ``rank_cap`` prunes
     large modules (recorded in ``truncated_by_rank``) before they are built,
-    since a candidate's rank follows from its construction, and ``max_items``
-    bounds the enumeration itself, since the reachable set is infinite in
-    general; hitting it sets ``truncated_by_items``.  Duplicates are pruned
-    by exact matrix equality, and the discovery order is deterministic.
+    since a candidate's rank follows from its construction, and
+    ``MAX_CLOSURE_ITEMS`` bounds the enumeration itself, since the
+    reachable set is infinite in general; hitting it sets
+    ``truncated_by_items``.  Duplicates are pruned by exact matrix
+    equality, and the discovery order is deterministic.
     """
     require_flat(m)
     items: list[ClosureItem] = [ClosureItem("M", m, 0)]
@@ -257,7 +259,7 @@ def generate_closure(
         module = build()
         if any(item.module == module for item in items):
             return
-        if len(items) >= max_items:
+        if len(items) >= MAX_CLOSURE_ITEMS:
             truncated_items = True
             return
         items.append(ClosureItem(label, module, pdepth))

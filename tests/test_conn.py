@@ -10,6 +10,7 @@ from paramjet import field, linalg
 from paramjet.cli import parse_session, run_session
 from paramjet.conn import (
     DiffModule,
+    ModMorphism,
     check_integrability,
     constants_check,
     curvature_residual,
@@ -332,6 +333,38 @@ def test_phi2_oracle_on_the_rational_gauge_at2():
     curved = DiffModule(r2.ps, r2.rank, tuple(conn))
     assert r2.rank == 6
     assert checked_oracle(r2) and not checked_oracle(curved)
+
+
+def test_phi2_oracle_without_a_principal_derivation():
+    """Over a structure with no principal derivation there is no pair to
+    test: the oracle answers ok, as check_integrability answers flat."""
+    session = parse_session(
+        "field x t\nstructure\n  parameter dx = 1, 0\n  parameter dt = 0, 1\n"
+        "  constants x t\nend\nmodule Z rank 1\nend\n"
+    )
+    z = session.modules["Z"]
+    assert z.ps.principal_structure.dim == 0
+    assert checked_oracle(z)
+
+
+def test_the_zero_map_into_rank_0_is_a_morphism(xt):
+    """A matrix with no rows has every width, so the zero map M -> 0 of a
+    rank-2 M is the 0 x 2 matrix []."""
+    spec, ps = xt
+    m = DiffModule(ps, 2, ([[rf(spec, "t/x"), rf(spec, "0")], [rf(spec, "1"), rf(spec, "1/x")]],))
+    zero = DiffModule(ps, 0, ([],))
+    assert morphism_check([], m, zero).ok
+    assert ModMorphism(m, zero, []).matrix == []
+    assert morphism_check([[], []], zero, m).ok
+    with pytest.raises(StructureMismatch):
+        morphism_check([[rf(spec, "0")] * 2], m, zero)
+
+
+def test_a_ragged_connection_matrix_is_refused(xt):
+    spec, ps = xt
+    ragged = [[rf(spec, "t/x"), rf(spec, "0")], [rf(spec, "1")]]
+    with pytest.raises(StructureMismatch, match="connection matrix shape"):
+        DiffModule(ps, 2, (ragged,))
 
 
 def test_morphism_check_examples(xt, x12t):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -276,8 +277,9 @@ def test_gcd_three_variable_cancellation():
 # --- fast routes against the generic constructor ----------------------------------
 #
 # Products, quotients, sums, derivatives and powers cancel only the gcds they
-# cannot rule out; RatFun(num, den) takes the gcd of the whole result.  Both
-# must give the same canonical form.
+# cannot rule out; RatFun(num, den) is num times the inverse of den, so its
+# product cancels num against every element of den.  Both must give the same
+# canonical form; test_field_sympy.py checks the constructor against sympy.
 
 # small factors, some free of x and some free of t, so that denominators
 # share factors, carry content free of a variable, and repeat factors
@@ -715,6 +717,33 @@ def test_every_route_renders_and_differentiates_like_a_fresh_value():
         fresh = parse_ratfun(FieldSpec(["x", "t"]), str(x))
         for v in ("x", "t"):
             assert str(partial_derivative(x, v)) == str(partial_derivative(fresh, v)), (route, v)
+
+
+def test_values_over_one_never_run_the_general_constructor(monkeypatch):
+    """Constants, variables, polynomials and parsed polynomial entries are
+    built by ``_over``: a polynomial is coprime to 1."""
+    spec = FieldSpec(["x", "t"])
+    calls = []
+    init = RatFun.__init__
+
+    def counted(self, num, den):
+        calls.append((num, den))
+        init(self, num, den)
+
+    monkeypatch.setattr(RatFun, "__init__", counted)
+    p = rf("x^2/3 - t", spec).num
+    values = [
+        RatFun.const(spec, Fraction(-2, 3)),
+        RatFun.const(spec, 0),
+        RatFun.variable(spec, "t"),
+        RatFun.from_poly(p),
+        parse_ratfun(spec, "(x + t)^2 - x*t/2"),
+    ]
+    assert calls == []
+    assert [str(v) for v in values] == [
+        "(-2/3)/(1)", "(0)/(1)", "(t)/(1)", "(1/3*x^2-1*t)/(1)", "(x^2+3/2*x*t+t^2)/(1)",
+    ]
+    assert RatFun(p, spec._poly_one) == values[3] and len(calls) == 1
 
 
 # --- the packed monomial layout ----------------------------------------------------

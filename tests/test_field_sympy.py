@@ -182,3 +182,37 @@ def test_factored_arithmetic_against_sympy():
     for i, f in enumerate(live):
         assert poly_gcd(f, f.derivative(0)).is_one() or poly_gcd(f, f.derivative(1)).is_one()
         assert all(poly_gcd(f, g).is_one() for g in live[i + 1:])
+
+
+def test_constructor_against_sympy():
+    """RatFun(num, den) against sympy's cancel of num/den: random quotients
+    of products of the shared factors over one field whose base splits as
+    they arrive, then a zero numerator, constant denominators and a
+    denominator with rational coefficients."""
+    spec = FieldSpec(["x", "t"])
+    rng = random.Random(2029)
+    shared = [parse_ratfun(spec, f).num for f in SHARED]
+
+    def product(count: int) -> MultiPoly:
+        p = MultiPoly.one(spec)
+        for _ in range(count):
+            p = p * rng.choice(shared).pow(rng.randint(1, 2))
+        return p
+
+    # the first three join the base whole, to be split by what follows
+    pairs = [(MultiPoly.one(spec), f) for f in shared[:3]]
+    for _ in range(150):
+        num = rand_poly(spec, rng, max_deg=2, terms=2) * product(rng.randint(0, 2))
+        pairs.append((num, product(rng.randint(0, 3))))
+    rational = parse_ratfun(spec, "x/2 - 2/3*t + 1/5").num
+    pairs += [
+        (MultiPoly.zero(spec), shared[0]),
+        (MultiPoly.zero(spec), MultiPoly.const(spec, Fraction(-3, 7))),
+        (shared[1], MultiPoly.const(spec, Fraction(-3, 7))),
+        (shared[3] * rational, MultiPoly.const(spec, 6)),
+        (shared[3] * rational, rational * shared[4]),
+        (shared[3], rational.pow(2)),
+    ]
+    for num, den in pairs:
+        assert same(RatFun(num, den), canonical(to_sympy(num), to_sympy(den))), (num, den)
+    assert len(spec._splits) >= 3

@@ -149,8 +149,9 @@ def _new_calls(source: str) -> list[str]:
 
 
 def test_ratfun_new_is_called_only_in_over():
-    """Each RatFun slot, the memos included, is set in ``__init__`` and
-    ``_over`` alone, so no other route can copy a memo from an operand."""
+    """Every RatFun value is made by ``_over``, and ``__init__`` copies the
+    slots of a value that ``_over`` made, leaving its memos empty, so no
+    other route can copy a memo from an operand."""
     calls = {path.name: _new_calls(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == {"field.py": ["RatFun._over"]}
 

@@ -404,6 +404,14 @@ def test_mat_mul_tests_each_factor_for_zero_once(monkeypatch):
     assert 0 < len(calls) <= 4 * 5 + nnz * 3
 
 
+def test_has_shape_reads_every_row():
+    z = RatFun.zero(FieldSpec(["x"]))
+    assert linalg.has_shape([], 0, 5) and linalg.has_shape([[], []], 2, 0)
+    assert linalg.has_shape([[z, z], [z, z]], 2, 2)
+    assert not linalg.has_shape([[z, z], [z]], 2, 2)
+    assert not linalg.has_shape([[z, z]], 2, 2)
+
+
 def test_block_fills_unnamed_blocks_with_the_shared_zero():
     spec = FieldSpec(["x", "t"])
     rng = random.Random(20265)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from paramjet import linalg
+from paramjet import linalg, prolong
 from paramjet.conn import (
     DiffModule,
     ModMorphism,
@@ -116,6 +116,15 @@ def test_prolong_morphism_identity_and_constants(xt):
     p2 = prolong_morphism(two)
     assert p2.matrix[1][0].is_zero()
     assert p2.matrix[0][0] == rf(spec, "2")
+
+
+def test_prolong_morphism_of_the_zero_map_into_rank_0(xt):
+    """The zero map M -> 0 of a rank-2 M prolongs to the 0 x 4 map between
+    the prolongations."""
+    spec, ps = xt
+    m = DiffModule(ps, 2, ([[rf(spec, "t/x"), rf(spec, "0")], [rf(spec, "1"), rf(spec, "1/x")]],))
+    p = prolong_morphism(ModMorphism(m, DiffModule(ps, 0, ([],)), []))
+    assert (p.src.rank, p.dst.rank, p.matrix) == (4, 0, [])
 
 
 def test_prolong_morphism_functorial(p2q2):
@@ -263,8 +272,6 @@ def test_at2_rational_gauge_with_t_in_denominators(x12t):
 
 
 def test_at2_and_tensor_compat_build_no_prolonged_module(p2q2, monkeypatch):
-    import paramjet.prolong as prolong
-
     calls = []
     monkeypatch.setattr(prolong, "prolong_module", lambda m: calls.append(m))
     spec, ps = p2q2
@@ -325,8 +332,6 @@ def test_extension_of_prolongation_is_the_prolonged_module():
 
 
 def test_prolong_module_builds_no_direct_sum(p2q2, monkeypatch):
-    import paramjet.prolong as prolong
-
     calls = []
     monkeypatch.setattr(prolong, "direct_sum", lambda *args: calls.append(args))
     spec, ps = p2q2
@@ -402,41 +407,46 @@ def test_tensor_compat(p2q2, xt):
     assert check_tensor_compat(trivial_module(ps1, 1), m1)
 
 
-def test_closure_depth_zero(xt):
+def test_closure_depth_zero(xt, monkeypatch):
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 12)
     m = xt_module(xt)
-    res = generate_closure(m, 0, 4, max_items=12)
+    res = generate_closure(m, 0, 4)
     labels = [it.label for it in res.items]
     assert "M" in labels and "dual(M)" in labels and "tensor(M,M)" in labels
     assert not any(l.startswith("at1") for l in labels)
 
 
-def test_closure_depth_one_includes_prolongation(xt):
+def test_closure_depth_one_includes_prolongation(xt, monkeypatch):
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 12)
     m = xt_module(xt)
-    res = generate_closure(m, 1, 4, max_items=12)
+    res = generate_closure(m, 1, 4)
     by_label = {it.label: it for it in res.items}
     assert "at1(M)" in by_label
     assert by_label["at1(M)"].module.rank == 2
 
 
-def test_closure_rank_cap_flags_truncation(xt):
+def test_closure_rank_cap_flags_truncation(xt, monkeypatch):
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 40)
     m = xt_module(xt)
-    res = generate_closure(m, 2, 3, max_items=40)
+    res = generate_closure(m, 2, 3)
     assert any(label.startswith("at1(at1") for label in res.truncated_by_rank) or any(
         "at1" in label for label in res.truncated_by_rank
     )
 
 
-def test_closure_deterministic(xt):
+def test_closure_deterministic(xt, monkeypatch):
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 15)
     m = xt_module(xt)
-    r1 = generate_closure(m, 1, 4, max_items=15)
-    r2 = generate_closure(m, 1, 4, max_items=15)
+    r1 = generate_closure(m, 1, 4)
+    r2 = generate_closure(m, 1, 4)
     assert [it.label for it in r1.items] == [it.label for it in r2.items]
 
 
-def test_closure_rank_cap_pinned(xt):
+def test_closure_rank_cap_pinned(xt, monkeypatch):
     """Labels and truncations of one capped closure, as recorded when every
     candidate was built before the cap was applied."""
-    res = generate_closure(xt_module(xt), 1, 2, max_items=16)
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 16)
+    res = generate_closure(xt_module(xt), 1, 2)
     assert [it.label for it in res.items] == [
         "M", "dual(M)", "at1(M)", "tensor(M,M)", "sum(M,M)", "at1(dual(M))",
         "tensor(dual(M),M)", "sum(dual(M),M)", "tensor(dual(M),dual(M))",
@@ -451,8 +461,6 @@ def test_closure_rank_cap_pinned(xt):
 
 
 def test_closure_builds_no_candidate_over_the_cap(xt, p2q2, monkeypatch):
-    import paramjet.prolong as prolong
-
     built = []
 
     def recording(fn, rank_of):
@@ -467,6 +475,7 @@ def test_closure_builds_no_candidate_over_the_cap(xt, p2q2, monkeypatch):
     monkeypatch.setattr(
         prolong, "prolong_module", recording(prolong.prolong_module, lambda p: p.core.rank)
     )
+    monkeypatch.setattr(prolong, "MAX_CLOSURE_ITEMS", 20)
     spec, ps = p2q2
     for m, depth, cap in (
         (xt_module(xt), 1, 2),
@@ -474,7 +483,7 @@ def test_closure_builds_no_candidate_over_the_cap(xt, p2q2, monkeypatch):
         (rand_gauge_module(spec, ps, random.Random(149), 2), 1, 4),
     ):
         built.clear()
-        res = generate_closure(m, depth, cap, max_items=20)
+        res = generate_closure(m, depth, cap)
         assert res.truncated_by_rank and built
         assert max(built) <= cap
 
