@@ -243,9 +243,9 @@ def _parse_module_block(lines: Lines, session: Session, header: list[str], linen
     names = session.deriv_names[struct][: ps.principal_count]
     conn = []
     for dname in names:
-        if dname not in matrices:
+        if dname not in matrices and rank:
             raise SemanticError(f"module {name!r} missing matrix for {dname!r}")
-        a = matrices.pop(dname)
+        a = matrices.pop(dname, [])
         if linalg.shape(a) != (rank, rank):
             raise SemanticError(f"matrix for {dname!r} is not {rank}x{rank}")
         conn.append(a)
@@ -416,7 +416,7 @@ def _parse_command(session: Session, tokens: list[str], lineno: int):
 
 
 def _strs(xs) -> list[str]:
-    return [str(x) for x in xs]
+    return [x.text or str(x) for x in xs]
 
 
 def _render_matrix(a) -> list[list[str]]:
@@ -596,9 +596,12 @@ def run_session(session: Session, flags) -> tuple[list[dict], int]:
     return records, (4 if any_verdict_failed else 0)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit(records: list[dict], out_stream) -> None:
     for r in records:
-        out_stream.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+        out_stream.write(_ENCODER.encode(r) + "\n")
 
 
 def _human_report(records: list[dict], stream) -> None:

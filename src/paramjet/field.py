@@ -41,6 +41,7 @@ import heapq
 import math
 import re
 import sys
+import weakref
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
@@ -82,14 +83,16 @@ class FieldSpec:
     the split is recorded, and vectors that name the old element are read
     over its pieces when next used.  Beside the base are its memos: the
     denominators by exponent vector, the exponent vectors by factored
-    polynomial and the partial derivatives of the base elements.  Exponent
-    vectors mean nothing outside the base they index, so the base belongs
-    to its field, which is one object: FieldSpecs are equal only when
-    identical and hash by identity, and an operation on the values of two
-    of them raises StructureMismatch."""
+    polynomial, the rendered denominators by exponent vector and the
+    partial derivatives of the base elements.  Exponent vectors mean
+    nothing outside the base they index, so the base belongs to its field,
+    which is one object: FieldSpecs are equal only when identical and hash
+    by identity, and an operation on the values of two of them raises
+    StructureMismatch."""
 
     __slots__ = ("variables", "_index", "units", "_shifts", "_mask", "_top", "_key_cap", "_monos",
-                 "_poly_zero", "_poly_one", "_zero", "_one", "_base", "_splits", "_dens", "_facs", "_derivs")
+                 "_poly_zero", "_poly_one", "_zero", "_one", "_base", "_splits", "_dens", "_den_texts",
+                 "_facs", "_derivs")
 
     def __init__(self, variables: Iterable[str]):
         names = tuple(variables)
@@ -111,6 +114,7 @@ class FieldSpec:
         self._base: list[MultiPoly] = []
         self._splits: dict[int, tuple[int, int]] = {}
         self._dens: dict[tuple, MultiPoly] = {(): self._poly_one}
+        self._den_texts: dict[tuple, str] = {}
         self._facs: dict[MultiPoly, tuple] = {}
         self._derivs: dict[tuple[int, int], MultiPoly] = {}
         self._zero = RatFun._over(self, self._poly_zero, ())
@@ -856,15 +860,18 @@ class RatFun:
     ``fac`` is the exponent vector of den over the field's coprime base.
 
     ``partials`` (a dict from variable index to the partial derivative,
-    filled by ``partial_derivative``) and ``text`` (the rendering, filled by
-    ``__str__``) are memos, None until first used.  The value never
-    changes, so they never go stale; they are keyed on the object, not the
-    value, since hashing a value costs a pass over its terms.  Every value
-    is made by ``_over``; ``__init__`` copies one, the product num · den⁻¹,
-    so each new value, ``-x`` too, starts with empty memos; a derivative
-    lives as long as the value it came from."""
+    filled by ``partial_derivative``), ``text`` (the rendering, filled by
+    ``__str__``) and ``neg`` (filled by ``__neg__``) are memos, None until
+    first used.  The value never changes, so they never go stale; they are
+    keyed on the object, not the value, since hashing a value costs a pass
+    over its terms.  Every value is made by ``_over``; ``__init__`` copies
+    one, the product num · den⁻¹, so each new value starts with empty
+    memos; a derivative lives as long as the value it came from.  ``neg``
+    holds −x on x, and on −x a weak reference back to x, so ``-x`` is one
+    object with its own memos, ``-(-x)`` is x while x lives, and no
+    reference cycle forms."""
 
-    __slots__ = ("num", "den", "fac", "partials", "text")
+    __slots__ = ("num", "den", "fac", "partials", "text", "neg", "__weakref__")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         spec = num.spec
@@ -874,8 +881,7 @@ class RatFun:
             raise DivisionByZero("zero denominator")
         q = RatFun._over(spec, num, ()) * RatFun._over(spec, den, ()).inverse()
         self.num, self.den, self.fac = q.num, q.den, q.fac
-        self.partials = None
-        self.text = None
+        self.partials = self.text = self.neg = None
 
     @classmethod
     def _over(cls, spec: FieldSpec, num: MultiPoly, fac: tuple) -> "RatFun":
@@ -887,8 +893,7 @@ class RatFun:
         out.num = num
         out.den = _den_of(spec, fac)
         out.fac = fac
-        out.partials = None
-        out.text = None
+        out.partials = out.text = out.neg = None
         return out
 
     @property
@@ -930,6 +935,8 @@ class RatFun:
             return other
         if not c.terms:
             return self
+        if self is other:  # gcd(2a, b) = gcd(a, b) = 1
+            return RatFun._over(spec, a._scaled(2, 1), self.fac)
         if not self.fac and not other.fac:
             return RatFun._over(spec, a + c, ())
         # with g = gcd(b, d) = b/b1 = d/d1 the sum is (a d1 + c b1)/(g b1 d1)
@@ -953,9 +960,18 @@ class RatFun:
         return RatFun._over(spec, _cancel(spec, t, exps, shared), _fac(exps))
 
     def __neg__(self) -> "RatFun":
+        out = self.neg
+        if out is not None:
+            if out.__class__ is RatFun:
+                return out
+            out = out()  # self is a negation, and out its operand
+            if out is not None:
+                return out
         if not self.num.terms:
             return self
-        return RatFun._over(self.spec, -self.num, self.fac)
+        out = self.neg = RatFun._over(self.spec, -self.num, self.fac)
+        out.neg = weakref.ref(self)
+        return out
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
@@ -1014,7 +1030,12 @@ class RatFun:
     def __str__(self) -> str:
         text = self.text
         if text is None:
-            text = self.text = f"({self.num.render()})/({self.den.render()})"
+            num = self.num.render()
+            texts = self.num.spec._den_texts
+            den = texts.get(self.fac)
+            if den is None:
+                den = texts[self.fac] = self.den.render()
+            text = self.text = f"({num})/({den})"
         return text
 
     def __repr__(self) -> str:

@@ -43,14 +43,22 @@ def has_shape(a: Matrix, rows: int, cols: int) -> bool:
     return len(a) == rows and all(len(row) == cols for row in a)
 
 
+def _even_shape(a: Matrix) -> tuple[int, int]:
+    """The shape of a, whose rows must all be as long as its first."""
+    m, n = shape(a)
+    if not has_shape(a, m, n):
+        raise ShapeMismatch("ragged matrix")
+    return m, n
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
+    if _even_shape(a) != _even_shape(b):
         raise ShapeMismatch("matrix addition shape mismatch")
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if shape(a) != shape(b):
+    if _even_shape(a) != _even_shape(b):
         raise ShapeMismatch("matrix subtraction shape mismatch")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -165,7 +173,7 @@ def sum_is_zero(terms: list) -> bool:
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return shape(a) == shape(b) and all(
+    return _even_shape(a) == _even_shape(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
 

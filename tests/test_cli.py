@@ -367,6 +367,23 @@ def test_horizontal_of_rank_zero_builds_no_ansatz(tmp_path):
     assert b'"vectors":[]' in (tmp_path / "s.jsonl").read_bytes()
 
 
+def test_rank_zero_module_takes_no_matrix_blocks(tmp_path, capsys):
+    """A rank-0 module takes the empty matrix for each principal
+    derivation; a block that is given is checked as for any rank, and a
+    module of positive rank still needs every block."""
+    head = XT_HEAD[: XT_HEAD.index("module")]
+    text = head + "module Z rank 0\nend\ncommand check-integrability Z\ncommand prolong P = Z\n"
+    assert run_text(tmp_path, text) == 0
+    records = [json.loads(line) for line in (tmp_path / "s.jsonl").read_text().splitlines()[1:]]
+    assert records[0]["verdict"] == "flat"
+    assert records[1]["derived"]["matrices"] == {"dx": []}
+    assert run_text(tmp_path, head + "module Z rank 0\n  matrix dx\n  end\nend\n") == 2
+    assert run_text(tmp_path, head + "module Z rank 1\nend\n") == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and "empty matrix block" in err[0]
+    assert err[1] == "semantic error: module 'Z' missing matrix for 'dx'"
+
+
 def test_structure_without_principals_must_declare_every_constant(tmp_path, capsys):
     """With no principal derivation every variable is a joint constant, so
     a structure that declares fewer is refused before a command certifies
@@ -835,6 +852,30 @@ def test_baer_check_builds_no_prolonged_module(monkeypatch):
     records, code = run_session(session, None)
     assert calls == [] and code == 0
     assert records[0]["verdict"] == "ok"
+
+
+def test_at2_chain_renders_and_differentiates_once_per_value(tmp_path, monkeypatch):
+    """Four chained at2 from R of the rational gauge fixture, rank 2 to
+    162.  The prolongation blocks -dt(A) are kept on A, and each rendered
+    denominator is kept per exponent vector, so the chain runs the
+    quotient rule 674 times and renders 55,820 polynomial terms; when each
+    -x was a new object it took 2,090 runs and 594,812 terms.  Counts,
+    not a time budget, so the guard does not depend on the host."""
+    import paramjet.field as field
+
+    runs, terms = [], []
+    quotient_rule, render = field._quotient_rule, field.MultiPoly.render
+    monkeypatch.setattr(field, "_quotient_rule", lambda x, i: runs.append(i) or quotient_rule(x, i))
+    monkeypatch.setattr(field.MultiPoly, "render", lambda p: terms.append(len(p.terms)) or render(p))
+    text = (FIXTURES / "rational_gauge_at2.session").read_text(encoding="utf-8")
+    names = ["R", "R2", "R3", "R4", "R5"]
+    chain = "".join(f"command at2 {b} = {a}\n" for a, b in zip(names, names[1:]))
+    assert run_text(tmp_path, text[: text.index("command ")] + chain) == 0
+    assert len(runs) <= 674 and sum(terms) <= 55_820
+    certificates = (tmp_path / "s.jsonl").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(certificates).hexdigest() == (
+        "f76fff669266124ef1b608be642ff7cb0926422d1f74957cd02fc4f1059c0f23"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -717,6 +718,83 @@ def test_every_route_renders_and_differentiates_like_a_fresh_value():
         fresh = parse_ratfun(FieldSpec(["x", "t"]), str(x))
         for v in ("x", "t"):
             assert str(partial_derivative(x, v)) == str(partial_derivative(fresh, v)), (route, v)
+
+
+def test_negation_makes_no_reference_cycle():
+    """-x is memoized on x and links back to x weakly: a second -x is the
+    same object, -(-x) is x, and dropping both leaves nothing for the
+    cyclic collector.  The value is built by arithmetic, since the
+    parser's nested closures leave garbage of their own."""
+    spec = FieldSpec(["x", "t"])
+    x, t = RatFun.variable(spec, "x"), RatFun.variable(spec, "t")
+    gc.collect()
+    gc.disable()
+    try:
+        q = (x + t) / (x - t) ** 3
+        n = -q
+        assert -q is n and -n is q and -(-n) is n
+        del q, n
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    q = (x * t + RatFun.one(spec)) / (x + t)
+    n, text = -q, str(q)
+    del q
+    assert str(-n) == text and -n is -n and -(-n) is n
+
+
+def _values(spec, rng, count):
+    """Random values of spec whose denominators are products of up to three
+    shared linear factors in every variable.  Such a product is primitive
+    in each variable, so it enters the coprime base whole, and a later one
+    that shares only some of its factors splits it: values built before a
+    split keep their vectors over the old element."""
+    factors = []
+    for k, signs in enumerate([(1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1)]):
+        f = MultiPoly.const(spec, k)
+        for c, name in zip(signs, spec.variables):
+            f = f + MultiPoly.variable(spec, name).scale(c)
+        factors.append(f)
+    values = []
+    for _ in range(count):
+        den = MultiPoly.one(spec)
+        for f in rng.sample(factors, rng.randint(0, 3)):
+            den = den * f
+        values.append(RatFun(rand_poly(spec, rng, max_deg=3, terms=3), den))
+    return values
+
+
+@pytest.mark.parametrize("names", ["x t", "x y z"])
+def test_doubling_agrees_with_the_general_sum(names):
+    spec = FieldSpec(names.split())
+    for x in _values(spec, random.Random(3030), 60):
+        twice = x + x
+        copy = RatFun(x.num, x.den)
+        assert copy is not x and twice == x + copy == RatFun(x.num.scale(2), x.den)
+        assert str(twice) == str(x + copy)
+
+
+@pytest.mark.parametrize("names", ["x t", "x y z"])
+def test_text_agrees_with_a_fresh_render(names):
+    spec = FieldSpec(names.split())
+    for x in _values(spec, random.Random(3031), 60):
+        fresh = f"({x.num.render()})/({x.den.render()})"
+        assert str(x) == fresh and str(-x) == f"({(-x.num).render()})/({x.den.render()})"
+    texts = spec._den_texts
+    assert spec._splits and len(set(texts.values())) < len(texts)
+
+
+def test_one_denominator_text_from_two_exponent_vectors():
+    """1/(x^2 - t^2) enters the base as one element; x - t then splits it,
+    so the same denominator is reached from the old vector and from the
+    vector over its two pieces, and both render it alike."""
+    spec = FieldSpec(["x", "t"])
+    old = rf("1/(x^2-t^2)", spec)
+    piece = rf("1/(x-t)", spec)
+    new = piece * rf("(x-t)/(x^2-t^2)", spec)
+    assert spec._splits and old.fac != new.fac and old == new
+    assert str(old) == str(new) == f"(1)/({old.den.render()})" == "(1)/(x^2-1*t^2)"
+    assert spec._den_texts[old.fac] == spec._den_texts[new.fac] == "x^2-1*t^2"
 
 
 def test_values_over_one_never_run_the_general_constructor(monkeypatch):

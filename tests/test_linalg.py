@@ -412,6 +412,19 @@ def test_has_shape_reads_every_row():
     assert not linalg.has_shape([[z, z]], 2, 2)
 
 
+@pytest.mark.parametrize("op", [linalg.mat_add, linalg.mat_sub, linalg.mat_eq])
+def test_ragged_operand_is_a_shape_mismatch(op):
+    """The sum, difference and equality read every row's length, not only
+    row 0's: a ragged operand on either side is refused."""
+    o = RatFun.one(FieldSpec(["x"]))
+    square, ragged = [[o, o], [o, o]], [[o, o], [o]]
+    for a, b in ((ragged, square), (square, ragged), (ragged, ragged)):
+        with pytest.raises(ShapeMismatch):
+            op(a, b)
+    assert linalg.mat_eq(square, [[o, o], [o, o]]) and not linalg.mat_eq(square, [[o, o]])
+    assert linalg.mat_eq([], [])
+
+
 def test_block_fills_unnamed_blocks_with_the_shared_zero():
     spec = FieldSpec(["x", "t"])
     rng = random.Random(20265)
