@@ -35,15 +35,20 @@ once, in order.
 Exit codes: 0 all verdicts ok, 2 parse error (including a command with the
 wrong number of arguments and a literal division by zero), an output stream
 closed before all output was written or an unwritable --out path, 3
-semantic error, 4 at least one verdict-bearing command failed.
+semantic error (running out of memory or recursion depth too), 4 at
+least one verdict-bearing command failed.  A regular ``--out`` file is
+replaced only once every record is written, so a failed run never
+leaves it partial.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import stat
 import sys
 from typing import Callable, Iterator, NamedTuple
 
@@ -621,6 +626,33 @@ def _fail(code: int, line: str) -> int:
     return code
 
 
+def _write_out(path: str, records: list[dict]) -> None:
+    """Write the records to ``--out``.  A regular file, or a path not yet
+    there, is written to a temporary file beside it, which replaces it
+    only once every record is out, so a failed run leaves no partial
+    file; the temporary file is removed on any exception, which goes on
+    up.  A special file such as /dev/null or a pipe is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            _emit(records, fh)
+        return
+    target = os.path.realpath(path)  # a symlink keeps pointing at the result
+    mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else 0o666
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    except OSError as err:  # name the path asked for, not the temporary one
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            _emit(records, fh)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def run(path: str, flags) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -629,6 +661,18 @@ def run(path: str, flags) -> int:
         return _fail(2, f"error: {err}")
     except UnicodeDecodeError as err:
         return _fail(2, f"error: {path} is not UTF-8 text: {err}")
+    # the exception, and with it the frames that hold the records, is
+    # dropped when its except clause ends, so the line has memory to work with
+    try:
+        return _run_text(text, flags)
+    except MemoryError:
+        reason = "out of memory"
+    except RecursionError:
+        reason = "recursion too deep"
+    return _fail(3, f"semantic error: {reason}")
+
+
+def _run_text(text: str, flags) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         session = parse_session(text)
@@ -648,8 +692,7 @@ def run(path: str, flags) -> int:
     }
     try:
         if flags.out:
-            with open(flags.out, "w", encoding="utf-8") as fh:
-                _emit([header] + records, fh)
+            _write_out(flags.out, [header] + records)
         else:
             _emit([header] + records, sys.stdout)
             sys.stdout.flush()  # the certificates are out before the report

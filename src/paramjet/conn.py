@@ -315,28 +315,46 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
 
     The ansatz is v = N / D^degree_bound where D is the monic lcm of all
     connection-entry denominators and N is a polynomial vector of total
-    degree at most degree_bound * (1 + deg D); this family contains every
-    vector whose denominator divides a product of factors of D raised to
-    the bound with numerator degree up to the bound.  The equations
+    degree at most B = degree_bound * (1 + deg D); this family contains
+    every vector whose denominator divides a product of factors of D raised
+    to the bound with numerator degree up to the bound.  The equations
     ∂i(v) = Ai·v are cleared to polynomial identities and solved exactly
     over Q; the returned vectors are a Q-basis of the solutions inside the
     family (sound, not complete beyond the bound).  Each equation row is
     keyed by its component and the packed key of its monomial, so the
     column of an unknown is its principal's blocks each shifted by one
     integer addition (``_equation_blocks``).  A search of more than
-    MAX_UNKNOWNS unknowns is refused with a SemanticError.
+    MAX_UNKNOWNS unknowns, rank times every monomial of degree at most B,
+    is refused with a SemanticError.
+
+    A variable is inert when no principal derivation differentiates along
+    it and no block holds it, as t in a Gauss system over Q(x, t).  Write
+    an unknown monomial as τ·y, τ a monomial in the inert variables and y
+    one in the others.  The column of (l, τ·y) is the column of (l, y)
+    shifted by τ, and every row it touches has inert part τ, so the system
+    splits into one slice per τ, each the system of the y-unknowns of
+    degree at most B − |τ|.  Its solutions are ⊕_τ τ·K(B − |τ|), where
+    K(b) is the kernel of the y-unknowns of degree at most b; only the
+    y-unknowns of degree at most B are eliminated, once.  They are numbered
+    monomial-major, the unknowns of one monomial side by side and the
+    monomials in graded order.  ``fraction_nullspace`` gives one vector
+    per free column f, nonzero only at f and at pivot columns before f,
+    so every vector whose f has degree at most b lies in K(b).  They span
+    it: a vector of K(b) is zero at every column of degree above b, so
+    among them at each free column of degree above b, and a kernel vector
+    is the sum of the basis vectors of its free columns, each scaled by
+    its entry there.  With no inert variable τ = 1 is the only monomial.
+    An equation couples the components at nearby monomials, so the
+    monomial-major order takes far less fill-in than the component-major
+    one (Markowitz, Management Science 3, 1957).
 
     The basis is the kernel's, in the canonical form of the
     component-major order of the unknowns (all of component 0's monomials,
     then component 1's, each in graded order): one vector per free
-    column of that order, 1 there and 0 at the other free columns.  The
-    system is eliminated monomial-major instead, the unknowns of one
-    monomial side by side: an equation couples the components at nearby
-    monomials, so that order takes far less fill-in (Markowitz,
-    Management Science 3, 1957).  ``linalg.canonical_kernel`` then gives
-    the component-major basis back, since the kernel alone fixes that
-    form: the vectors, and so the certificates, do not depend on the
-    order eliminated in.
+    column of that order, 1 there and 0 at the other free columns.
+    ``linalg.canonical_kernel`` gives that form from the vectors τ·v,
+    since the kernel alone fixes it: the vectors, and so the certificates,
+    do not depend on the order eliminated in or on the slicing.
     """
     spec = m.spec
     if degree_bound < 0:
@@ -358,19 +376,32 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
     monomials = _monomials_up_to(len(spec), num_bound)
     keys = [spec.key(e) for e in monomials]
     units = spec.units
+    blocks = [_equation_blocks(m, i, denom, num_bound) for i in range(m.ps.principal_count)]
+    # a variable moves when a principal differentiates along it or a block
+    # holds it; a row key's component offset lies in its degree field, which
+    # ``exponents`` does not read
+    moving = set()
+    for derivative, lead, coupling, _ in blocks:
+        moving.update(n for n, _ in derivative)
+        for block in [lead, *(b for _, b in derivative), *(b for col in coupling for b in col)]:
+            for key, _ in block:
+                moving.update(n for n, x in enumerate(spec.exponents(key)) if x)
+    inert = [n for n in range(len(spec)) if n not in moving]
+    free = [k for k, e in enumerate(monomials) if not any(e[n] for n in inert)]
+    taus = [k for k, e in enumerate(monomials) if not any(e[n] for n in moving)]
 
     # Row (i, l', x^f) is the x^f coefficient of component l' of principal
     # i's cleared identity, numbered as its key first appears; the column of
-    # unknown (l, x^e) is made of the blocks of _equation_blocks shifted by
-    # x^e, or by x^(e - 1_n) times e_n for the derivative blocks.  With packed
-    # keys a shift is one integer addition.  The unknowns are numbered
-    # monomial-major, (l, x^e) as k·rank + l for the index k of x^e.
+    # unknown (l, y) is made of the blocks of _equation_blocks shifted by y,
+    # or by y / x_n times e_n for the derivative blocks.  With packed keys a
+    # shift is one integer addition.  The unknowns are numbered
+    # monomial-major, (l, y) as j·rank + l for the index j of y in free.
     rows: list[dict[int, int]] = []
-    for i in range(m.ps.principal_count):
-        derivative, lead, coupling, component = _equation_blocks(m, i, denom, num_bound)
+    for derivative, lead, coupling, component in blocks:
         row_of: dict[int, dict[int, int]] = {}
         for l in range(rank):
-            for k, (e, packed) in enumerate(zip(monomials, keys)):
+            for j, k in enumerate(free):
+                e, packed = monomials[k], keys[k]
                 here = packed + l * component
                 shifts = [(block, here - units[n], e[n]) for n, block in derivative if e[n]]
                 shifts.append((lead, here, 1))
@@ -379,7 +410,7 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                 for block, shift, factor in shifts:
                     for f, c in block:
                         col[f + shift] = col.get(f + shift, 0) + factor * c
-                unknown = k * rank + l
+                unknown = j * rank + l
                 for key, x in col.items():
                     row = row_of.get(key)
                     if row is None:
@@ -388,8 +419,24 @@ def horizontal_space(m: DiffModule, degree_bound: int) -> list[list[RatFun]]:
                     if x:
                         row[unknown] = x
 
+    # each vector of K(B) as the degree of its free column, the last
+    # nonzero one, and its entries (key of y, component, value)
+    solved = []
+    for v in linalg.fraction_nullspace(rows, rank * len(free)):
+        entries = [(keys[free[p // rank]], p % rank, x) for p, x in enumerate(v) if x]
+        solved.append((sum(spec.exponents(entries[-1][0])), entries))
+    index = {key: k for k, key in enumerate(keys)}
+    shifted = []
+    for tau in taus:
+        room, shift = num_bound - sum(monomials[tau]), keys[tau]
+        for top, entries in solved:
+            if top <= room:
+                v = [0] * (rank * nmono)  # canonical_kernel reads the nonzero entries only
+                for key, l, x in entries:
+                    v[index[key + shift] * rank + l] = x
+                shifted.append(v)
     columns = [l * nmono + k for k in range(nmono) for l in range(rank)]
-    basis = linalg.canonical_kernel(linalg.fraction_nullspace(rows, rank * nmono), columns)
+    basis = linalg.canonical_kernel(shifted, columns)
     out = []
     for sol in basis:
         vec = []

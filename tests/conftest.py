@@ -1,4 +1,8 @@
+import functools
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,18 @@ from paramjet.diffstruct import (
     coordinate_derivation,
 )
 from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@functools.cache
+def bench_gen():
+    """``bench/gen.py``, loaded by path: ``bench`` is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves the module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- fields and structures ---------------------------------------------------

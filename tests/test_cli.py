@@ -9,10 +9,13 @@ import time
 
 import pytest
 
+from paramjet import cli
 from paramjet.cli import VERBS, main, parse_session, run_session
 from paramjet.conn import MAX_UNKNOWNS
 from paramjet.errors import ParseError, SemanticError
 from paramjet.field import MAX_EXPONENT, parse_ratfun
+
+from conftest import bench_gen
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -274,7 +277,8 @@ def test_fixture_certificate_digests(tmp_path, name, digest):
 
 def test_horizontal_certificate_digest_at_degree_bound_9(tmp_path):
     """The larger horizontal search of hypergeom_2f1 (nine vectors F·t^k
-    over a 1,400 x 812 system) is pinned byte for byte as well."""
+    among 812 unknowns, of which the 56 free of t are eliminated, a 77 x 56
+    system) is pinned byte for byte as well."""
     _, payload = run_cli(tmp_path, "hypergeom_2f1.session", "--degree-bound", "9")
     digest = "994ffc618420bb0543a3ef4f7ddf4d08f51bdd11b02b9038ffc14e7e94343dee"
     assert hashlib.sha256(payload).hexdigest() == digest
@@ -288,11 +292,93 @@ def test_horizontal_certificate_digest_at_degree_bound_9(tmp_path):
     ],
 )
 def test_horizontal_certificate_digest_at_degree_bounds_14_and_20(tmp_path, bound, digest):
-    """The searches of 3,225 x 1,892 and 6,405 x 3,782 systems, eliminated
-    in another column order than the one their basis is given in, are
-    pinned byte for byte too."""
+    """The searches of 1,892 and 3,782 unknowns, of which the 86 and 122
+    free of t are eliminated (117 x 86 and 165 x 122 systems) in another
+    column order than the one their basis is given in, and the solutions
+    put together from one slice per power of t, are pinned byte for byte
+    too."""
     _, payload = run_cli(tmp_path, "hypergeom_2f1.session", "--degree-bound", str(bound))
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+# one sha256 per generated session of bench/gen.py at seed 11, 16 per
+# workload: see test_generated_session_digests
+GENERATED_DIGESTS = {
+    "gauge-closure": [
+        "4721c80f43dbe0e736ccc75c0362e9c207b3958f1278199e45eb62af91b0e95f",
+        "3275266268ca34335d43780ad15afedfe3dd7d6ef7653a9800810fc5fcf59e2d",
+        "9d1d586a9a8acce13a303422dc2697aba53797743a8cd8ac7dfb72f22a10f24a",
+        "8096e67a0d5b15d727ee4783d9054f6546988f22c8e2dc45bfa7eb290ed76464",
+        "084b90120d8ef1ab2ea2f2cab8c8371dc4d4fd7b400ac7b61df88d481f2e947b",
+        "d2ab822467475ccd86c0c56f827b004fa742b978ce9973a6a31fe68cab297a01",
+        "c9f7fbcaa637972a8a60a104f21e4d17ee20ba9dbb67f17614a1712ee75f9197",
+        "6dcb69693106fceb067a9bff9015906c88918ed46642b9c875158744c380035b",
+        "6fadf535662b363e3efe2ac7c237556844d1860b326781faf909ab5c413c89a4",
+        "b3d9c7045f9bde673c57fc01dc98bbafacdbd729389a655f4ca34f8934c5a535",
+        "d0a822a3f3fc5dabd7bd076d43fcbb6a8f88a9ac753258e97cf24a7b68f912d0",
+        "cc28f24cf3fb7d73159fa4fa2b93d8e5b8190f501fa7339388ecc5c56ab47552",
+        "1220d2a3720c0602481d68f9f490cef7416e0f8897178309763dc1cf376495d0",
+        "3fa7ac008c821b6ba2cb967f1278a70e2ac4cdc9584df9ad64b2e18c750dbae7",
+        "67766f8a607caf9484ba3e42a9c946fab8ece1fd12d185fbf428557b8ed80b2a",
+        "386a640cddc5b8a33b5c873e604f8816be65b014ba2c7d4a102ece273a7d6a37",
+    ],
+    "hypergeom-horizontal": [
+        "f44a669f503757c632a8a9c2757026e707febe8b3ed3c2f51b9417330c3cff16",
+        "ba3ccf3e9cc8d536e319fbe0af93c1df6c23993c91a33cf4d816a01fd948df67",
+        "309f353093b74529a25a702049d358cd2e91ad8551fdcb22570021687ddeea77",
+        "856f5370d96eb13993c1fb28aaf1c2baa247299c6ba47723df9c0aaf65cc642c",
+        "0f3b363afcdd3a35e53e25a3882c0873f58ff43232703a7befad4b25cf819aa1",
+        "fac5dd336c42cea4df806de89687659c5604442e841bd55a0df5562fa28cc7d6",
+        "f842eddc6918c90b9325bdaf3229d1193843427c1aa0516945ddf8f22f7179fd",
+        "861503a9e1c7a280f99b57a15e0e907c512917dbfe82c2a93fcb0308e18dc982",
+        "b757e4e59d8107e512789b9d8b534bac3585321f267654f2ad45c04dacba3973",
+        "01045494685d28b48dc2ca4d1294342978f5e1a1553e7e0cdc0c5901241d9278",
+        "9adb8a09b82feb62d0b0a94589598e70982b7858f67a4c840fa48cc65fed3d18",
+        "55d9a5022c3502335c7afad19d9a697471ac15a09c5f79b6038ba8f32c04ee61",
+        "65e9586063f89ff5a7273e8baec92d2432fd9adea30cf6ab6c5f66ff3c1f047e",
+        "c3c8fe6578f285e83b1b34361024e95f41bb938b1e2788ff4f2b335acab7128d",
+        "16d3b4c1421cb2517b52f458d4f7b3f33ba3b2db17d106c7e2e0239f9925fd3a",
+        "a76b8e0089150c0e0ff17e805174b0146828a192b287c369d7f6b820f121fcae",
+    ],
+    "ratfun-jet": [
+        "274a13abdc79c61969e80353824f6fff703ae9306d0f559a3c856bd02c6fd082",
+        "f4e31560b5e30dcb7f57ab4ce8b9e824fbcaa84c27dce3445c3ebee23b2727a8",
+        "eb9f4ffe9952008184d50ef4e4d2902bd3d527425008dd0d1f048266aae5aad0",
+        "4451cb6d80c6c996998388345d70a8df133b33d0cc9bd4f472421cdbca9659f8",
+        "b8b15e0b4ff7eec4ef6c7f4ae4b7d943633904bb49606f2aadbd5c28c7e4c25e",
+        "432237d8622e39f48181729bac8955cdd9475c17319edf979b17af4b7cc62db1",
+        "bc8727378933c59e6cbe5f427ce5fcce778d06dc477539418521712550c712f8",
+        "010e230e71a56ceb6b60919928582eb33ed318412c8fd9b26be1d3ba3402af2b",
+        "37248a9d01d2fbb9e637947d314014bb9ec8cbafc644734fa81a5eb63d213f14",
+        "d60e8280b8eeeae593a6aa0965ee7b58b223ff2e1883541d5c471887bf05378f",
+        "ab2a158b9872b206964aa3d8aa0b3cc438c1d5dc606a8da9c1fcdeeabbf647d2",
+        "6922c29f30cb2b50c9e673b0f0d78c1de05970b2c1339aa8bc3596ba71a647df",
+        "4b33916e41db29aae38a31461cdd588154ec0e06b101611e88ab925a9152aadb",
+        "8527de491cc4ebd64b27648b1e78341044b3f7b3088eee4d76d00bdd72489793",
+        "47bf34d2cb0bc3314eb5ff390160a639ca6abc832c2f65b9d1abc2b0377d43ca",
+        "4637bad28923c9d1a00ee57786600a30e7b4a1f0ef2a46c7b178483271da7e1b",
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GENERATED_DIGESTS))
+def test_generated_session_digests(tmp_path, capsys, workload):
+    """The 16 seed-11 sessions of each benchmark workload, run through
+    main with their benchmark flags, are pinned byte for byte: one sha256
+    per session over its certificates, stdout, stderr and exit code, each
+    prefixed by its length."""
+    session, out = tmp_path / "s.session", tmp_path / "s.jsonl"
+    got = []
+    for generated in bench_gen().GENERATORS[workload](11, 16):
+        session.write_text(generated.text)
+        code = main(["run", str(session), "--out", str(out), "--quiet", *generated.flags])
+        captured = capsys.readouterr()
+        digest = hashlib.sha256()
+        for part in (out.read_bytes(), captured.out.encode(), captured.err.encode(), str(code).encode()):
+            digest.update(len(part).to_bytes(8, "big") + part)
+        got.append(digest.hexdigest())
+        out.unlink(missing_ok=True)
+    assert got == GENERATED_DIGESTS[workload]
 
 
 def test_horizontal_basis_of_a_zero_connection_is_component_major(tmp_path):
@@ -321,6 +407,82 @@ def run_text(tmp_path, text, *extra):
     f = tmp_path / "s.session"
     f.write_text(text)
     return main(["run", str(f), "--quiet", "--out", str(tmp_path / "s.jsonl"), *extra])
+
+
+_ENCODE = cli._ENCODER.encode
+
+
+def _fail_on(call: int, exc: BaseException):
+    """An encoder whose encode raises exc from its call-th call on."""
+    seen = []
+
+    class Failing:
+        def encode(self, record):
+            seen.append(record)
+            if len(seen) >= call:
+                raise exc
+            return _ENCODE(record)
+
+    return Failing()
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "semantic error: out of memory"),
+    (RecursionError("maximum recursion depth exceeded"), "semantic error: recursion too deep"),
+])
+@pytest.mark.parametrize("where", ["handler", "output"])
+def test_exhausted_run_is_one_line_and_leaves_no_out(tmp_path, capsys, monkeypatch, exc, line, where):
+    """Memory or recursion that runs out in a command's handler or while
+    the certificates are written exits 3 with one line, no traceback, and
+    no --out file, partial or temporary."""
+    if where == "handler":
+        def exhausted(*args):
+            raise exc
+        verb = cli.VERBS["check-integrability"]
+        monkeypatch.setitem(cli.VERBS, "check-integrability", verb._replace(handler=exhausted))
+    else:
+        monkeypatch.setattr(cli, "_ENCODER", _fail_on(2, exc))
+    assert run_text(tmp_path, XT_HEAD + "command check-integrability M\n") == 3
+    assert capsys.readouterr().err == line + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.session"]
+
+
+def test_write_failing_after_the_first_record_leaves_the_old_out(tmp_path, capsys, monkeypatch):
+    """A write that fails after the header (a full disk, say) exits 2 and
+    leaves the file at --out as it was, with no temporary file beside it;
+    an exception the run does not handle, like the timeout a caller may
+    raise, goes on up and leaves nothing behind either."""
+    out = tmp_path / "s.jsonl"
+    out.write_text("old\n")
+    monkeypatch.setattr(cli, "_ENCODER", _fail_on(2, OSError(28, "No space left on device")))
+    assert run_text(tmp_path, XT_HEAD + "command check-integrability M\n") == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert out.read_text() == "old\n"
+
+    class Timeout(BaseException):
+        pass
+
+    monkeypatch.setattr(cli, "_ENCODER", _fail_on(2, Timeout()))
+    with pytest.raises(Timeout):
+        run_text(tmp_path, XT_HEAD + "command check-integrability M\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "s.session"]
+    assert out.read_text() == "old\n"
+
+
+def test_out_through_a_symlink_and_to_a_special_file(tmp_path):
+    """A symlinked --out keeps its link and gets the certificates at its
+    target, which keeps its mode; /dev/null is written directly."""
+    target = tmp_path / "real.jsonl"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    session = tmp_path / "s.session"
+    session.write_text(XT_HEAD + "command check-integrability M\n")
+    assert main(["run", str(session), "--quiet", "--out", str(link)]) == 0
+    assert link.is_symlink() and records_of(target.read_bytes())[1]["verdict"] == "flat"
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert main(["run", str(session), "--quiet", "--out", os.devnull]) == 0
 
 
 @pytest.mark.parametrize("power, code", [(255, 0), (256, 3)])
@@ -581,7 +743,7 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     code = main(["run", str(FIXTURES / "calculus.session"), "--quiet", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert err == [f"error: [Errno 2] No such file or directory: {str(out)!r}"]
 
 
 LONG_INT = "1" * 5000  # over the 4300 digits int() converts

@@ -1,5 +1,7 @@
 import argparse
+import functools
 import gc
+import math
 import pathlib
 import random
 import time
@@ -24,7 +26,7 @@ from paramjet.conn import (
     tensor,
     trivial_module,
 )
-from paramjet.diffstruct import build_param_structure, coordinate_derivation
+from paramjet.diffstruct import Derivation, build_param_structure, coordinate_derivation
 from paramjet.errors import MorphismInvalid, NotFlat, StructureMismatch
 from paramjet.conn import _monomials_up_to
 from paramjet.field import FieldSpec, MultiPoly, RatFun, parse_ratfun, poly_divexact, poly_gcd
@@ -494,7 +496,8 @@ def test_horizontal_hypergeometric_bound_3(xt, a, nullity):
     """The rank-2 Gauss system for 2F1(a, 2/3; 1/5; x) over Q(x, t) at
     degree bound 3.  For a = -n the polynomial solution F and F*t^k,
     k <= 3 - n, span the solutions in the ansatz (nullity 4 - n); a generic
-    a leaves none.  The linear system over Q is 200 x 110."""
+    a leaves none.  Of the 110 unknowns the 20 free of t are eliminated, a
+    29 x 20 system over Q."""
     spec, ps = xt
     b, c = "2/3", "1/5"
     m = DiffModule(ps, 2, ([
@@ -671,6 +674,63 @@ def test_horizontal_radix_above_block_degrees(x12t):
     assert 0 in nullities and max(nullities) >= 3
 
 
+def _nullspace_columns(monkeypatch) -> list[int]:
+    """The column count of each later ``fraction_nullspace`` call, in order."""
+    columns = []
+    nullspace = linalg.fraction_nullspace
+    monkeypatch.setattr(linalg, "fraction_nullspace", lambda rows, n: columns.append(n) or nullspace(rows, n))
+    return columns
+
+
+def test_horizontal_slices_by_inert_monomial_match_the_oracle(x12t, monkeypatch):
+    """Searches with an inert variable, one that no principal moves and no
+    equation block holds, eliminate only the unknowns free of it; the
+    other variables keep every unknown.  Against the per-monomial oracle
+    at bounds 0-3:
+
+    - two inert constants over Q(x, t1, t2).  The module v' = (q, 0) has
+      (1, 0) and (x, 1) from numerator degree 1 on, so the slice of τ
+      keeps two vectors when |τ| < B and one when |τ| = B: nullity
+      (B + 1)^2.  The module v' = v/(x + 1) has (x + 1)·τ for |τ| < B;
+    - x2 over Q(x1, x2, t) holds no entry but dx2 moves it; t is inert;
+    - over Q(x, t) the principal (1/(t + 1))·dx puts t in the coupling
+      blocks, so nothing is inert, and ((t + 1)·x, 1) is a solution."""
+    xtt = FieldSpec(["x", "t1", "t2"])
+    d = functools.partial(coordinate_derivation, xtt)
+    ps_tt = build_param_structure(xtt, [d("x")], [d("t1"), d("t2")], ["t1", "t2"])
+    xt = FieldSpec(["x", "t"])
+    scaled = Derivation(xt, [rf(xt, "1/(t+1)"), rf(xt, "0")])
+    ps_scaled = build_param_structure(
+        xt, [scaled], [Derivation(xt, [rf(xt, "-x/(t+1)"), rf(xt, "1")])], ["t"]
+    )
+    _, ps12 = x12t
+
+    def module(ps, *matrices):
+        conn = tuple([[rf(ps.base, e) for e in row] for row in a] for a in matrices)
+        return DiffModule(ps, len(matrices[0]), conn)
+
+    # (name, module, variables not inert, nullities at bounds 0-3 or None)
+    cases = [
+        ("nilpotent", module(ps_tt, [["0", "1"], ["0", "0"]]), 1, [1, 4, 9, 16]),
+        ("pole", module(ps_tt, [["1/(x+1)"]]), 1, [0, 1, 3, 6]),
+        ("x2 moved", module(ps12, [["0", "1/(x1+1)"], ["0", "0"]], [["0", "0"], ["0", "0"]]), 2, None),
+        ("t in dx", module(ps_scaled, [["0", "1"], ["0", "0"]]), 2, None),
+    ]
+    columns = _nullspace_columns(monkeypatch)
+    for name, m, nfree, nullities in cases:
+        for bound in range(4):
+            del columns[:]
+            got = horizontal_space(m, bound)
+            assert got == horizontal_oracle(m, bound), (name, bound)
+            if nullities:
+                assert len(got) == nullities[bound], (name, bound)
+            d_poly = _poly_lcm([e.den for a in m.conn for row in a for e in row], m.spec)
+            num_bound = bound * (1 + d_poly.total_degree())
+            assert columns == [m.rank * math.comb(num_bound + nfree, nfree)], (name, bound)
+    target = [rf(xt, "(t+1)*x"), rf(xt, "1")]
+    assert target in horizontal_space(cases[3][1], 2)
+
+
 def _hypergeom_fixture_module():
     text = (pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "hypergeom_2f1.session").read_text()
     return parse_session(text).modules["H"]
@@ -688,24 +748,33 @@ def test_horizontal_hypergeom_fixture_takes_no_gcd(monkeypatch):
     assert calls == []
 
 
-def test_horizontal_hypergeom_fixture_at_bound_20_is_fast():
-    """A cliff guard on the monomial-major elimination: the fixture's
-    module at degree bound 20 (6,405 x 3,782 over Q) within 3x the 0.31 s
-    it takes in process on a 2-vCPU host; the solutions are F·t^k for
-    k < 20."""
-    m = _hypergeom_fixture_module()
+def _timed_search(monkeypatch, m, bound):
+    """The basis, the seconds and the columns ``fraction_nullspace`` is
+    handed, summed over its calls, of one horizontal search."""
+    columns = _nullspace_columns(monkeypatch)
     start = time.perf_counter()
-    found = horizontal_space(m, 20)
-    assert time.perf_counter() - start < 0.95
+    found = horizontal_space(m, bound)
+    return found, time.perf_counter() - start, sum(columns)
+
+
+def test_horizontal_hypergeom_fixture_at_bound_20_is_fast(monkeypatch):
+    """A cliff guard on the search of the fixture's module at degree bound
+    20: t is inert, so only the 122 unknowns free of t are eliminated (a
+    165 x 122 system over Q), where the whole search has 3,782; within
+    the 0.95 s budget, and the column count guards the cliff on any host.
+    The solutions are F·t^k for k < 20."""
+    found, seconds, columns = _timed_search(monkeypatch, _hypergeom_fixture_module(), 20)
+    assert columns == 122
+    assert seconds < 0.95
     assert len(found) == 20
 
 
-def test_horizontal_hypergeom_fixture_at_bound_14_is_fast():
+def test_horizontal_hypergeom_fixture_at_bound_14_is_fast(monkeypatch):
     """A cliff guard: the module of fixtures/hypergeom_2f1.session at
-    degree bound 14 (a 3,225 x 1,892 system over Q) in well under a
-    second; the solutions are F·t^k for k < 14."""
-    m = _hypergeom_fixture_module()
-    start = time.perf_counter()
-    found = horizontal_space(m, 14)
-    assert time.perf_counter() - start < 1.0
+    degree bound 14 eliminates the 86 unknowns free of t (a 117 x 86
+    system over Q, of 1,892 unknowns in all) in well under a second; the
+    solutions are F·t^k for k < 14."""
+    found, seconds, columns = _timed_search(monkeypatch, _hypergeom_fixture_module(), 14)
+    assert columns == 86
+    assert seconds < 1.0
     assert len(found) == 14

@@ -6,11 +6,9 @@ same witness as the full curvature test always did."""
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import pathlib
 import random
-import sys
 
 import pytest
 
@@ -37,8 +35,8 @@ from paramjet.prolong import (
     prolong_morphism,
 )
 
-from conftest import (gauge_module, parameter_sub, perturb_module, rand_gauge_module, rand_ratfun,
-                      rand_unipotent)
+from conftest import (bench_gen, gauge_module, parameter_sub, perturb_module, rand_gauge_module,
+                      rand_ratfun, rand_unipotent)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -91,16 +89,7 @@ def test_fixture_modules_recorded_flat_have_zero_curvature(name):
         assert_zero_curvature(m)
 
 
-def _bench_gen():
-    """``bench/gen.py``, loaded by path: ``bench`` is not a package."""
-    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolves the module by name
-    spec.loader.exec_module(module)
-    return module
-
-
-_GAUGE_SESSIONS = _bench_gen().gen_gauge(11, 4)
+_GAUGE_SESSIONS = bench_gen().gen_gauge(11, 4)
 
 
 @pytest.mark.parametrize("index", range(4))
